@@ -1,0 +1,5 @@
+"""End-to-end and per-layer benchmark for the driftknn CLI.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; see ``perfbench/README.md``.
+"""
