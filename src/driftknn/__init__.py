@@ -21,17 +21,10 @@ from .core import (
     pooled_sample_set,
     validate_dataset,
 )
-from .neighbors import (
-    NeighborIndex,
-    NeighborList,
-    build_index,
-    merged_knn,
-    query_knn,
-)
+from .neighbors import NeighborIndex, NeighborList, merged_knn
 from .classifiers import (
     AdaptiveTrace,
     LepskiTrace,
-    MultiAdaptiveTrace,
     adaptive_predict,
     bayes_classify,
     combined_budget_k,
@@ -69,8 +62,8 @@ __all__ = [
     "HyperParams", "KnnPlan", "LabeledSample", "MultiKnnPlan",
     "MultiSourceDataset", "RandomSource", "SampleSet", "TransferDataset",
     "merge_sources", "pooled_sample_set", "validate_dataset",
-    "NeighborIndex", "NeighborList", "build_index", "merged_knn", "query_knn",
-    "AdaptiveTrace", "LepskiTrace", "MultiAdaptiveTrace", "adaptive_predict",
+    "NeighborIndex", "NeighborList", "merged_knn",
+    "AdaptiveTrace", "LepskiTrace", "adaptive_predict",
     "bayes_classify", "combined_budget_k", "default_knn_k", "knn_predict",
     "lepski_predict",
     "minimax_plan", "multisource_adaptive_predict", "multisource_plan",

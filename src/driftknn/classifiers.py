@@ -3,18 +3,27 @@
 The source sample (P) and target sample (Q) share a covariate marginal but
 have different regression functions eta_P and eta_Q, linked by a relative
 signal exponent gamma: the source signal |eta_P - 1/2| dominates
-|eta_Q - 1/2|^gamma with matching signs. Classifiers here:
+|eta_Q - 1/2|^gamma with matching signs. The classifiers work on the groups
+[Q, S_1..S_m], the target sample followed by m source samples; a
+two-sample dataset is the case m = 1 with S_1 = P.
 
-* ``weighted_knn_predict``: a two-sample weighted k-NN vote whose neighbor
-  counts and weights come from ``minimax_plan`` (rate-optimal in n_P, n_Q,
-  beta, gamma, d), plus the multi-source generalization.
-* ``adaptive_predict``: a fully data-driven rule that scans k over the
-  merged neighbor sequence, tracks a signal-to-noise statistic per k, and
-  stops the first time it clears a (d+3) * log(n) threshold (falling back
-  to the argmax k when nothing clears it).
+* ``weighted_knn_predict`` / ``multisource_weighted_predict``: one
+  weighted k-NN vote over the groups, with counts and weights from
+  ``multisource_plan`` (rate-optimal in the sample sizes, beta, gamma, d);
+  the plain majority ``knn_predict`` is the vote with no source and w_Q = 1.
+  Each takes one query or an (m, d) array of queries.
+* ``adaptive_predict`` / ``multisource_adaptive_predict``: one scan of k
+  over the merged neighbor order that stops the first time a
+  signal-to-noise statistic clears (d+3) * log(n), else takes the argmax k.
 * ``lepski_predict``: a classical adaptive baseline that intersects
   confidence intervals for eta(x) over increasing k and stops when the
   intersection separates from 1/2.
+
+At m = 1 the two-sample functions give the multi-source floats exactly.
+The scan keeps two label rules: Alg. 3's sign of
+sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) for two samples, and
+snr_pos >= snr_neg for m sources. They agree in exact arithmetic at m = 1,
+but rounding can split them at exact ties.
 """
 
 from __future__ import annotations
@@ -33,11 +42,8 @@ from .core import (
     SampleSet,
     TransferDataset,
 )
-from .neighbors import (
-    NeighborIndex,
-    merged_order_multi,
-    merged_order_transfer,
-)
+from . import neighbors
+from .neighbors import NeighborIndex
 
 __all__ = [
     "default_knn_k",
@@ -49,7 +55,6 @@ __all__ = [
     "snr_index",
     "AdaptiveTrace",
     "adaptive_predict",
-    "MultiAdaptiveTrace",
     "multisource_weighted_predict",
     "multisource_adaptive_predict",
     "LEPSKI_WIDTHS",
@@ -92,23 +97,10 @@ def minimax_plan(n_p: int, n_q: int, hp: HyperParams) -> KnnPlan:
 
     where b is the smoothness, g the relative signal exponent, d the
     dimension. Counts are clamped so a nonempty sample always contributes
-    at least one neighbor. Requires at least one sample overall.
+    at least one neighbor. Requires at least one sample overall. This is
+    the m = 1 case of multisource_plan.
     """
-    if n_p < 0 or n_q < 0:
-        raise ValueError(f"sample sizes must be >= 0, got ({n_p}, {n_q})")
-    if n_p == 0 and n_q == 0:
-        raise ValueError("need at least one sample in P or Q")
-    b, d = hp.beta, float(hp.d)
-    g = hp.scalar_gamma()
-    eff = float(n_p) ** ((2 * b + d) / (2 * g * b + d)) + float(n_q)
-    w_q = eff ** (-b / (2 * b + d))
-    w_p = eff ** (-g * b / (2 * b + d))
-    shrink = eff ** (-d / (2 * b + d))
-    k_q = math.floor(n_q * shrink)
-    k_p = math.floor(n_p * shrink)
-    k_q = max(k_q, min(n_q, 1))
-    k_p = max(k_p, min(n_p, 1))
-    return KnnPlan(k_p=k_p, k_q=k_q, w_p=w_p, w_q=w_q)
+    return multisource_plan((n_p,), n_q, hp).to_single()
 
 
 def multisource_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> MultiKnnPlan:
@@ -139,39 +131,88 @@ def multisource_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> 
     return MultiKnnPlan(k_sources=k_s, w_sources=w_s, k_q=k_q, w_q=w_q)
 
 
-def weighted_knn_eta(ds: TransferDataset, plan: KnnPlan, x) -> float:
-    """The weighted neighbor-vote estimate of the target regression at x.
+def _vote_eta(data: TransferDataset | MultiSourceDataset, k_q: int, w_q: float,
+              k_sources: Sequence[int], w_sources: Sequence[float], x):
+    """The weighted k-NN vote over the groups [Q, S_1..S_m] of a dataset.
 
-    eta_hat = (w_P * sum of k_P nearest P-labels + w_Q * sum of k_Q nearest
-    Q-labels) / (w_P k_P + w_Q k_Q). Raises if the plan requests more
-    neighbors than a set holds or gives every selected neighbor zero weight.
+    eta_hat(x) = sum_g w_g * (sum of the k_g nearest labels of group g)
+    / sum_g w_g k_g. The numerator adds the groups in order, Q first; the
+    denominator is w_Q k_Q plus the sum over the sources. With that order
+    the one-source vote gives the two-sample floats. Raises if a group is
+    asked for more neighbors than it holds or every selected neighbor has
+    zero weight. Like ``DriftModel.eta_q``, x is one query (d,) and the
+    answer a float, or an (m, d) array answered row by row through the
+    k-d tree path; both paths give the same values.
     """
-    if plan.k_p > ds.n_p:
-        raise ValueError(f"plan needs k_P = {plan.k_p} but P has {ds.n_p} samples")
-    if plan.k_q > ds.n_q:
-        raise ValueError(f"plan needs k_Q = {plan.k_q} but Q has {ds.n_q} samples")
-    den = plan.w_p * plan.k_p + plan.w_q * plan.k_q
+    if k_q > data.n_q:
+        raise ValueError(f"plan needs k_Q = {k_q} but Q has {data.n_q} samples")
+    for i, (k, s) in enumerate(zip(k_sources, data.sources), start=1):
+        if k <= len(s):
+            continue
+        if isinstance(data, TransferDataset):
+            raise ValueError(f"plan needs k_P = {k} but P has {len(s)} samples")
+        raise ValueError(f"plan needs k = {k} from source {i} of size {len(s)}")
+    den = w_q * k_q + sum(w * k for w, k in zip(w_sources, k_sources))
     if den <= 0:
         raise ValueError("plan selects no positively weighted neighbors")
-    num = 0.0
-    if plan.k_p > 0:
-        num += plan.w_p * NeighborIndex(ds.p_data).query(x, plan.k_p).label_sum
-    if plan.k_q > 0:
-        num += plan.w_q * NeighborIndex(ds.q_data).query(x, plan.k_q).label_sum
+    x = np.asarray(x, dtype=np.float64)
+    num = 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
+    for s, k, w in zip([data.q_data, *data.sources], (k_q, *k_sources), (w_q, *w_sources)):
+        if k == 0:
+            continue
+        idx = NeighborIndex(s)
+        if x.ndim == 1:
+            num += w * idx.query(x, k).label_sum
+        else:
+            num += w * idx.labels[idx.query_batch(x, k)[1]].sum(axis=1)
     return num / den
 
 
-def weighted_knn_predict(ds: TransferDataset, plan: KnnPlan, x) -> int:
-    """Two-sample weighted k-NN label at x: 1 iff eta_hat > 1/2."""
-    return int(weighted_knn_eta(ds, plan, x) > 0.5)
+def _label(eta):
+    """1 iff eta > 1/2: an int for one estimate, an int64 array for many."""
+    return int(eta > 0.5) if np.ndim(eta) == 0 else (eta > 0.5).astype(np.int64)
 
 
-def knn_predict(s: SampleSet, k: int, x) -> int:
-    """Plain k-NN majority label with strict-majority tie rule (> 1/2)."""
+def weighted_knn_eta(ds: TransferDataset, plan: KnnPlan, x):
+    """The weighted neighbor-vote estimate of the target regression at x.
+
+    eta_hat = (w_P * sum of k_P nearest P-labels + w_Q * sum of k_Q nearest
+    Q-labels) / (w_P k_P + w_Q k_Q): the vote over [Q, P]. A float for one
+    query x, an array for an (m, d) array of queries.
+    """
+    return _vote_eta(ds, plan.k_q, plan.w_q, (plan.k_p,), (plan.w_p,), x)
+
+
+def weighted_knn_predict(ds: TransferDataset, plan: KnnPlan, x):
+    """Two-sample weighted k-NN label at x: 1 iff eta_hat > 1/2.
+
+    An int for one query x, an int64 array for an (m, d) array of queries.
+    """
+    return _label(weighted_knn_eta(ds, plan, x))
+
+
+def knn_predict(s: SampleSet, k: int, x):
+    """Plain k-NN majority label with strict-majority tie rule (> 1/2).
+
+    The weighted vote with no source sample and w_Q = 1, so eta_hat is the
+    label mean S / k; one query or an (m, d) array.
+    """
     if not (1 <= k <= len(s)):
         raise ValueError(f"k must be in [1, {len(s)}], got {k}")
-    nl = NeighborIndex(s).query(x, k)
-    return int(nl.label_sum / k > 0.5)
+    return _label(weighted_knn_eta(TransferDataset(SampleSet.empty(s.d), s),
+                                   KnnPlan(k_p=0, k_q=k, w_p=0.0, w_q=1.0), x))
+
+
+def multisource_weighted_predict(mds: MultiSourceDataset, plan: MultiKnnPlan, x):
+    """Weighted k-NN vote pooled over every source sample and the target.
+
+    eta_hat = (sum_i w_i * [k_i nearest labels of source i] + w_Q * [k_Q
+    nearest target labels]) / (sum_i w_i k_i + w_Q k_Q); label 1 iff > 1/2.
+    One query or an (m, d) array, as weighted_knn_predict.
+    """
+    if plan.m != mds.m:
+        raise ValueError(f"plan has {plan.m} sources, dataset has {mds.m}")
+    return _label(_vote_eta(mds, plan.k_q, plan.w_q, plan.k_sources, plan.w_sources, x))
 
 
 def snr_index(k_p: int, eta_p: float, k_q: int, eta_q: float) -> float:
@@ -195,105 +236,16 @@ def snr_index(k_p: int, eta_p: float, k_q: int, eta_q: float) -> float:
 class AdaptiveTrace:
     """Per-step record of the adaptive scan over the merged neighbor order.
 
-    Arrays are indexed by step (k = index + 1). ``stop_step`` is the first
-    1-based k whose statistic exceeded ``threshold``, or None if none did;
-    ``chosen_step`` is the step whose intermediate classifier produced
-    ``label`` (the stop step, else the first argmax of the statistic).
-    """
-
-    k_p: np.ndarray
-    k_q: np.ndarray
-    eta_p: np.ndarray
-    eta_q: np.ndarray
-    snr: np.ndarray
-    threshold: float
-    stop_step: int | None
-    chosen_step: int
-    label: int
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.arange(1, len(self.snr) + 1)
-
-
-def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
-    """Adaptive two-sample classifier: scan k, stop on strong evidence.
-
-    Walks the merged (distance-sorted) sequence of all n_P + n_Q samples.
-    At step k the k nearest points split into k_P from P and k_Q from Q
-    with label means eta_P, eta_Q (1/2 when a side is empty). The scan
-    stops at the first k whose snr_index exceeds (d+3) * log(n_P + n_Q);
-    if none does, the argmax step (smallest on ties) is used. The label is
-    1{sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) >= 0} at that step.
-    """
-    n = ds.n_p + ds.n_q
-    if n == 0:
-        raise ValueError("dataset is empty")
-    mo = merged_order_transfer(ds, x)
-    is_q = mo.group == 0
-    steps = np.arange(1, n + 1, dtype=np.float64)
-    k_q = np.cumsum(is_q)
-    k_p = steps.astype(np.int64) - k_q
-    sum_q = np.cumsum(np.where(is_q, mo.labels, 0))
-    sum_p = np.cumsum(np.where(is_q, 0, mo.labels))
-    with np.errstate(invalid="ignore"):
-        eta_q = np.where(k_q > 0, sum_q / np.maximum(k_q, 1), 0.5)
-        eta_p = np.where(k_p > 0, sum_p / np.maximum(k_p, 1), 0.5)
-    sp = eta_p - 0.5
-    sq = eta_q - 0.5
-    term_p = k_p * sp * sp
-    term_q = k_q * sq * sq
-    snr = np.where(sp * sq >= 0, term_p + term_q, np.maximum(term_p, term_q))
-    threshold = (ds.d + 3) * math.log(n)
-    exceed = snr > threshold
-    if exceed.any():
-        stop = int(np.argmax(exceed))
-        stop_step = stop + 1
-        chosen = stop
-    else:
-        stop_step = None
-        chosen = int(np.argmax(snr))
-    score = math.sqrt(k_p[chosen]) * sp[chosen] + math.sqrt(k_q[chosen]) * sq[chosen]
-    label = int(score >= 0)
-    trace = AdaptiveTrace(
-        k_p=k_p, k_q=k_q.astype(np.int64), eta_p=eta_p, eta_q=eta_q, snr=snr,
-        threshold=threshold, stop_step=stop_step, chosen_step=chosen + 1, label=label,
-    )
-    return label, trace
-
-
-def multisource_weighted_predict(mds: MultiSourceDataset, plan: MultiKnnPlan, x) -> int:
-    """Weighted k-NN vote pooled over every source sample and the target.
-
-    eta_hat = (sum_i w_i * [k_i nearest labels of source i] + w_Q * [k_Q
-    nearest target labels]) / (sum_i w_i k_i + w_Q k_Q); label 1 iff > 1/2.
-    """
-    if plan.m != mds.m:
-        raise ValueError(f"plan has {plan.m} sources, dataset has {mds.m}")
-    if plan.k_q > mds.n_q:
-        raise ValueError(f"plan needs k_Q = {plan.k_q} but Q has {mds.n_q} samples")
-    for i, (k_i, s) in enumerate(zip(plan.k_sources, mds.sources)):
-        if k_i > len(s):
-            raise ValueError(f"plan needs k = {k_i} from source {i + 1} of size {len(s)}")
-    den = plan.w_q * plan.k_q + sum(w * k for w, k in zip(plan.w_sources, plan.k_sources))
-    if den <= 0:
-        raise ValueError("plan selects no positively weighted neighbors")
-    num = 0.0
-    if plan.k_q > 0:
-        num += plan.w_q * NeighborIndex(mds.q_data).query(x, plan.k_q).label_sum
-    for w_i, k_i, s in zip(plan.w_sources, plan.k_sources, mds.sources):
-        if k_i > 0:
-            num += w_i * NeighborIndex(s).query(x, k_i).label_sum
-    return int(num / den > 0.5)
-
-
-@dataclass(frozen=True)
-class MultiAdaptiveTrace:
-    """Per-step record of the multi-source adaptive scan.
-
-    Row 0 of the (m+1, n) arrays is the target set, rows 1..m the sources.
-    ``snr_pos``/``snr_neg`` accumulate the evidence of groups sitting at or
-    above 1/2 and strictly below it; the scan statistic is their maximum.
+    Arrays are indexed by step (k = index + 1). Row g of the (m+1, n)
+    arrays ``k_counts`` and ``etas`` is group g of [Q, S_1..S_m]: how many
+    of the k nearest points it holds and their label mean (1/2 while it
+    holds none). ``snr_pos``/``snr_neg`` sum the evidence k_g (eta_g - 1/2)^2
+    of the groups at or above 1/2 and strictly below it; the statistic
+    ``snr`` is their maximum. ``stop_step`` is the first 1-based k whose
+    statistic exceeded ``threshold``, or None if none did; ``chosen_step``
+    is the step whose intermediate classifier produced ``label`` (the stop
+    step, else the first argmax of the statistic). ``k_q``/``eta_q`` are
+    row 0 and ``k_p``/``eta_p`` row 1, the source of a two-sample dataset.
     """
 
     k_counts: np.ndarray
@@ -307,11 +259,80 @@ class MultiAdaptiveTrace:
     label: int
 
     @property
+    def k_q(self) -> np.ndarray:
+        return self.k_counts[0]
+
+    @property
+    def k_p(self) -> np.ndarray:
+        return self.k_counts[1]
+
+    @property
+    def eta_q(self) -> np.ndarray:
+        return self.etas[0]
+
+    @property
+    def eta_p(self) -> np.ndarray:
+        return self.etas[1]
+
+    @property
     def steps(self) -> np.ndarray:
         return np.arange(1, len(self.snr) + 1)
 
 
-def multisource_adaptive_predict(mds: MultiSourceDataset, x) -> tuple[int, MultiAdaptiveTrace]:
+def _adaptive_scan(data, x, label_at) -> tuple[int, AdaptiveTrace]:
+    """The scan behind both adaptive classifiers; ``data`` is a
+    TransferDataset or MultiSourceDataset, and ``label_at(k, eta, pos, neg)``
+    labels the chosen step from its per-group counts and means."""
+    groups = [data.q_data, *data.sources]
+    n = sum(len(s) for s in groups)
+    if n == 0:
+        raise ValueError("dataset is empty")
+    # Looked up on the module, so a replaced neighbors.merged_order (a tracer
+    # or a tie-rule mutation) sees every scan.
+    mo = neighbors.merged_order(groups, x)
+    # Row g of the (m+1, n) arrays is group g; the sums over axis 0 add the
+    # groups in order, Q first.
+    member = mo.group == np.arange(len(groups))[:, None]
+    k_counts = np.cumsum(member, axis=1)
+    sums = np.cumsum(member * mo.labels, axis=1)
+    etas = np.where(k_counts > 0, sums / np.maximum(k_counts, 1), 0.5)
+    s = etas - 0.5
+    terms = k_counts * s * s
+    above = etas >= 0.5
+    snr_pos = np.where(above, terms, 0.0).sum(axis=0)
+    snr_neg = np.where(above, 0.0, terms).sum(axis=0)
+    snr = np.maximum(snr_pos, snr_neg)
+    threshold = (data.d + 3) * math.log(n)
+    exceed = snr > threshold
+    if exceed.any():
+        chosen = int(np.argmax(exceed))
+        stop_step = chosen + 1
+    else:
+        stop_step = None
+        chosen = int(np.argmax(snr))
+    label = label_at(k_counts[:, chosen], etas[:, chosen], snr_pos[chosen], snr_neg[chosen])
+    trace = AdaptiveTrace(
+        k_counts=k_counts, etas=etas, snr_pos=snr_pos, snr_neg=snr_neg, snr=snr,
+        threshold=threshold, stop_step=stop_step, chosen_step=chosen + 1, label=label,
+    )
+    return label, trace
+
+
+def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
+    """Adaptive two-sample classifier: scan k, stop on strong evidence.
+
+    Walks the merged (distance-sorted) sequence of all n_P + n_Q samples.
+    At step k the k nearest points split into k_P from P and k_Q from Q
+    with label means eta_P, eta_Q (1/2 when a side is empty). The scan
+    stops at the first k whose snr_index exceeds (d+3) * log(n_P + n_Q);
+    if none does, the argmax step (smallest on ties) is used. The label is
+    1{sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) >= 0} at that step.
+    """
+    return _adaptive_scan(ds, x, lambda k, eta, _pos, _neg: int(
+        math.sqrt(k[1]) * (eta[1] - 0.5) + math.sqrt(k[0]) * (eta[0] - 0.5) >= 0))
+
+
+def multisource_adaptive_predict(mds: MultiSourceDataset, x) -> tuple[int, AdaptiveTrace]:
     """Adaptive classifier over m sources plus the target.
 
     Same scan as adaptive_predict, with per-group evidence split by side:
@@ -320,41 +341,7 @@ def multisource_adaptive_predict(mds: MultiSourceDataset, x) -> tuple[int, Multi
     max(snr_pos, snr_neg) clears (d+3) * log(total n), argmax fallback.
     The label is 1{snr_pos >= snr_neg} at the chosen step.
     """
-    n = mds.n_q + sum(mds.source_sizes)
-    if n == 0:
-        raise ValueError("dataset is empty")
-    mo = merged_order_multi(mds, x)
-    n_groups = mds.m + 1
-    k_counts = np.empty((n_groups, n), dtype=np.int64)
-    etas = np.empty((n_groups, n), dtype=np.float64)
-    snr_pos = np.zeros(n, dtype=np.float64)
-    snr_neg = np.zeros(n, dtype=np.float64)
-    for g in range(n_groups):
-        in_g = mo.group == g
-        k_g = np.cumsum(in_g)
-        sum_g = np.cumsum(np.where(in_g, mo.labels, 0))
-        eta_g = np.where(k_g > 0, sum_g / np.maximum(k_g, 1), 0.5)
-        k_counts[g] = k_g
-        etas[g] = eta_g
-        term = k_g * (eta_g - 0.5) ** 2
-        above = eta_g >= 0.5
-        snr_pos += np.where(above, term, 0.0)
-        snr_neg += np.where(above, 0.0, term)
-    snr = np.maximum(snr_pos, snr_neg)
-    threshold = (mds.d + 3) * math.log(n)
-    exceed = snr > threshold
-    if exceed.any():
-        chosen = int(np.argmax(exceed))
-        stop_step = chosen + 1
-    else:
-        stop_step = None
-        chosen = int(np.argmax(snr))
-    label = int(snr_pos[chosen] >= snr_neg[chosen])
-    trace = MultiAdaptiveTrace(
-        k_counts=k_counts, etas=etas, snr_pos=snr_pos, snr_neg=snr_neg, snr=snr,
-        threshold=threshold, stop_step=stop_step, chosen_step=chosen + 1, label=label,
-    )
-    return label, trace
+    return _adaptive_scan(mds, x, lambda _k, _eta, pos, neg: int(pos >= neg))
 
 
 def _width_log_outside(n: int, d: int, k: np.ndarray) -> np.ndarray:

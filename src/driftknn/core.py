@@ -172,6 +172,11 @@ class TransferDataset:
     def n_q(self) -> int:
         return len(self.q_data)
 
+    @property
+    def sources(self) -> tuple[SampleSet]:
+        """(P,): the two-sample dataset read as the m = 1 multi-source case."""
+        return (self.p_data,)
+
 
 @dataclass(frozen=True)
 class MultiSourceDataset:
@@ -399,25 +404,22 @@ def validate_dataset(ds):
     return ds
 
 
+def _concat(sets: Sequence[SampleSet], d: int) -> SampleSet:
+    """The rows of the sets in order; a lone nonempty set is returned as is."""
+    full = [s for s in sets if len(s)]
+    if len(full) == 1:
+        return full[0]
+    if not full:
+        return SampleSet.empty(d)
+    return SampleSet(np.concatenate([s.points for s in full]),
+                     np.concatenate([s.labels for s in full]))
+
+
 def pooled_sample_set(ds: TransferDataset) -> SampleSet:
     """Concatenate P rows then Q rows into one plain sample set."""
-    if ds.n_p == 0:
-        return ds.q_data
-    if ds.n_q == 0:
-        return ds.p_data
-    return SampleSet(
-        np.concatenate([ds.p_data.points, ds.q_data.points]),
-        np.concatenate([ds.p_data.labels, ds.q_data.labels]),
-    )
+    return _concat([ds.p_data, ds.q_data], ds.d)
 
 
 def merge_sources(mds: MultiSourceDataset) -> TransferDataset:
     """Concatenate all source sets (in order) into a single source sample."""
-    if all(len(s) == 0 for s in mds.sources):
-        p = SampleSet.empty(mds.d)
-    else:
-        p = SampleSet(
-            np.concatenate([s.points for s in mds.sources]),
-            np.concatenate([s.labels for s in mds.sources]),
-        )
-    return TransferDataset(p, mds.q_data)
+    return TransferDataset(_concat(mds.sources, mds.d), mds.q_data)

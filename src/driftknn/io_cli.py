@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,23 +31,17 @@ from .core import (
     RandomSource,
     SampleSet,
     TransferDataset,
+    merge_sources,
     pooled_sample_set,
 )
-from .classifiers import (
-    LEPSKI_WIDTHS,
-    adaptive_predict,
-    combined_budget_k,
-    default_knn_k,
-    knn_predict,
-    lepski_predict,
-    minimax_plan,
-    multisource_adaptive_predict,
-    multisource_plan,
-    multisource_weighted_predict,
-    weighted_knn_predict,
-)
+from .classifiers import LEPSKI_WIDTHS, combined_budget_k, default_knn_k
 from .simulation import (
+    _EXPERIMENT_STREAM_IDS,
     EXPERIMENT_PRESETS,
+    _fit_adaptive,
+    _fit_knn,
+    _fit_lepski,
+    _fit_weighted,
     classification_accuracy,
     excess_risk_mc,
     fit_method,
@@ -506,72 +499,57 @@ def _cmd_rate_check(args, argv) -> int:
     return 0
 
 
-def _predictor_for(args, train):
-    """Build a per-point predictor from parsed args and a loaded dataset."""
+def _as_transfer(train) -> TransferDataset:
+    """A training file as a two-sample dataset: untagged rows are the target,
+    numbered sources merge into one source in order."""
+    if isinstance(train, SampleSet):
+        return TransferDataset(SampleSet.empty(train.d), train)
+    if isinstance(train, MultiSourceDataset):
+        return merge_sources(train)
+    return train
+
+
+def _fit_for(args, train):
+    """Translate the predict method, --pool, --k and --gamma into a fit."""
     method = args.method
-    is_multi = isinstance(train, MultiSourceDataset)
-    is_transfer = isinstance(train, TransferDataset)
-
-    def target_set() -> SampleSet:
-        if isinstance(train, SampleSet):
-            return train
-        return train.q_data
-
-    def pooled() -> SampleSet:
-        if isinstance(train, SampleSet):
-            return train
-        if is_multi:
-            from .core import merge_sources
-            return pooled_sample_set(merge_sources(train))
-        return pooled_sample_set(train)
-
     if method == "weighted":
-        if not is_transfer:
+        if not isinstance(train, TransferDataset):
             raise UsageError("weighted needs a training CSV with P/Q origin tags")
         if args.gamma is None:
             raise UsageError("weighted needs --gamma and --beta for the neighbor plan")
         gammas = _parse_floats(args.gamma)
         if len(gammas) != 1:
             raise UsageError("weighted takes a single --gamma value")
-        hp = _hyperparams(args, gammas[0])
-        plan = minimax_plan(train.n_p, train.n_q, hp)
-        return lambda x: weighted_knn_predict(train, plan, x)
+        return _fit_weighted(train, _hyperparams(args, gammas[0]))
     if method == "multisource":
-        if not is_multi:
+        if not isinstance(train, MultiSourceDataset):
             raise UsageError("multisource needs a training CSV with P1..Pm origin tags")
         if args.gamma is None:
             raise UsageError("multisource needs --gamma (one value, or one per source)")
         gammas = _parse_floats(args.gamma)
         if len(gammas) == 1:
             gammas = gammas * train.m
-        hp = _hyperparams(args, tuple(gammas))
-        plan = multisource_plan(train.source_sizes, train.n_q, hp)
-        return lambda x: multisource_weighted_predict(train, plan, x)
+        return _fit_weighted(train, _hyperparams(args, tuple(gammas)))
     if method == "adaptive":
-        if is_multi:
-            return lambda x: multisource_adaptive_predict(train, x)[0]
-        if is_transfer:
-            return lambda x: adaptive_predict(train, x)[0]
-        raise UsageError("adaptive needs origin tags (P/Q or P1..Pm) in the training CSV")
-    if method in ("knn", "lepski", "combined"):
-        s = pooled() if (method == "combined" or args.pool) else target_set()
-        if len(s) == 0:
-            raise UsageError(f"{method} has no training rows to use")
-        if method == "lepski":
-            return lambda x: lepski_predict(s, x, width=args.lepski_width)
-        if args.k is not None:
-            if not (1 <= args.k <= len(s)):
-                raise UsageError(f"--k must be in [1, {len(s)}]")
-            k = args.k
-        else:
-            hp = _hyperparams(args, 1.0 if args.gamma is None
-                              else _parse_floats(args.gamma)[0])
-            if method == "combined" and is_transfer and args.gamma is not None:
-                k = combined_budget_k(train.n_p, train.n_q, hp)
-            else:
-                k = default_knn_k(len(s), hp)
-        return lambda x: knn_predict(s, k, x)
-    raise UsageError(f"unknown method {method!r}")
+        if isinstance(train, SampleSet):
+            raise UsageError("adaptive needs origin tags (P/Q or P1..Pm) in the training CSV")
+        return _fit_adaptive(train)
+    # knn, lepski and combined run on one sample set: the target rows, or
+    # everything pooled (P rows then Q rows) for combined and --pool.
+    budget = method == "combined" and args.gamma is not None and isinstance(train, TransferDataset)
+    train = _as_transfer(train)
+    s = pooled_sample_set(train) if (method == "combined" or args.pool) else train.q_data
+    if len(s) == 0:
+        raise UsageError(f"{method} has no training rows to use")
+    if method == "lepski":
+        return _fit_lepski(method, s, args.lepski_width)
+    if args.k is not None:
+        if not (1 <= args.k <= len(s)):
+            raise UsageError(f"--k must be in [1, {len(s)}]")
+        return _fit_knn(method, s, args.k)
+    hp = _hyperparams(args, 1.0 if args.gamma is None else _parse_floats(args.gamma)[0])
+    k = combined_budget_k(train.n_p, train.n_q, hp) if budget else default_knn_k(len(s), hp)
+    return _fit_knn(method, s, k)
 
 
 def _cmd_predict(args, argv) -> int:
@@ -580,12 +558,12 @@ def _cmd_predict(args, argv) -> int:
     if args.d is not None and train.d != args.d:
         raise UsageError(f"--d {args.d} but training data has d={train.d}")
     args.d = train.d
-    predictor = _predictor_for(args, train)
+    fitted = _fit_for(args, train)
     pts = read_points_csv(args.test)
     if pts.shape[1] != train.d:
         raise CsvFormatError(
             f"{args.test}: test dimension {pts.shape[1]} != training dimension {train.d}")
-    labels = [int(predictor(x)) for x in pts]
+    labels = fitted.predict_batch(pts)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_feature_header(train.d) + ["y_pred"])
@@ -610,20 +588,13 @@ def _cmd_eval(args, argv) -> int:
         raise UsageError("--n-test must be >= 1")
     if args.nmc < 2:
         raise UsageError("--nmc must be >= 2")
-    train = read_labeled_csv(args.train)
-    if isinstance(train, SampleSet):
-        train = TransferDataset(SampleSet.empty(train.d), train)
-    elif isinstance(train, MultiSourceDataset):
-        from .core import merge_sources
-        train = merge_sources(train)
-    try:
-        hp = HyperParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, d=train.d)
-    except ValueError as e:
-        raise UsageError(str(e))
+    train = _as_transfer(read_labeled_csv(args.train))
+    args.d = train.d
+    hp = _hyperparams(args, args.gamma)
     gamma_sim = args.gamma_sim if args.gamma_sim is not None else args.gamma
     model = make_drift_model(args.pmax, gamma_sim, train.d)
     fitted = fit_method(args.method, train, hp, args.lepski_width)
-    rs = RandomSource(args.seed).substream(7)
+    rs = RandomSource(args.seed).substream(_EXPERIMENT_STREAM_IDS["eval"])
     test = sample_test_points(model.x_c, args.radius, args.n_test, rs.substream(0))
     acc = classification_accuracy(fitted.predict_batch, model, test)
     est = excess_risk_mc(fitted.predict_batch, model, args.nmc, rs.substream(1))

@@ -1,9 +1,10 @@
 """Exact nearest-neighbor search with deterministic tie-breaking.
 
-All queries use the Euclidean norm and are exact. Neighbor order is
-canonical: ascending distance, ties broken by ascending sample index.
-Merged queries over several sample sets additionally break cross-set
-distance ties by set priority (target set first, then source order).
+All queries use the Euclidean norm and are exact, and a query with a
+non-finite coordinate is rejected. Neighbor order is canonical: ascending
+distance, ties broken by ascending sample index. Merged queries over several
+sample sets additionally break cross-set distance ties by set priority
+(target set first, then source order).
 
 Single-point queries run a vectorized scan (argpartition plus a
 lexicographic sort of the boundary candidates). Batch queries go through a
@@ -19,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import SampleSet, TransferDataset, MultiSourceDataset
+from .core import SampleSet, TransferDataset
 
 __all__ = [
     "NeighborList",
     "NeighborIndex",
-    "build_index",
-    "query_knn",
     "merged_knn",
     "MergedOrder",
     "merged_order",
@@ -90,6 +89,10 @@ class NeighborIndex:
     def _require_dim(self, x: np.ndarray):
         if x.shape[-1] != self.d:
             raise ValueError(f"query has dimension {x.shape[-1]}, index has {self.d}")
+        finite = np.isfinite(x).all(axis=-1)
+        if not finite.all():
+            bad = x if x.ndim == 1 else x[np.flatnonzero(~finite)[0]]
+            raise ValueError(f"query {bad.tolist()} has a non-finite coordinate")
 
     def _canonical_distances(self, x: np.ndarray) -> np.ndarray:
         diff = self.points - x
@@ -180,16 +183,6 @@ class NeighborIndex:
         return out_d, out_i
 
 
-def build_index(sample_set: SampleSet) -> NeighborIndex:
-    """Build an exact neighbor index over a sample set."""
-    return NeighborIndex(sample_set)
-
-
-def query_knn(index: NeighborIndex, x, k: int) -> NeighborList:
-    """The k nearest neighbors of x under the canonical order."""
-    return index.query(x, k)
-
-
 @dataclass(frozen=True)
 class MergedOrder:
     """All points of several sample sets sorted by distance to one query.
@@ -241,16 +234,6 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     return MergedOrder(dist[order], group[order], wi[order], lab[order], len(sets))
 
 
-def merged_order_transfer(ds: TransferDataset, x) -> MergedOrder:
-    """Merged ordering for a two-sample dataset (group 0 = Q, group 1 = P)."""
-    return merged_order([ds.q_data, ds.p_data], x)
-
-
-def merged_order_multi(mds: MultiSourceDataset, x) -> MergedOrder:
-    """Merged ordering for a multi-source dataset (group 0 = Q, then sources)."""
-    return merged_order([mds.q_data, *mds.sources], x)
-
-
 def merged_knn(ds: TransferDataset, x, k: int) -> tuple[NeighborList, NeighborList]:
     """Split the k nearest points of the combined P and Q samples by origin.
 
@@ -263,7 +246,7 @@ def merged_knn(ds: TransferDataset, x, k: int) -> tuple[NeighborList, NeighborLi
     total = ds.n_p + ds.n_q
     if k > total:
         raise ValueError(f"k = {k} exceeds the {total} available samples")
-    mo = merged_order_transfer(ds, x)
+    mo = merged_order([ds.q_data, ds.p_data], x)
     head_group = mo.group[:k]
     head_dist = mo.distances[:k]
     head_wi = mo.within_index[:k]

@@ -32,10 +32,14 @@ from .classifiers import (
     adaptive_predict,
     combined_budget_k,
     default_knn_k,
+    knn_predict,
     lepski_predict,
     minimax_plan,
+    multisource_adaptive_predict,
+    multisource_plan,
+    multisource_weighted_predict,
+    weighted_knn_predict,
 )
-from .neighbors import NeighborIndex
 
 __all__ = [
     "DriftModel",
@@ -137,53 +141,36 @@ def make_drift_model(p_max: float, gamma_sim: float = 0.3, d: int = 2,
 
 
 def sample_dataset(model: DriftModel, n_p: int, n_q: int, rng: RandomSource) -> TransferDataset:
-    """Draw n_P source and n_Q target samples.
+    """Draw n_P source and n_Q target samples: sample_multisource_dataset with m = 1.
 
     The target draw uses substream 0 and the source draw substream 1, so
     the Q sample for a given rng is identical whatever n_P is.
     """
-    if n_p < 0 or n_q < 0:
-        raise ValueError(f"sample sizes must be >= 0, got ({n_p}, {n_q})")
-    gen_q = rng.substream(0).generator()
-    gen_p = rng.substream(1).generator()
-    if n_q > 0:
-        xq = model.sample_covariates(n_q, gen_q)
-        q = SampleSet(xq, model.sample_labels(xq, "Q", gen_q))
-    else:
-        q = SampleSet.empty(model.d)
-    if n_p > 0:
-        xp = model.sample_covariates(n_p, gen_p)
-        p = SampleSet(xp, model.sample_labels(xp, "P", gen_p))
-    else:
-        p = SampleSet.empty(model.d)
-    return TransferDataset(p, q)
+    mds = sample_multisource_dataset(model, (n_p,), n_q, rng)
+    return TransferDataset(mds.sources[0], mds.q_data)
 
 
 def sample_multisource_dataset(model: DriftModel, source_sizes: Sequence[int], n_q: int,
                                rng: RandomSource) -> MultiSourceDataset:
     """Draw m source samples (all from the model's P) plus a target sample.
 
-    The target uses substream 0 and source i (1-based) substream i, so a
-    single-source draw matches sample_dataset with the same rng.
+    The target uses substream 0 and source i (1-based) substream i.
     """
     sizes = [int(n) for n in source_sizes]
     if len(sizes) < 1:
         raise ValueError("need at least one source size")
-    gen_q = rng.substream(0).generator()
-    if n_q > 0:
-        xq = model.sample_covariates(n_q, gen_q)
-        q = SampleSet(xq, model.sample_labels(xq, "Q", gen_q))
-    else:
-        q = SampleSet.empty(model.d)
-    sources = []
-    for i, n_i in enumerate(sizes, start=1):
-        gen_i = rng.substream(i).generator()
-        if n_i > 0:
-            xi = model.sample_covariates(n_i, gen_i)
-            sources.append(SampleSet(xi, model.sample_labels(xi, "P", gen_i)))
-        else:
-            sources.append(SampleSet.empty(model.d))
-    return MultiSourceDataset(tuple(sources), q)
+    if any(n < 0 for n in sizes) or n_q < 0:
+        raise ValueError(f"sample sizes must be >= 0, got sources {sizes}, target {n_q}")
+
+    def draw(n: int, which: str, stream: int) -> SampleSet:
+        if n == 0:
+            return SampleSet.empty(model.d)
+        gen = rng.substream(stream).generator()
+        x = model.sample_covariates(n, gen)
+        return SampleSet(x, model.sample_labels(x, which, gen))
+
+    q = draw(n_q, "Q", 0)
+    return MultiSourceDataset(tuple(draw(n, "P", i) for i, n in enumerate(sizes, start=1)), q)
 
 
 def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomSource) -> np.ndarray:
@@ -305,77 +292,51 @@ class FittedMethod:
         return np.array([self._point(x) for x in pts], dtype=np.int64)
 
 
-def _fit_weighted(ds: TransferDataset, hp: HyperParams, _width: str) -> FittedMethod:
-    plan = minimax_plan(ds.n_p, ds.n_q, hp)
-    den = plan.w_p * plan.k_p + plan.w_q * plan.k_q
-    idx_p = NeighborIndex(ds.p_data) if plan.k_p > 0 else None
-    idx_q = NeighborIndex(ds.q_data) if plan.k_q > 0 else None
-
-    def point(x) -> int:
-        num = 0.0
-        if idx_p is not None:
-            num += plan.w_p * idx_p.query(x, plan.k_p).label_sum
-        if idx_q is not None:
-            num += plan.w_q * idx_q.query(x, plan.k_q).label_sum
-        return int(num / den > 0.5)
-
-    def batch(pts: np.ndarray) -> np.ndarray:
-        num = np.zeros(pts.shape[0])
-        if idx_p is not None:
-            _, nbr = idx_p.query_batch(pts, plan.k_p)
-            num += plan.w_p * idx_p.labels[nbr].sum(axis=1)
-        if idx_q is not None:
-            _, nbr = idx_q.query_batch(pts, plan.k_q)
-            num += plan.w_q * idx_q.labels[nbr].sum(axis=1)
-        return (num / den > 0.5).astype(np.int64)
-
-    return FittedMethod("weighted", point, batch)
-
-
-def _fit_plain_knn(name: str, s: SampleSet, k: int) -> FittedMethod:
+def _fit_knn(name: str, s: SampleSet, k: int) -> FittedMethod:
+    """Plain k-NN majority vote on one sample set, k clamped to [1, len(s)]."""
     if len(s) == 0:
         raise ValueError(f"method {name!r} has no samples to fit on")
     k = min(max(1, k), len(s))
-    idx = NeighborIndex(s)
-
-    def point(x) -> int:
-        return int(idx.query(x, k).label_sum / k > 0.5)
-
-    def batch(pts: np.ndarray) -> np.ndarray:
-        _, nbr = idx.query_batch(pts, k)
-        return (idx.labels[nbr].sum(axis=1) / k > 0.5).astype(np.int64)
-
-    return FittedMethod(name, point, batch)
+    vote = lambda x: knn_predict(s, k, x)
+    return FittedMethod(name, vote, vote)
 
 
-def _fit_combined(ds: TransferDataset, hp: HyperParams, _width: str) -> FittedMethod:
-    return _fit_plain_knn("combined", pooled_sample_set(ds), combined_budget_k(ds.n_p, ds.n_q, hp))
+def _fit_weighted(data: TransferDataset | MultiSourceDataset, hp: HyperParams) -> FittedMethod:
+    """The weighted vote over [Q, S_1..S_m]: weighted_knn_predict with the
+    minimax_plan on a two-sample dataset, multisource_weighted_predict with
+    the multisource_plan on m sources."""
+    if isinstance(data, MultiSourceDataset):
+        plan = multisource_plan(data.source_sizes, data.n_q, hp)
+        vote = lambda x: multisource_weighted_predict(data, plan, x)
+    else:
+        plan = minimax_plan(data.n_p, data.n_q, hp)
+        vote = lambda x: weighted_knn_predict(data, plan, x)
+    return FittedMethod("weighted", vote, vote)
 
 
-def _fit_qonly(ds: TransferDataset, hp: HyperParams, _width: str) -> FittedMethod:
-    return _fit_plain_knn("qonly", ds.q_data, default_knn_k(ds.n_q, hp))
+def _fit_adaptive(data: TransferDataset | MultiSourceDataset) -> FittedMethod:
+    """The adaptive scan, with the two-sample label rule on a TransferDataset
+    and the multi-source rule on a MultiSourceDataset."""
+    scan = multisource_adaptive_predict if isinstance(data, MultiSourceDataset) else adaptive_predict
+    return FittedMethod("adaptive", lambda x: scan(data, x)[0])
 
 
-def _fit_adaptive(ds: TransferDataset, _hp: HyperParams, _width: str) -> FittedMethod:
-    return FittedMethod("adaptive", lambda x: adaptive_predict(ds, x)[0])
+def _fit_lepski(name: str, s: SampleSet, width: str) -> FittedMethod:
+    """The Lepski interval scan on one sample set."""
+    return FittedMethod(name, lambda x: lepski_predict(s, x, width=width))
 
 
-def _fit_lepski_combined(ds: TransferDataset, _hp: HyperParams, width: str) -> FittedMethod:
-    pooled = pooled_sample_set(ds)
-    return FittedMethod("lepski-combined", lambda x: lepski_predict(pooled, x, width=width))
-
-
-def _fit_lepski_q(ds: TransferDataset, _hp: HyperParams, width: str) -> FittedMethod:
-    return FittedMethod("lepski-q", lambda x: lepski_predict(ds.q_data, x, width=width))
-
-
-METHODS = {
-    "weighted": _fit_weighted,
-    "combined": _fit_combined,
-    "qonly": _fit_qonly,
-    "adaptive": _fit_adaptive,
-    "lepski-combined": _fit_lepski_combined,
-    "lepski-q": _fit_lepski_q,
+# The named methods of simulate and eval: each maps (two-sample dataset,
+# hyper-parameters, Lepski width) to a fit. The predict CLI builds its
+# predictors from the same _fit_* functions.
+METHODS: dict[str, Callable[[TransferDataset, HyperParams, str], FittedMethod]] = {
+    "weighted": lambda ds, hp, _w: _fit_weighted(ds, hp),
+    "combined": lambda ds, hp, _w: _fit_knn(
+        "combined", pooled_sample_set(ds), combined_budget_k(ds.n_p, ds.n_q, hp)),
+    "qonly": lambda ds, hp, _w: _fit_knn("qonly", ds.q_data, default_knn_k(ds.n_q, hp)),
+    "adaptive": lambda ds, _hp, _w: _fit_adaptive(ds),
+    "lepski-combined": lambda ds, _hp, w: _fit_lepski("lepski-combined", pooled_sample_set(ds), w),
+    "lepski-q": lambda ds, _hp, w: _fit_lepski("lepski-q", ds.q_data, w),
 }
 NONADAPTIVE_METHODS = ("weighted", "combined", "qonly")
 ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
@@ -618,7 +579,7 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
             rs = grid_rs.substream(rep)
             t0 = time.perf_counter()
             ds = sample_dataset(model, n_p, n_q, rs.substream(0))
-            fitted = _fit_weighted(ds, hp, "algorithm3")
+            fitted = fit_method("weighted", ds, hp)
             est = excess_risk_mc(fitted.predict_batch, model, n_mc, rs.substream(1))
             elapsed = time.perf_counter() - t0
             rep_risks[gi, rep] = est.value

@@ -263,6 +263,33 @@ def test_multisource_weighted_validation():
         multisource_weighted_predict(mds, MultiKnnPlan((1,), (0.0,), 1, 0.0), [0.0])
 
 
+def test_multisource_weighted_names_the_over_requested_source():
+    mds = MultiSourceDataset((make_set([[0.0], [0.5]], [1, 0]), make_set([[0.2]], [1])),
+                             make_set([[1.0]], [0]))
+    plan = MultiKnnPlan((1, 3), (1.0, 1.0), 1, 1.0)
+    with pytest.raises(ValueError, match="plan needs k = 3 from source 2 of size 1$"):
+        multisource_weighted_predict(mds, plan, [0.0])
+
+
+def test_votes_take_a_batch_of_queries():
+    # the (m, d) batch path gives the point path's values, floats included
+    gen = RandomSource(71).generator()
+    ds = TransferDataset(make_set(gen.integers(0, 5, (30, 2)) / 4, gen.integers(0, 2, 30)),
+                         make_set(gen.integers(0, 5, (40, 2)) / 4, gen.integers(0, 2, 40)))
+    mds = MultiSourceDataset((ds.p_data, ds.p_data), ds.q_data)
+    plan = minimax_plan(ds.n_p, ds.n_q, HP_MAIN)
+    mplan = multisource_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.5), 2))
+    xs = gen.integers(0, 5, (25, 2)) / 4
+    cases = [lambda x: weighted_knn_eta(ds, plan, x),
+             lambda x: weighted_knn_predict(ds, plan, x),
+             lambda x: knn_predict(ds.q_data, 7, x),
+             lambda x: multisource_weighted_predict(mds, mplan, x)]
+    for f in cases:
+        batch = f(xs)
+        assert isinstance(batch, np.ndarray) and batch.shape == (25,)
+        np.testing.assert_array_equal(batch, [f(x) for x in xs])
+
+
 # ---------------------------------------------------------------- snr statistic
 
 

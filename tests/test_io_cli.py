@@ -7,7 +7,25 @@ import math
 import numpy as np
 import pytest
 
-from driftknn.core import MultiSourceDataset, SampleSet, TransferDataset
+from driftknn.classifiers import (
+    adaptive_predict,
+    combined_budget_k,
+    default_knn_k,
+    knn_predict,
+    lepski_predict,
+    minimax_plan,
+    multisource_adaptive_predict,
+    multisource_plan,
+    multisource_weighted_predict,
+    weighted_knn_predict,
+)
+from driftknn.core import (
+    HyperParams,
+    MultiSourceDataset,
+    SampleSet,
+    TransferDataset,
+    pooled_sample_set,
+)
 from driftknn.io_cli import (
     CsvFormatError,
     CsvSchema,
@@ -325,6 +343,53 @@ def test_cli_predict_multisource(tmp_path):
     code = run_cli(["predict", "--method", "adaptive", "--train", str(train),
                     "--test", str(test), "--out", str(out)])
     assert code == 0
+
+
+def lattice_set(gen, n):
+    """n rows on the 1/8 lattice of the unit square with coin-flip labels."""
+    return make_set(gen.integers(0, 9, size=(n, 2)) / 8, gen.integers(0, 2, n))
+
+
+def cli_labels(tmp_path, train, test, extra):
+    out = tmp_path / "golden.csv"
+    assert run_cli(["predict", "--train", str(train), "--test", str(test),
+                    "--out", str(out)] + extra) == 0, extra
+    with open(out) as fh:
+        return [int(r["y_pred"]) for r in csv.DictReader(fh)]
+
+
+def test_cli_predict_matches_library_labels(tmp_path):
+    gen = np.random.default_rng(17)
+    ds = TransferDataset(lattice_set(gen, 60), lattice_set(gen, 90))
+    mds = MultiSourceDataset((lattice_set(gen, 40), lattice_set(gen, 50)), lattice_set(gen, 70))
+    queries = gen.integers(0, 9, size=(30, 2)) / 8
+    train, multi, test = tmp_path / "pq.csv", tmp_path / "multi.csv", tmp_path / "q.csv"
+    write_labeled_csv(train, ds)
+    write_labeled_csv(multi, mds)
+    write_points(test, queries.tolist())
+    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    q, pooled = ds.q_data, pooled_sample_set(ds)
+    plan = minimax_plan(ds.n_p, ds.n_q, hp)
+    mplan = multisource_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.3), 2))
+    cases = [
+        (train, ["--method", "knn"], lambda x: knn_predict(q, default_knn_k(len(q), hp), x)),
+        (train, ["--method", "knn", "--pool"],
+         lambda x: knn_predict(pooled, default_knn_k(len(pooled), hp), x)),
+        (train, ["--method", "weighted", "--gamma", "0.3"],
+         lambda x: weighted_knn_predict(ds, plan, x)),
+        (train, ["--method", "adaptive"], lambda x: adaptive_predict(ds, x)[0]),
+        (train, ["--method", "lepski"], lambda x: lepski_predict(q, x)),
+        (train, ["--method", "lepski", "--pool"], lambda x: lepski_predict(pooled, x)),
+        (train, ["--method", "combined", "--gamma", "0.3"],
+         lambda x: knn_predict(pooled, combined_budget_k(ds.n_p, ds.n_q, hp), x)),
+        (train, ["--method", "combined"],
+         lambda x: knn_predict(pooled, default_knn_k(len(pooled), hp), x)),
+        (multi, ["--method", "multisource", "--gamma", "0.3"],
+         lambda x: multisource_weighted_predict(mds, mplan, x)),
+        (multi, ["--method", "adaptive"], lambda x: multisource_adaptive_predict(mds, x)[0]),
+    ]
+    for path, extra, library in cases:
+        assert cli_labels(tmp_path, path, test, extra) == [library(x) for x in queries], extra
 
 
 def test_cli_predict_usage_errors(tmp_path):

@@ -5,17 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from driftknn.core import MultiSourceDataset, RandomSource, SampleSet, TransferDataset
+from driftknn.core import RandomSource, SampleSet, TransferDataset
 from driftknn.neighbors import (
     MergedOrder,
     NeighborIndex,
     NeighborList,
-    build_index,
     merged_knn,
     merged_order,
-    merged_order_multi,
-    merged_order_transfer,
-    query_knn,
 )
 
 
@@ -184,12 +180,17 @@ def test_batch_edge_cases():
         idx.query_batch(np.zeros(3), 1)
 
 
-def test_wrapper_functions():
-    s = make_set([[0.0], [2.0]], [1, 0])
-    idx = build_index(s)
-    assert isinstance(idx, NeighborIndex)
-    nl = query_knn(idx, [0.4], 1)
-    assert nl.indices.tolist() == [0]
+def test_non_finite_query_is_rejected_and_named():
+    s = make_set([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+    idx = NeighborIndex(s)
+    with pytest.raises(ValueError, match=r"query \[nan, 0.5\] has a non-finite"):
+        idx.query([np.nan, 0.5], 1)
+    with pytest.raises(ValueError, match=r"query \[inf, 0.0\] has a non-finite"):
+        idx.sorted_order([np.inf, 0.0])
+    with pytest.raises(ValueError, match=r"query \[0.5, -inf\] has a non-finite"):
+        idx.query_batch([[0.0, 0.0], [0.5, -np.inf]], 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        merged_order([s, s], [np.nan, 0.0])
 
 
 # ---------------------------------------------------------------- merged
@@ -199,7 +200,7 @@ def test_merged_order_tie_prefers_target():
     # one P and one Q point, both at distance 1 from the query
     p = make_set([[1.0, 0.0]], [1])
     q = make_set([[0.0, 1.0]], [0])
-    mo = merged_order_transfer(TransferDataset(p, q), [0.0, 0.0])
+    mo = merged_order([q, p], [0.0, 0.0])
     assert mo.group.tolist() == [0, 1]  # Q (group 0) wins the tie
     assert mo.labels.tolist() == [0, 1]
     assert mo.n_groups == 2
@@ -285,7 +286,6 @@ def test_merged_order_multi_groups():
     s1 = make_set([[0.3]], [1])
     s2 = make_set([[0.6]], [0])
     q = make_set([[0.1]], [1])
-    mds = MultiSourceDataset((s1, s2), q)
-    mo = merged_order_multi(mds, [0.0])
+    mo = merged_order([q, s1, s2], [0.0])
     assert mo.group.tolist() == [0, 1, 2]  # Q nearest, then source 1, then 2
     assert mo.n_groups == 3

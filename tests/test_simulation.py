@@ -10,8 +10,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset
+from driftknn.classifiers import (
+    adaptive_predict,
+    multisource_adaptive_predict,
+    multisource_plan,
+    multisource_weighted_predict,
+)
+from driftknn.core import (
+    HyperParams,
+    MultiSourceDataset,
+    RandomSource,
+    SampleSet,
+    TransferDataset,
+)
+from driftknn.neighbors import merged_order
 from driftknn.simulation import (
     ADAPTIVE_METHODS,
     EXPERIMENT_PRESETS,
@@ -21,6 +35,8 @@ from driftknn.simulation import (
     classification_accuracy,
     constant_classifier,
     excess_risk_mc,
+    _fit_adaptive,
+    _fit_weighted,
     fit_method,
     make_drift_model,
     rate_exponent_check,
@@ -283,15 +299,115 @@ def test_fit_method_all_names_predict():
         fit_method("nope", ds, HP_MAIN)
 
 
-def test_fit_method_batch_agrees_with_point():
-    m = make_drift_model(0.6)
-    ds = sample_dataset(m, 50, 70, RandomSource(52))
-    pts = sample_test_points(m.x_c, 0.05, 25, RandomSource(53))
-    for name in ("weighted", "combined", "qonly"):
+def lattice_points(gen, n, grid, d=2):
+    """n points on the 1/grid lattice of the unit cube: exact distance ties."""
+    return gen.integers(0, grid + 1, size=(n, d)) / grid
+
+
+def lattice_set(gen, n, grid, d=2):
+    if n == 0:
+        return SampleSet.empty(d)
+    return SampleSet(lattice_points(gen, n, grid, d), gen.integers(0, 2, n))
+
+
+LATTICE = dict(seed=st.integers(0, 2**32 - 1), grid=st.integers(1, 8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n_p=st.integers(0, 40), n_q=st.integers(1, 40), **LATTICE)
+def test_fit_method_batch_agrees_with_point(n_p, n_q, seed, grid):
+    gen = np.random.default_rng(seed)
+    ds = TransferDataset(lattice_set(gen, n_p, grid), lattice_set(gen, n_q, grid))
+    pts = lattice_points(gen, 12, grid)
+    for name in METHODS:
         fm = fit_method(name, ds, HP_MAIN)
-        batch = fm.predict_batch(pts)
         single = np.array([fm.predict_point(x) for x in pts])
-        np.testing.assert_array_equal(batch, single)
+        np.testing.assert_array_equal(fm.predict_batch(pts), single, err_msg=name)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(sizes=st.lists(st.integers(0, 30), min_size=2, max_size=3), n_q=st.integers(1, 30),
+       **LATTICE)
+def test_multisource_fits_batch_agree_with_point(sizes, n_q, seed, grid):
+    gen = np.random.default_rng(seed)
+    mds = MultiSourceDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
+                             lattice_set(gen, n_q, grid))
+    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    plan = multisource_plan(mds.source_sizes, mds.n_q, hp)
+    pts = lattice_points(gen, 10, grid)
+    weighted, adaptive = _fit_weighted(mds, hp), _fit_adaptive(mds)
+    want_w = [multisource_weighted_predict(mds, plan, x) for x in pts]
+    want_a = [multisource_adaptive_predict(mds, x)[0] for x in pts]
+    np.testing.assert_array_equal(weighted.predict_batch(pts), want_w)
+    np.testing.assert_array_equal([weighted.predict_point(x) for x in pts], want_w)
+    np.testing.assert_array_equal(adaptive.predict_batch(pts), want_a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n_p=st.integers(0, 40), n_q=st.integers(0, 40), **LATTICE)
+def test_single_source_scan_is_bit_identical(n_p, n_q, seed, grid):
+    gen = np.random.default_rng(seed)
+    ds = TransferDataset(lattice_set(gen, n_p, grid), lattice_set(gen, n_q, grid))
+    if n_p + n_q == 0:
+        return
+    mds = MultiSourceDataset(ds.sources, ds.q_data)
+    for x in lattice_points(gen, 5, grid):
+        _, two = adaptive_predict(ds, x)
+        _, multi = multisource_adaptive_predict(mds, x)
+        np.testing.assert_array_equal(two.snr, multi.snr)
+        # the two-sample statistic (snr_index at every step), in its own arithmetic
+        sp, sq = two.eta_p - 0.5, two.eta_q - 0.5
+        tp, tq = two.k_p * sp * sp, two.k_q * sq * sq
+        np.testing.assert_array_equal(
+            two.snr, np.where(sp * sq >= 0, tp + tq, np.maximum(tp, tq)))
+        assert (two.stop_step, two.chosen_step) == (multi.stop_step, multi.chosen_step)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sizes=st.lists(st.integers(0, 30), min_size=1, max_size=3), n_q=st.integers(0, 30),
+       **LATTICE)
+def test_scan_evidence_matches_a_group_loop(sizes, n_q, seed, grid):
+    gen = np.random.default_rng(seed)
+    mds = MultiSourceDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
+                             lattice_set(gen, n_q, grid))
+    if sum(sizes) + n_q == 0:
+        return
+    x = lattice_points(gen, 1, grid)[0]
+    _, trace = multisource_adaptive_predict(mds, x)
+    mo = merged_order([mds.q_data, *mds.sources], x)
+    # reference: plain floats step by step, the groups added Q first
+    counts, sums = [0] * (len(sizes) + 1), [0] * (len(sizes) + 1)
+    for step, (g, y) in enumerate(zip(mo.group.tolist(), mo.labels.tolist())):
+        counts[g] += 1
+        sums[g] += y
+        pos = neg = 0.0
+        for k, total in zip(counts, sums):
+            eta = total / k if k else 0.5
+            term = k * (eta - 0.5) * (eta - 0.5)
+            if eta >= 0.5:
+                pos += term
+            else:
+                neg += term
+        assert (trace.snr_pos[step], trace.snr_neg[step]) == (pos, neg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_raise_on_every_path(bad):
+    m = make_drift_model(0.6)
+    x = np.array([bad, 0.5])
+    pts = np.vstack([m.x_c, x])
+    ds = sample_dataset(m, 30, 40, RandomSource(56))
+    mds = sample_multisource_dataset(m, (20, 25), 30, RandomSource(57))
+    fits = [fit_method(name, ds, HP_MAIN) for name in METHODS]
+    fits += [_fit_weighted(mds, HP_MAIN), _fit_adaptive(mds)]
+    plan = multisource_plan(mds.source_sizes, mds.n_q, HP_MAIN)
+    calls = [lambda: multisource_weighted_predict(mds, plan, x),
+             lambda: multisource_adaptive_predict(mds, x)]
+    calls += [lambda fm=fm: fm.predict_point(x) for fm in fits]
+    calls += [lambda fm=fm: fm.predict_batch(pts) for fm in fits]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            call()
 
 
 def test_fit_method_lepski_width_passthrough():
