@@ -19,7 +19,6 @@ from .core import (
     TransferDataset,
     merge_sources,
     pooled_sample_set,
-    validate_dataset,
 )
 from .neighbors import NeighborIndex, NeighborList, merged_knn
 from .classifiers import (
@@ -61,7 +60,7 @@ __all__ = [
     "__version__",
     "HyperParams", "KnnPlan", "LabeledSample", "MultiKnnPlan",
     "MultiSourceDataset", "RandomSource", "SampleSet", "TransferDataset",
-    "merge_sources", "pooled_sample_set", "validate_dataset",
+    "merge_sources", "pooled_sample_set",
     "NeighborIndex", "NeighborList", "merged_knn",
     "AdaptiveTrace", "LepskiTrace", "adaptive_predict",
     "bayes_classify", "combined_budget_k", "default_knn_k", "knn_predict",

@@ -24,7 +24,6 @@ __all__ = [
     "KnnPlan",
     "MultiKnnPlan",
     "RandomSource",
-    "validate_dataset",
     "pooled_sample_set",
     "merge_sources",
 ]
@@ -364,44 +363,6 @@ class RandomSource:
         if not (0 <= i < SUBSTREAM_CAP - 1):
             raise ValueError(f"substream index out of range: {i}")
         return RandomSource(self.seed, self.stream * SUBSTREAM_CAP + i + 1)
-
-
-def validate_dataset(ds):
-    """Re-verify every container invariant of a dataset, returning it.
-
-    Accepts a SampleSet, TransferDataset, or MultiSourceDataset. Raises
-    ValueError naming the offending sample set and index on the first
-    violation (binary labels, finite coordinates, consistent dimensions).
-    """
-    def check_set(s: SampleSet, name: str):
-        if s.points.ndim != 2:
-            raise ValueError(f"{name}: points must be 2-d")
-        if s.points.shape[0] != s.labels.shape[0]:
-            raise ValueError(f"{name}: {s.points.shape[0]} points but {s.labels.shape[0]} labels")
-        bad = np.flatnonzero(~np.isfinite(s.points).all(axis=1))
-        if bad.size:
-            raise ValueError(f"{name}: sample {int(bad[0])}: non-finite coordinate")
-        bad = np.flatnonzero((s.labels != 0) & (s.labels != 1))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"{name}: sample {i}: label must be 0 or 1, got {int(s.labels[i])}")
-
-    if isinstance(ds, SampleSet):
-        check_set(ds, "samples")
-    elif isinstance(ds, TransferDataset):
-        check_set(ds.p_data, "P")
-        check_set(ds.q_data, "Q")
-        if ds.p_data.d != ds.q_data.d:
-            raise ValueError(f"dimension mismatch: P d={ds.p_data.d}, Q d={ds.q_data.d}")
-    elif isinstance(ds, MultiSourceDataset):
-        for i, s in enumerate(ds.sources):
-            check_set(s, f"P{i + 1}")
-            if s.d != ds.q_data.d:
-                raise ValueError(f"P{i + 1}: dimension {s.d} != target dimension {ds.q_data.d}")
-        check_set(ds.q_data, "Q")
-    else:
-        raise TypeError(f"not a dataset type: {type(ds).__name__}")
-    return ds
 
 
 def _concat(sets: Sequence[SampleSet], d: int) -> SampleSet:

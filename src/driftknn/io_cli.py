@@ -509,26 +509,33 @@ def _as_transfer(train) -> TransferDataset:
     return train
 
 
+def _gammas(args, m: int) -> list[float]:
+    """--gamma as m values, one per source; a single value serves every source."""
+    gammas = _parse_floats(args.gamma)
+    if len(gammas) == 1:
+        gammas *= m
+    if len(gammas) != m:
+        raise UsageError(f"gamma vector has {len(gammas)} entries, need {m}")
+    return gammas
+
+
 def _fit_for(args, train):
     """Translate the predict method, --pool, --k and --gamma into a fit."""
     method = args.method
+    # --gamma is checked for every method, also where it goes unused.
+    m = train.m if isinstance(train, MultiSourceDataset) else 1
+    gammas = None if args.gamma is None else _gammas(args, m)
     if method == "weighted":
         if not isinstance(train, TransferDataset):
             raise UsageError("weighted needs a training CSV with P/Q origin tags")
-        if args.gamma is None:
+        if gammas is None:
             raise UsageError("weighted needs --gamma and --beta for the neighbor plan")
-        gammas = _parse_floats(args.gamma)
-        if len(gammas) != 1:
-            raise UsageError("weighted takes a single --gamma value")
         return _fit_weighted(train, _hyperparams(args, gammas[0]))
     if method == "multisource":
         if not isinstance(train, MultiSourceDataset):
             raise UsageError("multisource needs a training CSV with P1..Pm origin tags")
-        if args.gamma is None:
+        if gammas is None:
             raise UsageError("multisource needs --gamma (one value, or one per source)")
-        gammas = _parse_floats(args.gamma)
-        if len(gammas) == 1:
-            gammas = gammas * train.m
         return _fit_weighted(train, _hyperparams(args, tuple(gammas)))
     if method == "adaptive":
         if isinstance(train, SampleSet):
@@ -536,7 +543,7 @@ def _fit_for(args, train):
         return _fit_adaptive(train)
     # knn, lepski and combined run on one sample set: the target rows, or
     # everything pooled (P rows then Q rows) for combined and --pool.
-    budget = method == "combined" and args.gamma is not None and isinstance(train, TransferDataset)
+    budget = method == "combined" and gammas is not None and isinstance(train, TransferDataset)
     train = _as_transfer(train)
     s = pooled_sample_set(train) if (method == "combined" or args.pool) else train.q_data
     if len(s) == 0:
@@ -547,7 +554,7 @@ def _fit_for(args, train):
         if not (1 <= args.k <= len(s)):
             raise UsageError(f"--k must be in [1, {len(s)}]")
         return _fit_knn(method, s, args.k)
-    hp = _hyperparams(args, 1.0 if args.gamma is None else _parse_floats(args.gamma)[0])
+    hp = _hyperparams(args, 1.0 if gammas is None else gammas[0])
     k = combined_budget_k(train.n_p, train.n_q, hp) if budget else default_knn_k(len(s), hp)
     return _fit_knn(method, s, k)
 

@@ -6,8 +6,10 @@ distance, ties broken by ascending sample index. Merged queries over several
 sample sets additionally break cross-set distance ties by set priority
 (target set first, then source order).
 
-Single-point queries run a vectorized scan (argpartition plus a
-lexicographic sort of the boundary candidates). Batch queries go through a
+Ties are exact float equality. Every ordering path (``sorted_order``, the
+boundary of ``query`` and ``merged_order``) sorts one distance vector with
+one primitive, ``_canonical_argsort``: a default argsort, then one integer
+sort of the runs of equal distances by position. Batch queries go through a
 k-d tree for speed; any row where a distance tie is detected near the cut
 is rerouted through the canonical path, so results never depend on the
 tree's internal ordering.
@@ -32,6 +34,35 @@ __all__ = [
 
 # Relative slack used when detecting potential distance ties in float math.
 _TIE_RTOL = 1e-9
+
+
+def _canonical_argsort(dist: np.ndarray) -> np.ndarray:
+    """Indices sorting dist by (distance, index): np.lexsort((arange(n), dist)).
+
+    The default argsort is not stable, so each run of exactly equal
+    distances is put back in index order by one sort of the unique integer
+    key run * n + index (exact for n < 3e9). Data without ties skip it.
+    """
+    order = np.argsort(dist)
+    d = dist[order]
+    tie = d[1:] == d[:-1]
+    if not tie.any():
+        return order
+    n = dist.shape[0]
+    run = np.concatenate(([0], np.cumsum(~tie)))
+    return np.sort(run * n + order) % n
+
+
+def _require_finite(x: np.ndarray):
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        bad = x if x.ndim == 1 else x[np.flatnonzero(~finite)[0]]
+        raise ValueError(f"query {bad.tolist()} has a non-finite coordinate")
+
+
+def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    diff = points - x
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 @dataclass(frozen=True)
@@ -89,14 +120,7 @@ class NeighborIndex:
     def _require_dim(self, x: np.ndarray):
         if x.shape[-1] != self.d:
             raise ValueError(f"query has dimension {x.shape[-1]}, index has {self.d}")
-        finite = np.isfinite(x).all(axis=-1)
-        if not finite.all():
-            bad = x if x.ndim == 1 else x[np.flatnonzero(~finite)[0]]
-            raise ValueError(f"query {bad.tolist()} has a non-finite coordinate")
-
-    def _canonical_distances(self, x: np.ndarray) -> np.ndarray:
-        diff = self.points - x
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        _require_finite(x)
 
     def sorted_order(self, x) -> tuple[np.ndarray, np.ndarray]:
         """All sample indices sorted by (distance, index), with distances.
@@ -107,15 +131,17 @@ class NeighborIndex:
         self._require_dim(x)
         if self.n == 0:
             return np.empty(0), np.empty(0, dtype=np.int64)
-        dist = self._canonical_distances(x)
-        order = np.lexsort((np.arange(self.n), dist))
-        return dist[order], order.astype(np.int64)
+        dist = _distances(self.points, x)
+        order = _canonical_argsort(dist)
+        return dist[order], order
 
     def query(self, x, k: int) -> NeighborList:
         """The k nearest samples to x in canonical order.
 
-        Returns min(k, n) entries; k = 0 or an empty index gives an empty
-        result. Raises on dimension mismatch or negative k.
+        An argpartition finds the k-th distance; every sample that could tie
+        it is then ordered by the canonical sort. Returns min(k, n) entries;
+        k = 0 or an empty index gives an empty result. Raises on dimension
+        mismatch or negative k.
         """
         x = np.asarray(x, dtype=np.float64)
         self._require_dim(x)
@@ -124,17 +150,18 @@ class NeighborIndex:
         k_eff = min(int(k), self.n)
         if k_eff == 0:
             return _empty_list()
-        dist = self._canonical_distances(x)
+        dist = _distances(self.points, x)
         if k_eff >= self.n:
-            order = np.lexsort((np.arange(self.n), dist))
+            order = _canonical_argsort(dist)
         else:
             part = np.argpartition(dist, k_eff - 1)[:k_eff]
             dmax = dist[part].max()
             # Pull in every point whose distance could tie the cut, then
-            # resolve the boundary exactly in (distance, index) order.
+            # resolve the boundary exactly; cand ascends, so its positions
+            # order like the sample indices.
             cand = np.flatnonzero(dist <= dmax * (1.0 + _TIE_RTOL))
-            order = cand[np.lexsort((cand, dist[cand]))][:k_eff]
-        return NeighborList(order.astype(np.int64), dist[order], self.labels[order])
+            order = cand[_canonical_argsort(dist[cand])][:k_eff]
+        return NeighborList(order, dist[order], self.labels[order])
 
     def _ensure_tree(self) -> cKDTree:
         if self._tree is None:
@@ -206,32 +233,27 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     """Merge several sample sets into one distance-sorted sequence.
 
     sets[0] is the target set (tie priority first), the rest follow in
-    order. Uses canonical distances from each set's index.
+    order. The per-set distances are concatenated in set order and sorted
+    once by (distance, position), which is (distance, group, index within
+    set) because a position is the set's offset plus the index within it.
     """
     x = np.asarray(x, dtype=np.float64)
-    dists, groups, widx, labels = [], [], [], []
     for g, s in enumerate(sets):
         if s.d != x.shape[-1]:
             raise ValueError(f"query has dimension {x.shape[-1]}, set {g} has {s.d}")
-        if len(s) == 0:
-            continue
-        idx = NeighborIndex(s)
-        d_sorted, order = idx.sorted_order(x)
-        dists.append(d_sorted)
-        groups.append(np.full(len(s), g, dtype=np.int64))
-        widx.append(order)
-        labels.append(s.labels[order])
-    if not dists:
+    sizes = [len(s) for s in sets]
+    if sum(sizes) == 0:
         return MergedOrder(
             np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64), len(sets),
         )
-    dist = np.concatenate(dists)
-    group = np.concatenate(groups)
-    wi = np.concatenate(widx)
-    lab = np.concatenate(labels)
-    order = np.lexsort((wi, group, dist))
-    return MergedOrder(dist[order], group[order], wi[order], lab[order], len(sets))
+    _require_finite(x)
+    dist = np.concatenate([_distances(s.points, x) for s in sets])
+    order = _canonical_argsort(dist)
+    group = np.repeat(np.arange(len(sets)), sizes)[order]
+    within = order - (np.cumsum(sizes) - sizes)[group]
+    labels = np.concatenate([s.labels for s in sets])[order]
+    return MergedOrder(dist[order], group, within, labels, len(sets))
 
 
 def merged_knn(ds: TransferDataset, x, k: int) -> tuple[NeighborList, NeighborList]:

@@ -591,7 +591,12 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     means = rep_risks.mean(axis=1)
     if np.any(means <= 0):
         bad = sizes[int(np.flatnonzero(means <= 0)[0])]
-        raise RuntimeError(f"mean excess risk is zero at size {bad}; cannot fit a log-log slope")
+        # Only draws in the signal ball B(x_c, p_max - 1/2) can carry risk.
+        in_ball = n_mc * math.pi ** (hp.d / 2) * (p_max - 0.5) ** hp.d / math.gamma(hp.d / 2 + 1)
+        raise RuntimeError(
+            f"mean excess risk is zero at size {bad}; cannot fit a log-log slope "
+            f"(d = {hp.d}, p_max = {p_max}, n_mc = {n_mc}: about {in_ball:.3g} Monte Carlo "
+            f"draws per replication are expected in the signal ball)")
     log_sizes = np.log(np.asarray(sizes, dtype=np.float64))
     slope = _fit_slope(log_sizes, means)
     boot_gen = root.substream(0).generator()

@@ -15,7 +15,6 @@ from driftknn.core import (
     TransferDataset,
     merge_sources,
     pooled_sample_set,
-    validate_dataset,
 )
 
 
@@ -183,28 +182,6 @@ def test_merge_sources_all_empty():
     merged = merge_sources(mds)
     assert merged.n_p == 0
     assert merged.d == 2
-
-
-def test_validate_dataset_passthrough():
-    s = make_set([[0.0]], [1])
-    assert validate_dataset(s) is s
-    ds = TransferDataset(s, make_set([[1.0]], [0]))
-    assert validate_dataset(ds) is ds
-    mds = MultiSourceDataset((s,), make_set([[1.0]], [0]))
-    assert validate_dataset(mds) is mds
-    with pytest.raises(TypeError):
-        validate_dataset([1, 2, 3])
-
-
-def test_validate_dataset_names_offending_set():
-    good = make_set([[0.0]], [1])
-    bad = make_set([[0.0], [1.0]], [0, 0])
-    # corrupt labels behind the read-only flag to simulate external damage
-    object.__setattr__(bad, "labels", np.array([0, 5]))
-    with pytest.raises(ValueError, match="Q: sample 1: label must be 0 or 1"):
-        validate_dataset(TransferDataset(good, bad))
-    with pytest.raises(ValueError, match="P2: sample 1"):
-        validate_dataset(MultiSourceDataset((good, bad), good))
 
 
 # ---------------------------------------------------------------- parameters

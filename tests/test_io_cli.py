@@ -410,6 +410,26 @@ def test_cli_predict_usage_errors(tmp_path):
     assert run_cli(base + ["--method", "weighted", "--gamma", "abc"]) == 2
 
 
+def test_cli_predict_bad_gamma_is_a_usage_error(tmp_path, capsys):
+    train = transfer_csv(tmp_path)
+    multi = tmp_path / "multi.csv"
+    s = make_set([[0.1, 0.1], [0.9, 0.9]], [0, 1])
+    write_labeled_csv(multi, MultiSourceDataset((s, s), s))
+    test = tmp_path / "test.csv"
+    write_points(test, [[0.5, 0.5]])
+    cases = [(train, method, gamma, f"gamma vector has {count} entries, need 1")
+             for method in ("knn", "combined", "weighted", "lepski", "knn --k 2", "adaptive")
+             for gamma, count in (("", 0), (",", 0), ("0.3,0.5", 2))]
+    cases += [(multi, "multisource", "", "gamma vector has 0 entries, need 2"),
+              (multi, "multisource", "0.3,0.5,0.7", "gamma vector has 3 entries, need 2")]
+    for path, method, gamma, message in cases:
+        code = run_cli(["predict", "--method", *method.split(), "--train", str(path),
+                        "--test", str(test), "--out", str(tmp_path / "pred.csv"),
+                        "--gamma", gamma])
+        assert code == 2, (method, gamma)
+        assert message in capsys.readouterr().err, (method, gamma)
+
+
 def test_cli_predict_runtime_errors(tmp_path):
     train = transfer_csv(tmp_path)
     out = tmp_path / "pred.csv"

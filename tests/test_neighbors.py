@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftknn.core import RandomSource, SampleSet, TransferDataset
 from driftknn.neighbors import (
     MergedOrder,
     NeighborIndex,
     NeighborList,
+    _canonical_argsort,
+    _distances,
     merged_knn,
     merged_order,
 )
@@ -289,3 +292,66 @@ def test_merged_order_multi_groups():
     mo = merged_order([q, s1, s2], [0.0])
     assert mo.group.tolist() == [0, 1, 2]  # Q nearest, then source 1, then 2
     assert mo.n_groups == 3
+
+
+# ---------------------------------------------------------------- one sort
+
+
+def assert_orders_match_lexsort(sets, x):
+    """Every ordering path against np.lexsort on the same float distances:
+    (distance, index) in each set, (distance, group, index) merged."""
+    x = np.asarray(x, dtype=np.float64)
+    dists = [_distances(s.points, x) for s in sets]
+    for s, dist in zip(sets, dists):
+        ref = np.lexsort((np.arange(len(s)), dist))
+        np.testing.assert_array_equal(_canonical_argsort(dist), ref)
+        idx = NeighborIndex(s)
+        got_d, got_i = idx.sorted_order(x)
+        np.testing.assert_array_equal(got_i, ref)
+        np.testing.assert_array_equal(got_d, dist[ref])
+        for k in range(len(s) + 1):
+            nl = idx.query(x, k)
+            np.testing.assert_array_equal(nl.indices, ref[:k])
+            np.testing.assert_array_equal(nl.distances, dist[ref[:k]])
+    dist = np.concatenate(dists)
+    group = np.concatenate([np.full(len(s), g) for g, s in enumerate(sets)])
+    within = np.concatenate([np.arange(len(s)) for s in sets])
+    ref = np.lexsort((within, group, dist))
+    mo = merged_order(sets, x)
+    assert mo.n_groups == len(sets)
+    np.testing.assert_array_equal(mo.distances, dist[ref])
+    np.testing.assert_array_equal(mo.group, group[ref])
+    np.testing.assert_array_equal(mo.within_index, within[ref])
+    np.testing.assert_array_equal(mo.labels, np.concatenate([s.labels for s in sets])[ref])
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(sizes=st.lists(st.integers(0, 20), min_size=2, max_size=4),
+       seed=st.integers(0, 2**32 - 1), grid=st.integers(1, 8), d=st.integers(1, 3))
+def test_orders_match_lexsort_on_lattices(sizes, seed, grid, d):
+    # sets [Q, S_1..S_m], m = 1..3, on the 1/grid lattice: duplicate points
+    # and exact distance ties are common, and a set may be empty
+    gen = np.random.default_rng(seed)
+    sets = [make_set(gen.integers(0, grid + 1, size=(n, d)) / grid, gen.integers(0, 2, n))
+            for n in sizes]
+    assert_orders_match_lexsort(sets, gen.integers(0, grid + 1, size=d) / grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_orders_keep_exact_float_ties_only():
+    one, next_up = 1.0, np.nextafter(1.0, 2.0)
+    # one ulp apart is no tie: the primitive takes no tolerance
+    np.testing.assert_array_equal(_canonical_argsort(np.array([next_up, one, next_up, one])),
+                                  [1, 3, 0, 2])
+    ulp = make_set([[next_up], [one], [next_up], [one]], [1, 0, 1, 0])
+    assert len(set(_distances(ulp.points, np.zeros(1)).tolist())) == 2
+    assert_orders_match_lexsort([ulp, make_set([[-one], [-next_up]], [0, 1]), ulp], [0.0])
+    # distances that overflow are all inf, so they tie and go by index
+    inf = np.inf
+    np.testing.assert_array_equal(_canonical_argsort(np.array([inf, 0.0, inf, 1e308, inf])),
+                                  [1, 3, 0, 2, 4])
+    big = make_set([[1e308, 0.0], [-1e308, 0.0], [1e308, -1e308], [-1e308, 1e150], [1e308, 1.0]],
+                   [1, 0, 1, 0, 1])
+    x = [-1e308, 0.0]
+    assert np.isinf(_distances(big.points, np.asarray(x))).sum() == 3
+    assert_orders_match_lexsort([big, SampleSet.empty(2), big], x)

@@ -528,6 +528,15 @@ def test_rate_check_smoke():
     assert again.slope == result.slope
 
 
+def test_rate_check_zero_risk_names_the_expected_ball_draws():
+    # at d = 6 the signal ball B(x_c, 0.1) holds 2000 * pi^3 * 0.1^6 / 3! = 0.0103
+    # of the 2000 Monte Carlo draws in expectation, so every risk is zero
+    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=6)
+    with pytest.raises(RuntimeError, match=r"^mean excess risk is zero at size 20; .*"
+                       r"\(d = 6, p_max = 0.6, n_mc = 2000: about 0.0103 Monte Carlo draws"):
+        rate_exponent_check(hp, (20, 50, 100, 200), reps=2, rng=RandomSource(6), n_mc=2000)
+
+
 def test_rate_check_source_sweep_runs():
     result = rate_exponent_check(
         HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(7),
