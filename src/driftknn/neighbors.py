@@ -241,13 +241,8 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     for g, s in enumerate(sets):
         if s.d != x.shape[-1]:
             raise ValueError(f"query has dimension {x.shape[-1]}, set {g} has {s.d}")
-    sizes = [len(s) for s in sets]
-    if sum(sizes) == 0:
-        return MergedOrder(
-            np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64), len(sets),
-        )
     _require_finite(x)
+    sizes = [len(s) for s in sets]
     dist = np.concatenate([_distances(s.points, x) for s in sets])
     order = _canonical_argsort(dist)
     group = np.repeat(np.arange(len(sets)), sizes)[order]
