@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -155,10 +157,29 @@ def write_labeled_csv(path, data) -> CsvSchema:
     return schema
 
 
-def _rows_to_set(rows: list[np.ndarray], labels: list[int], d: int) -> SampleSet:
-    if not rows:
-        return SampleSet.empty(d)
-    return SampleSet(np.vstack(rows), np.asarray(labels, dtype=np.int64))
+def _data_rows(fh, path: str):
+    """The header of an open CSV, then (line number, fields) of each non-blank row."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: line 1: empty file, expected a header row")
+    return header, ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+
+
+def _coords(path: str, lineno: int, row: list[str], d: int) -> list[float]:
+    """The first d fields of a data row as finite floats."""
+    try:
+        x = [float(v) for v in row[:d]]
+    except ValueError:
+        raise CsvFormatError(f"{path}: line {lineno}: non-numeric coordinate")
+    if not all(map(math.isfinite, x)):
+        raise CsvFormatError(f"{path}: line {lineno}: non-finite coordinate")
+    return x
+
+
+# P, Q, or P followed by a source number in ASCII digits without a leading zero.
+_ORIGIN_TAG = re.compile(r"[PQ]|P[1-9][0-9]*")
 
 
 def read_labeled_csv(path, schema: CsvSchema | None = None):
@@ -167,52 +188,44 @@ def read_labeled_csv(path, schema: CsvSchema | None = None):
     No origin column gives a SampleSet; {P, Q} tags a TransferDataset;
     contiguous P1..Pm tags (plus optional Q) a MultiSourceDataset. If a
     schema is given the file must match it. Format violations raise
-    CsvFormatError citing the 1-based line number.
+    CsvFormatError citing the 1-based line number of the first faulty row.
     """
     path = str(path)
+    coords: list[float] = []
+    labels: list[bool] = []
+    tags: list[str] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: line 1: empty file, expected a header row")
+        header, rows = _data_rows(fh, path)
         d, has_origin = _parse_header(header, path)
         ncols = d + 1 + (1 if has_origin else 0)
-        by_tag: dict[str, tuple[list, list]] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in rows:
             if len(row) != ncols:
                 raise CsvFormatError(
                     f"{path}: line {lineno}: expected {ncols} fields, got {len(row)}")
-            try:
-                x = np.array([float(v) for v in row[:d]])
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric coordinate")
-            if not np.all(np.isfinite(x)):
-                raise CsvFormatError(f"{path}: line {lineno}: non-finite coordinate")
+            coords += _coords(path, lineno, row, d)
             ystr = row[d].strip()
             if ystr not in ("0", "1"):
                 raise CsvFormatError(f"{path}: line {lineno}: label must be 0 or 1, got {ystr!r}")
-            tag = row[d + 1].strip() if has_origin else ""
+            labels.append(ystr == "1")
             if has_origin:
-                ok = tag in ("P", "Q") or (
-                    tag.startswith("P") and tag[1:].isdigit() and int(tag[1:]) >= 1)
-                if not ok:
+                tag = row[d + 1].strip()
+                if not _ORIGIN_TAG.fullmatch(tag):
                     raise CsvFormatError(f"{path}: line {lineno}: unknown origin tag {tag!r}")
-            if tag not in by_tag:
-                by_tag[tag] = ([], [])
-                order.append(tag)
-            by_tag[tag][0].append(x)
-            by_tag[tag][1].append(int(ystr))
+                tags.append(tag)
+
+    pts = np.array(coords, dtype=np.float64).reshape(-1, d)
+    labs = np.array(labels, dtype=np.int64)
+    tag_of = np.array(tags, dtype=str)
+
+    def rows_tagged(tag: str) -> SampleSet:
+        mask = tag_of == tag
+        return SampleSet(pts[mask], labs[mask])
 
     if not has_origin:
-        data = _rows_to_set(*(by_tag.get("", ([], []))), d=d)
+        data = SampleSet(pts, labs)
         found = CsvSchema(d, "none")
     else:
-        tags = set(order)
-        numbered = {t for t in tags if t not in ("P", "Q")}
+        numbered = set(tags) - {"P", "Q"}
         if numbered and "P" in tags:
             raise CsvFormatError(f"{path}: cannot mix origin 'P' with numbered sources")
         if numbered:
@@ -220,15 +233,10 @@ def read_labeled_csv(path, schema: CsvSchema | None = None):
             if ids != list(range(1, len(ids) + 1)):
                 raise CsvFormatError(
                     f"{path}: source tags must be contiguous P1..Pm, got {sorted(numbered)}")
-            sources = tuple(
-                _rows_to_set(*(by_tag[f"P{i}"]), d=d) for i in range(1, len(ids) + 1))
-            q = _rows_to_set(*(by_tag.get("Q", ([], []))), d=d)
-            data = MultiSourceDataset(sources, q)
+            data = MultiSourceDataset(tuple(rows_tagged(f"P{i}") for i in ids), rows_tagged("Q"))
             found = CsvSchema(d, "multi", m=len(ids))
         else:
-            p = _rows_to_set(*(by_tag.get("P", ([], []))), d=d)
-            q = _rows_to_set(*(by_tag.get("Q", ([], []))), d=d)
-            data = TransferDataset(p, q)
+            data = TransferDataset(rows_tagged("P"), rows_tagged("Q"))
             found = CsvSchema(d, "transfer")
 
     if schema is not None and (schema.d != found.d or schema.origin != found.origin
@@ -240,34 +248,22 @@ def read_labeled_csv(path, schema: CsvSchema | None = None):
 def read_points_csv(path) -> np.ndarray:
     """Read query points: header x0..x{d-1} with optional extra columns ignored."""
     path = str(path)
+    coords: list[float] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: line 1: empty file, expected a header row")
+        header, rows = _data_rows(fh, path)
         cols = [c.strip() for c in header]
         d = 0
         while d < len(cols) and cols[d] == f"x{d}":
             d += 1
         if d == 0:
             raise CsvFormatError(f"{path}: line 1: expected feature columns x0..x{{d-1}}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in rows:
             if len(row) < d:
                 raise CsvFormatError(f"{path}: line {lineno}: expected >= {d} fields")
-            try:
-                rows.append([float(v) for v in row[:d]])
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric coordinate")
-        if not rows:
-            raise CsvFormatError(f"{path}: no data rows")
-    pts = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(pts)):
-        raise CsvFormatError(f"{path}: non-finite coordinate")
-    return pts
+            coords += _coords(path, lineno, row, d)
+    if not coords:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.array(coords, dtype=np.float64).reshape(-1, d)
 
 
 _RECORD_COLS = ["experiment", "method", "seed", "replication", "p_max", "gamma",

@@ -32,7 +32,8 @@ __all__ = [
     "merged_order",
 ]
 
-# Relative slack used when detecting potential distance ties in float math.
+# Relative slack for tie detection in query_batch, where the k-d tree's
+# distances and _distances may differ in the last ulps.
 _TIE_RTOL = 1e-9
 
 
@@ -138,7 +139,7 @@ class NeighborIndex:
     def query(self, x, k: int) -> NeighborList:
         """The k nearest samples to x in canonical order.
 
-        An argpartition finds the k-th distance; every sample that could tie
+        An argpartition finds the k-th distance; every sample at or within
         it is then ordered by the canonical sort. Returns min(k, n) entries;
         k = 0 or an empty index gives an empty result. Raises on dimension
         mismatch or negative k.
@@ -156,10 +157,8 @@ class NeighborIndex:
         else:
             part = np.argpartition(dist, k_eff - 1)[:k_eff]
             dmax = dist[part].max()
-            # Pull in every point whose distance could tie the cut, then
-            # resolve the boundary exactly; cand ascends, so its positions
-            # order like the sample indices.
-            cand = np.flatnonzero(dist <= dmax * (1.0 + _TIE_RTOL))
+            # cand ascends, so its positions order like the sample indices.
+            cand = np.flatnonzero(dist <= dmax)
             order = cand[_canonical_argsort(dist[cand])][:k_eff]
         return NeighborList(order, dist[order], self.labels[order])
 
@@ -194,9 +193,10 @@ class NeighborIndex:
         idx = np.atleast_2d(idx.reshape(m, k_probe))
         # A row needs exact treatment if the first excluded neighbor could
         # tie the last included one, or if any included pair ties (the tree
-        # does not promise index order within equal distances).
+        # does not promise index order within equal distances), or if a
+        # distance overflowed: the tree reports those as missing neighbors.
         tol = _TIE_RTOL * np.maximum(dist[:, :k_eff].max(initial=0.0), 1.0)
-        suspect = np.zeros(m, dtype=bool)
+        suspect = ~np.isfinite(dist[:, k_eff - 1])
         if k_probe > k_eff:
             suspect |= dist[:, k_eff] - dist[:, k_eff - 1] <= tol
         if k_eff > 1:

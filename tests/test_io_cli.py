@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,23 @@ def test_multisource_round_trip(tmp_path):
     np.testing.assert_array_equal(back.q_data.labels, q.labels)
 
 
+@pytest.mark.parametrize("tags, rows_per_set", [
+    (["Q", "P", "Q", "P"], [[1, 3], [0, 2]]),  # P, Q
+    (["P2", "Q", "P1", "P2"], [[2], [0, 3], [1]]),  # P1, P2, Q
+])
+def test_interleaved_tags_round_trip(tmp_path, tags, rows_per_set):
+    # each set keeps its rows in file order, whatever the order of the tags
+    xs, ys = np.array([0.5, 0.25, 1 / 3, 1.5]), np.array([1, 0, 0, 1])
+    path = write_text(tmp_path / "mixed.csv", "x0,y,origin\n" + "".join(
+        f"{x!r},{y},{t}\n" for x, y, t in zip(xs.tolist(), ys.tolist(), tags)))
+    data = read_labeled_csv(path)
+    write_labeled_csv(tmp_path / "back.csv", data)
+    for ds in (data, read_labeled_csv(tmp_path / "back.csv")):
+        for s, rows in zip([*ds.sources, ds.q_data], rows_per_set, strict=True):
+            np.testing.assert_array_equal(s.points[:, 0], xs[rows])
+            np.testing.assert_array_equal(s.labels, ys[rows])
+
+
 def test_write_rejects_non_dataset(tmp_path):
     with pytest.raises(TypeError, match="not a dataset"):
         write_labeled_csv(tmp_path / "x.csv", [1, 2, 3])
@@ -187,6 +205,34 @@ def test_read_origin_tag_errors(tmp_path):
     p = write_text(tmp_path / "o3.csv", "x0,y,origin\n0,0,P1\n1,1,P3\n")
     with pytest.raises(CsvFormatError, match="contiguous P1..Pm"):
         read_labeled_csv(p)
+
+
+@pytest.mark.parametrize("tag", ["P01", "P0", "P\u0661", "P\u00b2", "p1", "P+1"])
+def test_origin_tag_grammar_is_ascii_without_leading_zero(tmp_path, tag, capsys):
+    # tags are exactly P, Q and P[1-9][0-9]*: P01 and P\u0661 must not
+    # alias P1, and P\u00b2 is a digit to str.isdigit but not to int()
+    p = write_text(tmp_path / "t.csv", f"x0,y,origin\n0.1,0,{tag}\n0.2,1,Q\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"line 2: unknown origin tag {tag!r}")):
+        read_labeled_csv(p)
+    test = tmp_path / "test.csv"
+    write_points(test, [[0.5]], header=("x0",))
+    assert run_cli(["predict", "--method", "adaptive", "--train", str(p), "--test", str(test),
+                    "--out", str(tmp_path / "pred.csv")]) == 1
+    assert f"line 2: unknown origin tag {tag!r}" in capsys.readouterr().err
+
+
+def test_read_reports_the_first_faulty_line(tmp_path):
+    # within a file the earlier line wins, whatever the kind of fault; a
+    # query file names the line of a non-finite coordinate
+    p = write_text(tmp_path / "two.csv", "x0,y,origin\n0,0,P\n0,1,R\n0,1\n")
+    with pytest.raises(CsvFormatError, match="line 3: unknown origin tag 'R'"):
+        read_labeled_csv(p)
+    p = write_text(tmp_path / "two.csv", "x0,y\n0,0\n1,2\nnan,0\n")
+    with pytest.raises(CsvFormatError, match="line 3: label must be 0 or 1"):
+        read_labeled_csv(p)
+    p = write_text(tmp_path / "pts.csv", "x0,x1\n0,1\n2,inf\nzzz,0\n")
+    with pytest.raises(CsvFormatError, match="line 3: non-finite coordinate"):
+        read_points_csv(p)
 
 
 def test_read_skips_blank_lines(tmp_path):

@@ -298,8 +298,9 @@ def test_merged_order_multi_groups():
 
 
 def assert_orders_match_lexsort(sets, x):
-    """Every ordering path against np.lexsort on the same float distances:
-    (distance, index) in each set, (distance, group, index) merged."""
+    """Every ordering path, the k-d tree batch path included, against
+    np.lexsort on the same float distances: (distance, index) in each set,
+    (distance, group, index) merged."""
     x = np.asarray(x, dtype=np.float64)
     dists = [_distances(s.points, x) for s in sets]
     for s, dist in zip(sets, dists):
@@ -313,6 +314,10 @@ def assert_orders_match_lexsort(sets, x):
             nl = idx.query(x, k)
             np.testing.assert_array_equal(nl.indices, ref[:k])
             np.testing.assert_array_equal(nl.distances, dist[ref[:k]])
+            # tree distances may differ from _distances in the last ulps
+            batch_d, batch_i = idx.query_batch(x[None], k)
+            np.testing.assert_array_equal(batch_i, ref[None, :k])
+            np.testing.assert_allclose(batch_d, dist[None, ref[:k]], rtol=1e-12)
     dist = np.concatenate(dists)
     group = np.concatenate([np.full(len(s), g) for g, s in enumerate(sets)])
     within = np.concatenate([np.arange(len(s)) for s in sets])
@@ -338,6 +343,7 @@ def test_orders_match_lexsort_on_lattices(sizes, seed, grid, d):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_orders_keep_exact_float_ties_only():
     one, next_up = 1.0, np.nextafter(1.0, 2.0)
     # one ulp apart is no tie: the primitive takes no tolerance
@@ -355,3 +361,6 @@ def test_orders_keep_exact_float_ties_only():
     x = [-1e308, 0.0]
     assert np.isinf(_distances(big.points, np.asarray(x))).sum() == 3
     assert_orders_match_lexsort([big, SampleSet.empty(2), big], x)
+    # every distance overflows: the k-d tree reports no neighbor at all
+    far = make_set([[1e308, 0.0], [1e308, 1.0], [1e308, -1.0]], [0, 1, 0])
+    assert_orders_match_lexsort([far, big], x)
