@@ -11,16 +11,12 @@ __version__ = "0.1.0"
 from .core import (
     HyperParams,
     KnnPlan,
-    LabeledSample,
-    MultiKnnPlan,
-    MultiSourceDataset,
     RandomSource,
     SampleSet,
     TransferDataset,
-    merge_sources,
     pooled_sample_set,
 )
-from .neighbors import NeighborIndex, NeighborList, merged_knn
+from .neighbors import NeighborIndex, NeighborList
 from .classifiers import (
     AdaptiveTrace,
     LepskiTrace,
@@ -31,10 +27,6 @@ from .classifiers import (
     knn_predict,
     lepski_predict,
     minimax_plan,
-    multisource_adaptive_predict,
-    multisource_plan,
-    multisource_weighted_predict,
-    snr_index,
     weighted_knn_eta,
     weighted_knn_predict,
 )
@@ -58,16 +50,13 @@ from .simulation import (
 
 __all__ = [
     "__version__",
-    "HyperParams", "KnnPlan", "LabeledSample", "MultiKnnPlan",
-    "MultiSourceDataset", "RandomSource", "SampleSet", "TransferDataset",
-    "merge_sources", "pooled_sample_set",
-    "NeighborIndex", "NeighborList", "merged_knn",
+    "HyperParams", "KnnPlan", "RandomSource", "SampleSet", "TransferDataset",
+    "pooled_sample_set",
+    "NeighborIndex", "NeighborList",
     "AdaptiveTrace", "LepskiTrace", "adaptive_predict",
     "bayes_classify", "combined_budget_k", "default_knn_k", "knn_predict",
     "lepski_predict",
-    "minimax_plan", "multisource_adaptive_predict", "multisource_plan",
-    "multisource_weighted_predict", "snr_index", "weighted_knn_eta",
-    "weighted_knn_predict",
+    "minimax_plan", "weighted_knn_eta", "weighted_knn_predict",
     "DriftModel", "ExperimentRecord", "McEstimate", "RateCheckResult",
     "classification_accuracy", "excess_risk_mc", "make_drift_model",
     "rate_exponent_check", "run_accuracy_experiment", "run_preset",

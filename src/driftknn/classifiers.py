@@ -1,28 +1,27 @@
 """Nearest-neighbor classifiers for transfer learning under posterior drift.
 
-The source sample (P) and target sample (Q) share a covariate marginal but
-have different regression functions eta_P and eta_Q, linked by a relative
-signal exponent gamma: the source signal |eta_P - 1/2| dominates
-|eta_Q - 1/2|^gamma with matching signs. The classifiers work on the groups
-[Q, S_1..S_m], the target sample followed by m source samples; a
-two-sample dataset is the case m = 1 with S_1 = P.
+m >= 1 source samples and a target sample (Q) share a covariate marginal
+but have different regression functions, linked by relative signal
+exponents gamma_i: each source signal |eta_i - 1/2| dominates
+|eta_Q - 1/2|^gamma_i with matching signs. The classifiers work on the
+groups [Q, S_1..S_m] of one ``TransferDataset``; the two-sample problem is
+the case m = 1 with S_1 = P.
 
-* ``weighted_knn_predict`` / ``multisource_weighted_predict``: one
-  weighted k-NN vote over the groups, with counts and weights from
-  ``multisource_plan`` (rate-optimal in the sample sizes, beta, gamma, d);
-  the plain majority ``knn_predict`` is the vote with no source and w_Q = 1.
-  Each takes one query or an (m, d) array of queries.
-* ``adaptive_predict`` / ``multisource_adaptive_predict``: one scan of k
-  over the merged neighbor order that stops the first time a
-  signal-to-noise statistic clears (d+3) * log(n), else takes the argmax k.
+* ``weighted_knn_predict``: one weighted k-NN vote over the groups, with
+  counts and weights from ``minimax_plan`` (rate-optimal in the sample
+  sizes, beta, gamma_i, d); the plain majority ``knn_predict`` is the vote
+  over the single group [s] with weight 1. Each takes one query or an
+  (m, d) array of queries.
+* ``adaptive_predict``: one scan of k over the merged neighbor order that
+  stops the first time a signal-to-noise statistic clears (d+3) * log(n),
+  else takes the argmax k.
 * ``lepski_predict``: a classical adaptive baseline that intersects
   confidence intervals for eta(x) over increasing k and stops when the
   intersection separates from 1/2.
 
-At m = 1 the two-sample functions give the multi-source floats exactly.
-The scan keeps two label rules: Alg. 3's sign of
-sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) for two samples, and
-snr_pos >= snr_neg for m sources. They agree in exact arithmetic at m = 1,
+The scan keeps two label rules and picks one by m: Alg. 3's sign of
+sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) at m = 1, and
+snr_pos >= snr_neg at m >= 2. They agree in exact arithmetic at m = 1,
 but rounding can split them at exact ties.
 """
 
@@ -34,29 +33,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    HyperParams,
-    KnnPlan,
-    MultiKnnPlan,
-    MultiSourceDataset,
-    SampleSet,
-    TransferDataset,
-)
+from .core import HyperParams, KnnPlan, SampleSet, TransferDataset
 from . import neighbors
 from .neighbors import NeighborIndex
 
 __all__ = [
     "default_knn_k",
+    "combined_budget_k",
     "minimax_plan",
-    "multisource_plan",
     "weighted_knn_eta",
     "weighted_knn_predict",
     "knn_predict",
-    "snr_index",
     "AdaptiveTrace",
     "adaptive_predict",
-    "multisource_weighted_predict",
-    "multisource_adaptive_predict",
     "LEPSKI_WIDTHS",
     "LepskiTrace",
     "lepski_predict",
@@ -76,40 +65,30 @@ def default_knn_k(n: int, hp: HyperParams) -> int:
 def combined_budget_k(n_p: int, n_q: int, hp: HyperParams) -> int:
     """Neighbor count for the source-blind pooled baseline.
 
-    Uses the same total budget k_P + k_Q as the two-sample plan, so the
-    pooled classifier looks at essentially the same neighborhood but
-    votes it uniformly. This isolates what the weights buy. With n_P=0
-    it collapses to default_knn_k(n_Q), so the pooled and target-only
+    n_p is the number of source rows, over all sources. Uses the total
+    budget k_P + k_Q of the one-source plan on n_p rows, so the pooled
+    classifier looks at essentially the same neighborhood but votes it
+    uniformly. This isolates what the weights buy. With n_P=0 it
+    collapses to default_knn_k(n_Q), so the pooled and target-only
     baselines coincide exactly in the degenerate case.
     """
-    plan = minimax_plan(n_p, n_q, hp)
-    return max(1, plan.k_p + plan.k_q)
+    plan = minimax_plan((n_p,), n_q, hp)
+    return max(1, plan.k_sources[0] + plan.k_q)
 
 
-def minimax_plan(n_p: int, n_q: int, hp: HyperParams) -> KnnPlan:
-    """Neighbor counts and weights for the two-sample weighted k-NN.
-
-    With N = n_P^((2b+d)/(2gb+d)) + n_Q (the effective target-equivalent
-    sample size), the plan is
-
-        w_Q = N^(-b/(2b+d))          k_Q = floor(n_Q * N^(-d/(2b+d)))
-        w_P = N^(-gb/(2b+d))         k_P = floor(n_P * N^(-d/(2b+d)))
-
-    where b is the smoothness, g the relative signal exponent, d the
-    dimension. Counts are clamped so a nonempty sample always contributes
-    at least one neighbor. Requires at least one sample overall. This is
-    the m = 1 case of multisource_plan.
-    """
-    return multisource_plan((n_p,), n_q, hp).to_single()
-
-
-def multisource_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> MultiKnnPlan:
+def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnPlan:
     """Per-source neighbor counts and weights for m source samples.
 
-    The effective size pools every source at its own exponent:
-    N = n_Q + sum_j n_j^((2b+d)/(2 g_j b + d)); then each source i gets
-    w_i = N^(-g_i b/(2b+d)), k_i = floor(n_i * N^(-d/(2b+d))), and the
-    target gets the gamma = 1 weight. Same clamping as the two-sample plan.
+    The effective target-equivalent size pools every source at its own
+    exponent: N = n_Q + sum_i n_i^((2b+d)/(2 g_i b + d)); then
+
+        w_Q = N^(-b/(2b+d))            k_Q = floor(n_Q * N^(-d/(2b+d)))
+        w_i = N^(-g_i b/(2b+d))        k_i = floor(n_i * N^(-d/(2b+d)))
+
+    where b is the smoothness, g_i the relative signal exponent of source
+    i (hp.gamma, broadcast if scalar), d the dimension. Counts are clamped
+    so a nonempty sample always contributes at least one neighbor.
+    Requires at least one sample overall.
     """
     sizes = [int(n) for n in source_sizes]
     if len(sizes) < 1:
@@ -128,36 +107,31 @@ def multisource_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> 
     k_q = max(math.floor(n_q * shrink), min(n_q, 1))
     w_s = tuple(eff ** (-g * b / (2 * b + d)) for g in gammas)
     k_s = tuple(max(math.floor(n * shrink), min(n, 1)) for n in sizes)
-    return MultiKnnPlan(k_sources=k_s, w_sources=w_s, k_q=k_q, w_q=w_q)
+    return KnnPlan(k_sources=k_s, w_sources=w_s, k_q=k_q, w_q=w_q)
 
 
-def _vote_eta(data: TransferDataset | MultiSourceDataset, k_q: int, w_q: float,
-              k_sources: Sequence[int], w_sources: Sequence[float], x):
-    """The weighted k-NN vote over the groups [Q, S_1..S_m] of a dataset.
+def _vote_eta(groups: Sequence[SampleSet], ks: Sequence[int], ws: Sequence[float], x):
+    """The weighted k-NN vote over the groups [Q, S_1..S_m].
 
     eta_hat(x) = sum_g w_g * (sum of the k_g nearest labels of group g)
     / sum_g w_g k_g. The numerator adds the groups in order, Q first; the
-    denominator is w_Q k_Q plus the sum over the sources. With that order
-    the one-source vote gives the two-sample floats. Raises if a group is
-    asked for more neighbors than it holds or every selected neighbor has
-    zero weight. Like ``DriftModel.eta_q``, x is one query (d,) and the
-    answer a float, or an (m, d) array answered row by row through the
-    k-d tree path; both paths give the same values.
+    denominator is w_Q k_Q plus the sum over the sources. Raises if a
+    group is asked for more neighbors than it holds or every selected
+    neighbor has zero weight. Like ``DriftModel.eta_q``, x is one query
+    (d,) and the answer a float, or an (m, d) array answered row by row
+    through the k-d tree path; both paths give the same values.
     """
-    if k_q > data.n_q:
-        raise ValueError(f"plan needs k_Q = {k_q} but Q has {data.n_q} samples")
-    for i, (k, s) in enumerate(zip(k_sources, data.sources), start=1):
-        if k <= len(s):
-            continue
-        if isinstance(data, TransferDataset):
-            raise ValueError(f"plan needs k_P = {k} but P has {len(s)} samples")
-        raise ValueError(f"plan needs k = {k} from source {i} of size {len(s)}")
-    den = w_q * k_q + sum(w * k for w, k in zip(w_sources, k_sources))
+    if ks[0] > len(groups[0]):
+        raise ValueError(f"plan needs k_Q = {ks[0]} but Q has {len(groups[0])} samples")
+    for i, (k, s) in enumerate(zip(ks[1:], groups[1:]), start=1):
+        if k > len(s):
+            raise ValueError(f"plan needs k = {k} from source {i} of size {len(s)}")
+    den = ws[0] * ks[0] + sum(w * k for w, k in zip(ws[1:], ks[1:]))
     if den <= 0:
         raise ValueError("plan selects no positively weighted neighbors")
     x = np.asarray(x, dtype=np.float64)
     num = 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
-    for s, k, w in zip([data.q_data, *data.sources], (k_q, *k_sources), (w_q, *w_sources)):
+    for s, k, w in zip(groups, ks, ws):
         if k == 0:
             continue
         idx = NeighborIndex(s)
@@ -176,15 +150,19 @@ def _label(eta):
 def weighted_knn_eta(ds: TransferDataset, plan: KnnPlan, x):
     """The weighted neighbor-vote estimate of the target regression at x.
 
-    eta_hat = (w_P * sum of k_P nearest P-labels + w_Q * sum of k_Q nearest
-    Q-labels) / (w_P k_P + w_Q k_Q): the vote over [Q, P]. A float for one
-    query x, an array for an (m, d) array of queries.
+    eta_hat = (w_Q * [k_Q nearest Q-labels] + sum_i w_i * [k_i nearest
+    labels of source i]) / (w_Q k_Q + sum_i w_i k_i): the vote over
+    [Q, S_1..S_m]. A float for one query x, an array for an (m, d) array
+    of queries.
     """
-    return _vote_eta(ds, plan.k_q, plan.w_q, (plan.k_p,), (plan.w_p,), x)
+    if plan.m != ds.m:
+        raise ValueError(f"plan has {plan.m} sources, dataset has {ds.m}")
+    return _vote_eta((ds.q_data, *ds.sources), (plan.k_q, *plan.k_sources),
+                     (plan.w_q, *plan.w_sources), x)
 
 
 def weighted_knn_predict(ds: TransferDataset, plan: KnnPlan, x):
-    """Two-sample weighted k-NN label at x: 1 iff eta_hat > 1/2.
+    """Weighted k-NN label at x: 1 iff eta_hat > 1/2.
 
     An int for one query x, an int64 array for an (m, d) array of queries.
     """
@@ -194,42 +172,12 @@ def weighted_knn_predict(ds: TransferDataset, plan: KnnPlan, x):
 def knn_predict(s: SampleSet, k: int, x):
     """Plain k-NN majority label with strict-majority tie rule (> 1/2).
 
-    The weighted vote with no source sample and w_Q = 1, so eta_hat is the
-    label mean S / k; one query or an (m, d) array.
+    The weighted vote over the one group [s] with weight 1, so eta_hat is
+    the label mean S / k; one query or an (m, d) array.
     """
     if not (1 <= k <= len(s)):
         raise ValueError(f"k must be in [1, {len(s)}], got {k}")
-    return _label(weighted_knn_eta(TransferDataset(SampleSet.empty(s.d), s),
-                                   KnnPlan(k_p=0, k_q=k, w_p=0.0, w_q=1.0), x))
-
-
-def multisource_weighted_predict(mds: MultiSourceDataset, plan: MultiKnnPlan, x):
-    """Weighted k-NN vote pooled over every source sample and the target.
-
-    eta_hat = (sum_i w_i * [k_i nearest labels of source i] + w_Q * [k_Q
-    nearest target labels]) / (sum_i w_i k_i + w_Q k_Q); label 1 iff > 1/2.
-    One query or an (m, d) array, as weighted_knn_predict.
-    """
-    if plan.m != mds.m:
-        raise ValueError(f"plan has {plan.m} sources, dataset has {mds.m}")
-    return _label(_vote_eta(mds, plan.k_q, plan.w_q, plan.k_sources, plan.w_sources, x))
-
-
-def snr_index(k_p: int, eta_p: float, k_q: int, eta_q: float) -> float:
-    """Signal-to-noise statistic of a (k_P, k_Q) neighbor split.
-
-    When the two estimates sit on the same side of 1/2 their evidence adds:
-    k_P (eta_P - 1/2)^2 + k_Q (eta_Q - 1/2)^2. On opposite sides only the
-    stronger one counts: max of the two terms. An estimate exactly at 1/2
-    agrees with everything and contributes zero either way.
-    """
-    sp = eta_p - 0.5
-    sq = eta_q - 0.5
-    tp = k_p * sp * sp
-    tq = k_q * sq * sq
-    if sp * sq >= 0:
-        return tp + tq
-    return max(tp, tq)
+    return _label(_vote_eta((s,), (k,), (1.0,), x))
 
 
 @dataclass(frozen=True)
@@ -279,11 +227,20 @@ class AdaptiveTrace:
         return np.arange(1, len(self.snr) + 1)
 
 
-def _adaptive_scan(data, x, label_at) -> tuple[int, AdaptiveTrace]:
-    """The scan behind both adaptive classifiers; ``data`` is a
-    TransferDataset or MultiSourceDataset, and ``label_at(k, eta, pos, neg)``
-    labels the chosen step from its per-group counts and means."""
-    groups = [data.q_data, *data.sources]
+def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
+    """Adaptive classifier: scan k over the merged order, stop on strong evidence.
+
+    Walks the merged (distance-sorted) sequence of all target and source
+    rows. At step k the k nearest points split into k_g from each group g
+    of [Q, S_1..S_m], with label means eta_g (1/2 while a group is empty).
+    snr_pos(k) sums k_g (eta_g - 1/2)^2 over the groups with eta_g >= 1/2,
+    snr_neg(k) over the groups below 1/2. The scan stops at the first k
+    where max(snr_pos, snr_neg) exceeds (d+3) * log(n); if none does, the
+    argmax step (smallest on ties) is used. The label at that step is
+    1{sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) >= 0} (Alg. 3) for
+    one source, and 1{snr_pos >= snr_neg} for m >= 2.
+    """
+    groups = [ds.q_data, *ds.sources]
     n = sum(len(s) for s in groups)
     if n == 0:
         raise ValueError("dataset is empty")
@@ -302,7 +259,7 @@ def _adaptive_scan(data, x, label_at) -> tuple[int, AdaptiveTrace]:
     snr_pos = np.where(above, terms, 0.0).sum(axis=0)
     snr_neg = np.where(above, 0.0, terms).sum(axis=0)
     snr = np.maximum(snr_pos, snr_neg)
-    threshold = (data.d + 3) * math.log(n)
+    threshold = (ds.d + 3) * math.log(n)
     exceed = snr > threshold
     if exceed.any():
         chosen = int(np.argmax(exceed))
@@ -310,38 +267,16 @@ def _adaptive_scan(data, x, label_at) -> tuple[int, AdaptiveTrace]:
     else:
         stop_step = None
         chosen = int(np.argmax(snr))
-    label = label_at(k_counts[:, chosen], etas[:, chosen], snr_pos[chosen], snr_neg[chosen])
+    if ds.m == 1:
+        k, eta = k_counts[:, chosen], etas[:, chosen]
+        label = int(math.sqrt(k[1]) * (eta[1] - 0.5) + math.sqrt(k[0]) * (eta[0] - 0.5) >= 0)
+    else:
+        label = int(snr_pos[chosen] >= snr_neg[chosen])
     trace = AdaptiveTrace(
         k_counts=k_counts, etas=etas, snr_pos=snr_pos, snr_neg=snr_neg, snr=snr,
         threshold=threshold, stop_step=stop_step, chosen_step=chosen + 1, label=label,
     )
     return label, trace
-
-
-def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
-    """Adaptive two-sample classifier: scan k, stop on strong evidence.
-
-    Walks the merged (distance-sorted) sequence of all n_P + n_Q samples.
-    At step k the k nearest points split into k_P from P and k_Q from Q
-    with label means eta_P, eta_Q (1/2 when a side is empty). The scan
-    stops at the first k whose snr_index exceeds (d+3) * log(n_P + n_Q);
-    if none does, the argmax step (smallest on ties) is used. The label is
-    1{sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) >= 0} at that step.
-    """
-    return _adaptive_scan(ds, x, lambda k, eta, _pos, _neg: int(
-        math.sqrt(k[1]) * (eta[1] - 0.5) + math.sqrt(k[0]) * (eta[0] - 0.5) >= 0))
-
-
-def multisource_adaptive_predict(mds: MultiSourceDataset, x) -> tuple[int, AdaptiveTrace]:
-    """Adaptive classifier over m sources plus the target.
-
-    Same scan as adaptive_predict, with per-group evidence split by side:
-    snr_pos(k) sums k_g (eta_g - 1/2)^2 over groups with eta_g >= 1/2,
-    snr_neg(k) over groups with eta_g < 1/2. Stops at the first k where
-    max(snr_pos, snr_neg) clears (d+3) * log(total n), argmax fallback.
-    The label is 1{snr_pos >= snr_neg} at the chosen step.
-    """
-    return _adaptive_scan(mds, x, lambda _k, _eta, pos, neg: int(pos >= neg))
 
 
 def _width_log_outside(n: int, d: int, k: np.ndarray) -> np.ndarray:

@@ -1,31 +1,28 @@
 """Core data types for transfer classification under posterior drift.
 
-The setting: a source distribution P and a target distribution Q share the
-same covariate marginal but have different regression functions eta_P and
-eta_Q. Samples from both feed the classifiers in :mod:`driftknn.classifiers`.
-This module defines the sample containers, the hyper-parameter record, the
-k-NN plan records, and a reproducible random-source contract used by the
-simulation harness.
+The setting: m >= 1 source distributions and a target distribution Q share
+the same covariate marginal but have different regression functions. One
+dataset type, ``TransferDataset``, holds the target sample plus a tuple of
+source samples; the two-sample problem (one source P) is the case m = 1,
+``TransferDataset((p,), q)``. This module defines the sample containers,
+the hyper-parameter record, the k-NN plan record (one count and weight per
+source plus the target pair), and a reproducible random-source contract
+used by the simulation harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "LabeledSample",
     "SampleSet",
     "TransferDataset",
-    "MultiSourceDataset",
     "HyperParams",
     "KnnPlan",
-    "MultiKnnPlan",
     "RandomSource",
     "pooled_sample_set",
-    "merge_sources",
 ]
 
 # Maximum fan-out of RandomSource.substream at each derivation level.
@@ -49,31 +46,6 @@ def _as_labels(y) -> np.ndarray:
         raise ValueError(f"labels must be a 1-d array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """A single labeled observation: covariate vector x and binary label y."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64, copy=True)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError(f"x must be a nonempty 1-d vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            pos = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise ValueError(f"non-finite coordinate at position {pos}")
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y!r}")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", int(self.y))
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -108,20 +80,6 @@ class SampleSet:
         object.__setattr__(self, "labels", labs)
 
     @classmethod
-    def from_samples(cls, samples: Sequence[LabeledSample], d: int | None = None) -> "SampleSet":
-        if not samples:
-            if d is None:
-                raise ValueError("d is required for an empty SampleSet")
-            return cls.empty(d)
-        d0 = samples[0].d
-        for i, s in enumerate(samples):
-            if s.d != d0:
-                raise ValueError(f"sample {i}: dimension {s.d} != {d0}")
-        pts = np.stack([s.x for s in samples])
-        labs = np.array([s.y for s in samples], dtype=np.int64)
-        return cls(pts, labs)
-
-    @classmethod
     def empty(cls, d: int) -> "SampleSet":
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
@@ -134,64 +92,30 @@ class SampleSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def __iter__(self) -> Iterator[LabeledSample]:
-        for i in range(len(self)):
-            yield LabeledSample(self.points[i], int(self.labels[i]))
-
-    @property
-    def samples(self) -> list[LabeledSample]:
-        return list(self)
-
 
 @dataclass(frozen=True)
 class TransferDataset:
-    """Source sample (P) and target sample (Q) over the same covariate space.
+    """m >= 1 source samples S1..Sm plus one target sample Q, sharing one dimension.
 
-    Either set may be empty; the dimensions must agree.
+    The two-sample problem is m = 1: ``TransferDataset((p,), q)``. Any set
+    may be empty. ``sources`` must be a sequence of sample sets; a bare
+    SampleSet is rejected rather than read as a sequence of rows.
     """
-
-    p_data: SampleSet
-    q_data: SampleSet
-
-    def __post_init__(self):
-        if self.p_data.d != self.q_data.d:
-            raise ValueError(
-                f"dimension mismatch: P has d={self.p_data.d}, Q has d={self.q_data.d}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.q_data.d
-
-    @property
-    def n_p(self) -> int:
-        return len(self.p_data)
-
-    @property
-    def n_q(self) -> int:
-        return len(self.q_data)
-
-    @property
-    def sources(self) -> tuple[SampleSet]:
-        """(P,): the two-sample dataset read as the m = 1 multi-source case."""
-        return (self.p_data,)
-
-
-@dataclass(frozen=True)
-class MultiSourceDataset:
-    """m >= 1 source samples plus one target sample, all sharing one dimension."""
 
     sources: tuple[SampleSet, ...]
     q_data: SampleSet
 
     def __post_init__(self):
-        sources = tuple(self.sources)
+        try:
+            sources = tuple(self.sources)
+        except TypeError:
+            raise TypeError("sources must be a sequence of SampleSets, e.g. (p,) for one source")
         if len(sources) < 1:
             raise ValueError("need at least one source sample set")
-        for i, s in enumerate(sources):
+        for i, s in enumerate(sources, start=1):
             if s.d != self.q_data.d:
                 raise ValueError(
-                    f"source {i}: dimension {s.d} != target dimension {self.q_data.d}"
+                    f"source {i}: dimension mismatch, d={s.d} against target d={self.q_data.d}"
                 )
         object.__setattr__(self, "sources", sources)
 
@@ -210,6 +134,11 @@ class MultiSourceDataset:
     @property
     def source_sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.sources)
+
+    @property
+    def n_p(self) -> int:
+        """The number of source rows, over all sources."""
+        return sum(self.source_sizes)
 
 
 @dataclass(frozen=True)
@@ -279,27 +208,7 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class KnnPlan:
-    """Neighbor counts and vote weights for the two-sample weighted k-NN."""
-
-    k_p: int
-    k_q: int
-    w_p: float
-    w_q: float
-
-    def __post_init__(self):
-        if self.k_p < 0 or self.k_q < 0:
-            raise ValueError(f"neighbor counts must be >= 0, got ({self.k_p}, {self.k_q})")
-        if self.w_p < 0 or self.w_q < 0:
-            raise ValueError(f"weights must be >= 0, got ({self.w_p}, {self.w_q})")
-        object.__setattr__(self, "k_p", int(self.k_p))
-        object.__setattr__(self, "k_q", int(self.k_q))
-        object.__setattr__(self, "w_p", float(self.w_p))
-        object.__setattr__(self, "w_q", float(self.w_q))
-
-
-@dataclass(frozen=True)
-class MultiKnnPlan:
-    """Per-source neighbor counts and weights plus the target pair."""
+    """Per-source neighbor counts and vote weights plus the target pair."""
 
     k_sources: tuple[int, ...]
     w_sources: tuple[float, ...]
@@ -325,12 +234,6 @@ class MultiKnnPlan:
     @property
     def m(self) -> int:
         return len(self.k_sources)
-
-    def to_single(self) -> KnnPlan:
-        """Collapse an m=1 plan to the two-sample plan record."""
-        if self.m != 1:
-            raise ValueError(f"plan has {self.m} sources, expected 1")
-        return KnnPlan(self.k_sources[0], self.k_q, self.w_sources[0], self.w_q)
 
 
 @dataclass(frozen=True)
@@ -365,22 +268,15 @@ class RandomSource:
         return RandomSource(self.seed, self.stream * SUBSTREAM_CAP + i + 1)
 
 
-def _concat(sets: Sequence[SampleSet], d: int) -> SampleSet:
-    """The rows of the sets in order; a lone nonempty set is returned as is."""
-    full = [s for s in sets if len(s)]
+def pooled_sample_set(ds: TransferDataset) -> SampleSet:
+    """The rows of S1..Sm, then of Q, as one plain sample set.
+
+    A lone nonempty set is returned as is.
+    """
+    full = [s for s in (*ds.sources, ds.q_data) if len(s)]
     if len(full) == 1:
         return full[0]
     if not full:
-        return SampleSet.empty(d)
+        return SampleSet.empty(ds.d)
     return SampleSet(np.concatenate([s.points for s in full]),
                      np.concatenate([s.labels for s in full]))
-
-
-def pooled_sample_set(ds: TransferDataset) -> SampleSet:
-    """Concatenate P rows then Q rows into one plain sample set."""
-    return _concat([ds.p_data, ds.q_data], ds.d)
-
-
-def merge_sources(mds: MultiSourceDataset) -> TransferDataset:
-    """Concatenate all source sets (in order) into a single source sample."""
-    return TransferDataset(_concat(mds.sources, mds.d), mds.q_data)

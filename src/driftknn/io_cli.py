@@ -1,10 +1,10 @@
 """CSV dataset exchange, tidy result output, and the command-line surface.
 
 Data files carry a header ``x0..x{d-1}, y`` plus an optional ``origin``
-column: ``P``/``Q`` rows form a two-sample dataset, ``P1..Pm`` (with an
-optional ``Q``) a multi-source dataset, and no origin column a plain
-sample set. Floats are printed with 17 significant digits so a write/read
-cycle reproduces every double bit-exactly.
+column: ``P``/``Q`` rows form a one-source dataset, ``P1..Pm`` (with an
+optional ``Q``) an m-source one, both read as a ``TransferDataset``, and no
+origin column a plain sample set. Floats are printed with 17 significant
+digits so a write/read cycle reproduces every double bit-exactly.
 
 Every command writes a JSON-lines manifest next to its output capturing
 the exact argv, seed, package version, and timestamps; the argv alone
@@ -27,15 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (
-    HyperParams,
-    MultiSourceDataset,
-    RandomSource,
-    SampleSet,
-    TransferDataset,
-    merge_sources,
-    pooled_sample_set,
-)
+from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from .classifiers import LEPSKI_WIDTHS, combined_budget_k, default_knn_k
 from .simulation import (
     _EXPERIMENT_STREAM_IDS,
@@ -125,23 +117,23 @@ def _parse_header(header: list[str], path: str) -> tuple[int, bool]:
 
 
 def write_labeled_csv(path, data) -> CsvSchema:
-    """Write a SampleSet, TransferDataset, or MultiSourceDataset.
+    """Write a SampleSet (no origin column) or a TransferDataset.
 
-    Two-sample data writes P rows then Q rows; multi-source writes P1..Pm
+    One source writes P rows then Q rows; m >= 2 sources write P1..Pm
     then Q. Floats carry 17 significant digits for exact round-trips.
     """
     if isinstance(data, SampleSet):
         schema = CsvSchema(data.d, "none")
         parts = [(None, data)]
-    elif isinstance(data, TransferDataset):
-        schema = CsvSchema(data.d, "transfer")
-        parts = [("P", data.p_data), ("Q", data.q_data)]
-    elif isinstance(data, MultiSourceDataset):
-        schema = CsvSchema(data.d, "multi", m=data.m)
-        parts = [(f"P{i + 1}", s) for i, s in enumerate(data.sources)]
-        parts.append(("Q", data.q_data))
-    else:
+    elif not hasattr(data, "sources"):
         raise TypeError(f"not a dataset type: {type(data).__name__}")
+    elif data.m == 1:
+        schema = CsvSchema(data.d, "transfer")
+        parts = [("P", data.sources[0]), ("Q", data.q_data)]
+    else:
+        schema = CsvSchema(data.d, "multi", m=data.m)
+        parts = [(f"P{i}", s) for i, s in enumerate(data.sources, start=1)]
+        parts.append(("Q", data.q_data))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = _feature_header(schema.d) + ["y"]
@@ -185,10 +177,12 @@ _ORIGIN_TAG = re.compile(r"[PQ]|P[1-9][0-9]*")
 def read_labeled_csv(path, schema: CsvSchema | None = None):
     """Read a labeled-data CSV; the origin column decides the return type.
 
-    No origin column gives a SampleSet; {P, Q} tags a TransferDataset;
-    contiguous P1..Pm tags (plus optional Q) a MultiSourceDataset. If a
-    schema is given the file must match it. Format violations raise
-    CsvFormatError citing the 1-based line number of the first faulty row.
+    No origin column gives a SampleSet. Tagged rows give a TransferDataset:
+    {P, Q} tags one source, contiguous P1..Pm tags (plus optional Q) m
+    sources, so a P1-only file is the same dataset as a P/Q file. The
+    schema records which tags were found; if one is given the file must
+    match it. Format violations raise CsvFormatError citing the 1-based
+    line number of the first faulty row.
     """
     path = str(path)
     coords: list[float] = []
@@ -233,10 +227,10 @@ def read_labeled_csv(path, schema: CsvSchema | None = None):
             if ids != list(range(1, len(ids) + 1)):
                 raise CsvFormatError(
                     f"{path}: source tags must be contiguous P1..Pm, got {sorted(numbered)}")
-            data = MultiSourceDataset(tuple(rows_tagged(f"P{i}") for i in ids), rows_tagged("Q"))
+            data = TransferDataset(tuple(rows_tagged(f"P{i}") for i in ids), rows_tagged("Q"))
             found = CsvSchema(d, "multi", m=len(ids))
         else:
-            data = TransferDataset(rows_tagged("P"), rows_tagged("Q"))
+            data = TransferDataset((rows_tagged("P"),), rows_tagged("Q"))
             found = CsvSchema(d, "transfer")
 
     if schema is not None and (schema.d != found.d or schema.origin != found.origin
@@ -495,14 +489,15 @@ def _cmd_rate_check(args, argv) -> int:
     return 0
 
 
-def _as_transfer(train) -> TransferDataset:
-    """A training file as a two-sample dataset: untagged rows are the target,
-    numbered sources merge into one source in order."""
-    if isinstance(train, SampleSet):
-        return TransferDataset(SampleSet.empty(train.d), train)
-    if isinstance(train, MultiSourceDataset):
-        return merge_sources(train)
-    return train
+def _read_train(path) -> tuple[TransferDataset, bool]:
+    """A training file as a dataset, and whether it carried origin tags.
+
+    Untagged rows are the target, next to one empty source.
+    """
+    data = read_labeled_csv(path)
+    if isinstance(data, SampleSet):
+        return TransferDataset((SampleSet.empty(data.d),), data), False
+    return data, True
 
 
 def _gammas(args, m: int) -> list[float]:
@@ -515,32 +510,23 @@ def _gammas(args, m: int) -> list[float]:
     return gammas
 
 
-def _fit_for(args, train):
+def _fit_for(args, train: TransferDataset, tagged: bool):
     """Translate the predict method, --pool, --k and --gamma into a fit."""
     method = args.method
     # --gamma is checked for every method, also where it goes unused.
-    m = train.m if isinstance(train, MultiSourceDataset) else 1
-    gammas = None if args.gamma is None else _gammas(args, m)
-    if method == "weighted":
-        if not isinstance(train, TransferDataset):
-            raise UsageError("weighted needs a training CSV with P/Q origin tags")
+    gammas = None if args.gamma is None else _gammas(args, train.m)
+    if method in ("weighted", "multisource", "adaptive") and not tagged:
+        raise UsageError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
+    if method in ("weighted", "multisource"):
         if gammas is None:
-            raise UsageError("weighted needs --gamma and --beta for the neighbor plan")
-        return _fit_weighted(train, _hyperparams(args, gammas[0]))
-    if method == "multisource":
-        if not isinstance(train, MultiSourceDataset):
-            raise UsageError("multisource needs a training CSV with P1..Pm origin tags")
-        if gammas is None:
-            raise UsageError("multisource needs --gamma (one value, or one per source)")
+            raise UsageError(f"{method} needs --gamma (one value, or one per source)")
         return _fit_weighted(train, _hyperparams(args, tuple(gammas)))
     if method == "adaptive":
-        if isinstance(train, SampleSet):
-            raise UsageError("adaptive needs origin tags (P/Q or P1..Pm) in the training CSV")
         return _fit_adaptive(train)
     # knn, lepski and combined run on one sample set: the target rows, or
-    # everything pooled (P rows then Q rows) for combined and --pool.
-    budget = method == "combined" and gammas is not None and isinstance(train, TransferDataset)
-    train = _as_transfer(train)
+    # everything pooled (source rows, then Q rows) for combined and --pool.
+    # combined takes the plan budget only on a one-source file with --gamma.
+    budget = method == "combined" and gammas is not None and tagged and train.m == 1
     s = pooled_sample_set(train) if (method == "combined" or args.pool) else train.q_data
     if len(s) == 0:
         raise UsageError(f"{method} has no training rows to use")
@@ -557,11 +543,11 @@ def _fit_for(args, train):
 
 def _cmd_predict(args, argv) -> int:
     started = _now()
-    train = read_labeled_csv(args.train)
+    train, tagged = _read_train(args.train)
     if args.d is not None and train.d != args.d:
         raise UsageError(f"--d {args.d} but training data has d={train.d}")
     args.d = train.d
-    fitted = _fit_for(args, train)
+    fitted = _fit_for(args, train, tagged)
     pts = read_points_csv(args.test)
     if pts.shape[1] != train.d:
         raise CsvFormatError(
@@ -591,7 +577,7 @@ def _cmd_eval(args, argv) -> int:
         raise UsageError("--n-test must be >= 1")
     if args.nmc < 2:
         raise UsageError("--nmc must be >= 2")
-    train = _as_transfer(read_labeled_csv(args.train))
+    train, _ = _read_train(args.train)
     args.d = train.d
     hp = _hyperparams(args, args.gamma)
     gamma_sim = args.gamma_sim if args.gamma_sim is not None else args.gamma

@@ -12,7 +12,9 @@ one primitive, ``_canonical_argsort``: a default argsort, then one integer
 sort of the runs of equal distances by position. Batch queries go through a
 k-d tree for speed; any row where a distance tie is detected near the cut
 is rerouted through the canonical path, so results never depend on the
-tree's internal ordering.
+tree's internal ordering. The tie tolerance is relative to each row's own
+k-th distance, and rows whose distances overflow are rerouted without a
+floating-point warning.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import SampleSet, TransferDataset
+from .core import SampleSet
 
 __all__ = [
     "NeighborList",
     "NeighborIndex",
-    "merged_knn",
     "MergedOrder",
     "merged_order",
 ]
@@ -171,10 +172,13 @@ class NeighborIndex:
         """k nearest neighbors for each row of xs.
 
         Returns (distances, indices), each of shape (m, min(k, n)). The
-        neighbor set per row is exact; rows with a detected distance tie at
-        the cut are recomputed on the canonical path. Distances along a row
-        ascend, but within-row tie order follows the canonical rule only on
-        rerouted rows; callers needing guaranteed order should use query().
+        neighbor set per row is exact. A row is recomputed on the canonical
+        path when two adjacent ones of its k + 1 tree distances lie within
+        _TIE_RTOL times its own k-th distance (or 1, if larger), or when its
+        distances overflow; one far query does not widen the tolerance of
+        the other rows. Distances along a row ascend, but within-row tie
+        order follows the canonical rule only on rerouted rows; callers
+        needing guaranteed order should use query().
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
@@ -191,16 +195,17 @@ class NeighborIndex:
         dist, idx = tree.query(xs, k=k_probe, workers=-1)
         dist = np.atleast_2d(dist.reshape(m, k_probe))
         idx = np.atleast_2d(idx.reshape(m, k_probe))
-        # A row needs exact treatment if the first excluded neighbor could
-        # tie the last included one, or if any included pair ties (the tree
-        # does not promise index order within equal distances), or if a
-        # distance overflowed: the tree reports those as missing neighbors.
-        tol = _TIE_RTOL * np.maximum(dist[:, :k_eff].max(initial=0.0), 1.0)
-        suspect = ~np.isfinite(dist[:, k_eff - 1])
-        if k_probe > k_eff:
-            suspect |= dist[:, k_eff] - dist[:, k_eff - 1] <= tol
-        if k_eff > 1:
-            suspect |= (np.diff(dist[:, :k_eff], axis=1) <= tol).any(axis=1)
+        # A row needs exact treatment if any two of its k + 1 probed distances
+        # could tie (the first excluded neighbor against the last included
+        # one, or an included pair, whose order the tree does not promise),
+        # or if a distance overflowed: the tree reports those as missing
+        # neighbors. The tolerance scales with the row's own k-th distance,
+        # and gaps are taken only on rows whose included distances are finite.
+        finite = np.isfinite(dist[:, k_eff - 1])
+        rows = dist if finite.all() else dist[finite]
+        gap = np.diff(rows, axis=1).min(axis=1, initial=np.inf)
+        suspect = ~finite
+        suspect[finite] = gap <= _TIE_RTOL * np.maximum(rows[:, k_eff - 1], 1.0)
         out_d = dist[:, :k_eff].copy()
         out_i = idx[:, :k_eff].astype(np.int64)
         for row in np.flatnonzero(suspect):
@@ -249,27 +254,3 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     within = order - (np.cumsum(sizes) - sizes)[group]
     labels = np.concatenate([s.labels for s in sets])[order]
     return MergedOrder(dist[order], group, within, labels, len(sets))
-
-
-def merged_knn(ds: TransferDataset, x, k: int) -> tuple[NeighborList, NeighborList]:
-    """Split the k nearest points of the combined P and Q samples by origin.
-
-    Returns (p_neighbors, q_neighbors); their lengths sum to k. Cross-set
-    distance ties favor the Q point, then the smaller index. Raises if
-    k exceeds n_P + n_Q or on dimension mismatch.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    total = ds.n_p + ds.n_q
-    if k > total:
-        raise ValueError(f"k = {k} exceeds the {total} available samples")
-    mo = merged_order([ds.q_data, ds.p_data], x)
-    head_group = mo.group[:k]
-    head_dist = mo.distances[:k]
-    head_wi = mo.within_index[:k]
-    head_lab = mo.labels[:k]
-    out = []
-    for g in (1, 0):  # P first in the return tuple
-        mask = head_group == g
-        out.append(NeighborList(head_wi[mask], head_dist[mask], head_lab[mask]))
-    return out[0], out[1]

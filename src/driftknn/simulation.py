@@ -20,14 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    HyperParams,
-    MultiSourceDataset,
-    RandomSource,
-    SampleSet,
-    TransferDataset,
-    pooled_sample_set,
-)
+from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from .classifiers import (
     adaptive_predict,
     combined_budget_k,
@@ -35,9 +28,6 @@ from .classifiers import (
     knn_predict,
     lepski_predict,
     minimax_plan,
-    multisource_adaptive_predict,
-    multisource_plan,
-    multisource_weighted_predict,
     weighted_knn_predict,
 )
 
@@ -146,12 +136,11 @@ def sample_dataset(model: DriftModel, n_p: int, n_q: int, rng: RandomSource) -> 
     The target draw uses substream 0 and the source draw substream 1, so
     the Q sample for a given rng is identical whatever n_P is.
     """
-    mds = sample_multisource_dataset(model, (n_p,), n_q, rng)
-    return TransferDataset(mds.sources[0], mds.q_data)
+    return sample_multisource_dataset(model, (n_p,), n_q, rng)
 
 
 def sample_multisource_dataset(model: DriftModel, source_sizes: Sequence[int], n_q: int,
-                               rng: RandomSource) -> MultiSourceDataset:
+                               rng: RandomSource) -> TransferDataset:
     """Draw m source samples (all from the model's P) plus a target sample.
 
     The target uses substream 0 and source i (1-based) substream i.
@@ -170,7 +159,7 @@ def sample_multisource_dataset(model: DriftModel, source_sizes: Sequence[int], n
         return SampleSet(x, model.sample_labels(x, which, gen))
 
     q = draw(n_q, "Q", 0)
-    return MultiSourceDataset(tuple(draw(n, "P", i) for i, n in enumerate(sizes, start=1)), q)
+    return TransferDataset(tuple(draw(n, "P", i) for i, n in enumerate(sizes, start=1)), q)
 
 
 def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomSource) -> np.ndarray:
@@ -301,24 +290,16 @@ def _fit_knn(name: str, s: SampleSet, k: int) -> FittedMethod:
     return FittedMethod(name, vote, vote)
 
 
-def _fit_weighted(data: TransferDataset | MultiSourceDataset, hp: HyperParams) -> FittedMethod:
-    """The weighted vote over [Q, S_1..S_m]: weighted_knn_predict with the
-    minimax_plan on a two-sample dataset, multisource_weighted_predict with
-    the multisource_plan on m sources."""
-    if isinstance(data, MultiSourceDataset):
-        plan = multisource_plan(data.source_sizes, data.n_q, hp)
-        vote = lambda x: multisource_weighted_predict(data, plan, x)
-    else:
-        plan = minimax_plan(data.n_p, data.n_q, hp)
-        vote = lambda x: weighted_knn_predict(data, plan, x)
+def _fit_weighted(ds: TransferDataset, hp: HyperParams) -> FittedMethod:
+    """The weighted vote over [Q, S_1..S_m] with the minimax_plan."""
+    plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
+    vote = lambda x: weighted_knn_predict(ds, plan, x)
     return FittedMethod("weighted", vote, vote)
 
 
-def _fit_adaptive(data: TransferDataset | MultiSourceDataset) -> FittedMethod:
-    """The adaptive scan, with the two-sample label rule on a TransferDataset
-    and the multi-source rule on a MultiSourceDataset."""
-    scan = multisource_adaptive_predict if isinstance(data, MultiSourceDataset) else adaptive_predict
-    return FittedMethod("adaptive", lambda x: scan(data, x)[0])
+def _fit_adaptive(ds: TransferDataset) -> FittedMethod:
+    """The adaptive scan over [Q, S_1..S_m]."""
+    return FittedMethod("adaptive", lambda x: adaptive_predict(ds, x)[0])
 
 
 def _fit_lepski(name: str, s: SampleSet, width: str) -> FittedMethod:
@@ -326,9 +307,9 @@ def _fit_lepski(name: str, s: SampleSet, width: str) -> FittedMethod:
     return FittedMethod(name, lambda x: lepski_predict(s, x, width=width))
 
 
-# The named methods of simulate and eval: each maps (two-sample dataset,
-# hyper-parameters, Lepski width) to a fit. The predict CLI builds its
-# predictors from the same _fit_* functions.
+# The named methods of simulate and eval: each maps (dataset, hyper-parameters,
+# Lepski width) to a fit. The predict CLI builds its predictors from the same
+# _fit_* functions.
 METHODS: dict[str, Callable[[TransferDataset, HyperParams, str], FittedMethod]] = {
     "weighted": lambda ds, hp, _w: _fit_weighted(ds, hp),
     "combined": lambda ds, hp, _w: _fit_knn(
@@ -344,7 +325,7 @@ ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
 
 def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
                lepski_width: str = "algorithm3") -> FittedMethod:
-    """Fit a named method to a two-sample dataset."""
+    """Fit a named method to a dataset with any number of sources."""
     try:
         fitter = METHODS[name]
     except KeyError:

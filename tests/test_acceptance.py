@@ -11,25 +11,13 @@ import math
 
 import numpy as np
 
-from driftknn.core import (
-    HyperParams,
-    KnnPlan,
-    MultiSourceDataset,
-    RandomSource,
-    SampleSet,
-    TransferDataset,
-    merge_sources,
-)
+from driftknn.core import HyperParams, KnnPlan, RandomSource, SampleSet, TransferDataset
 from driftknn.classifiers import (
     adaptive_predict,
     combined_budget_k,
     default_knn_k,
     knn_predict,
     minimax_plan,
-    multisource_adaptive_predict,
-    multisource_plan,
-    multisource_weighted_predict,
-    snr_index,
     weighted_knn_eta,
     weighted_knn_predict,
 )
@@ -49,6 +37,14 @@ from driftknn.simulation import (
 from driftknn.io_cli import read_labeled_csv, write_labeled_csv
 
 SEED = 7
+
+
+def snr_index(k_p, eta_p, k_q, eta_q):
+    """Reference two-sample scan statistic: agreeing sides add their
+    evidence k (eta - 1/2)^2, opposite sides keep the stronger term."""
+    sp, sq = eta_p - 0.5, eta_q - 0.5
+    tp, tq = k_p * sp * sp, k_q * sq * sq
+    return tp + tq if sp * sq >= 0 else max(tp, tq)
 
 
 def report(capsys, num, name, ok, detail):
@@ -185,7 +181,7 @@ def _check_adaptive_invariants(rng):
         if n_p + n_q == 0:
             continue
         ds = TransferDataset(
-            SampleSet(gen.random((n_p, 2)), gen.integers(0, 2, n_p)),
+            (SampleSet(gen.random((n_p, 2)), gen.integers(0, 2, n_p)),),
             SampleSet(gen.random((n_q, 2)), gen.integers(0, 2, n_q)))
         label, tr = adaptive_predict(ds, gen.random(2))
         n = n_p + n_q
@@ -221,26 +217,27 @@ def _check_reductions(rng):
     # n_P = 0: the weighted rule degenerates to plain target-only k-NN,
     # and the pooled baseline's budget matches the single-sample rule
     ds0 = sample_dataset(model, 0, 400, rng.substream(0))
-    plan0 = minimax_plan(0, 400, hp)
+    plan0 = minimax_plan((0,), 400, hp)
     if combined_budget_k(0, 400, hp) != default_knn_k(400, hp):
         return False
     for _ in range(20):
         x = gen.random(2)
         if weighted_knn_predict(ds0, plan0, x) != knn_predict(ds0.q_data, plan0.k_q, x):
             return False
-    # m = 1: the multi-source plan and both multi-source classifiers
-    # collapse to their two-sample versions
-    mds = sample_multisource_dataset(model, (150,), 200, rng.substream(1))
-    ds1 = TransferDataset(mds.sources[0], mds.q_data)
-    if multisource_plan((150,), 200, hp).to_single() != minimax_plan(150, 200, hp):
+    # an empty second source changes nothing: the plan keeps the one-source
+    # counts and weights, and the vote and scan statistic their floats
+    ds1 = sample_dataset(model, 150, 200, rng.substream(1))
+    ds2 = TransferDataset((*ds1.sources, SampleSet.empty(2)), ds1.q_data)
+    plan1 = minimax_plan(ds1.source_sizes, 200, hp)
+    plan2 = minimax_plan(ds2.source_sizes, 200, hp)
+    if (plan2.k_sources != (*plan1.k_sources, 0) or plan2.k_q != plan1.k_q
+            or plan2.w_sources[0] != plan1.w_sources[0] or plan2.w_q != plan1.w_q):
         return False
-    plan1 = minimax_plan(150, 200, hp)
-    mplan1 = multisource_plan((150,), 200, hp)
     for _ in range(20):
         x = gen.random(2)
-        if multisource_weighted_predict(mds, mplan1, x) != weighted_knn_predict(ds1, plan1, x):
+        if weighted_knn_eta(ds2, plan2, x) != weighted_knn_eta(ds1, plan1, x):
             return False
-        if multisource_adaptive_predict(mds, x)[0] != adaptive_predict(ds1, x)[0]:
+        if not np.array_equal(adaptive_predict(ds2, x)[1].snr, adaptive_predict(ds1, x)[1].snr):
             return False
     return True
 
@@ -249,13 +246,14 @@ def _check_rescaling(rng):
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
     model = make_drift_model(0.55, 0.3, 2)
     ds = sample_dataset(model, 200, 300, rng.substream(0))
-    plan = minimax_plan(200, 300, hp)
+    plan = minimax_plan((200,), 300, hp)
     gen = rng.generator()
     for _ in range(20):
         x = gen.random(2)
         base = weighted_knn_eta(ds, plan, x)
         for c in (1e-3, 7.0, 1e4):
-            scaled = KnnPlan(plan.k_p, plan.k_q, c * plan.w_p, c * plan.w_q)
+            scaled = KnnPlan(plan.k_sources, [c * w for w in plan.w_sources], plan.k_q,
+                             c * plan.w_q)
             if not math.isclose(weighted_knn_eta(ds, scaled, x), base,
                                 rel_tol=1e-9, abs_tol=1e-12):
                 return False
@@ -281,16 +279,16 @@ def _check_csv_round_trips(rng, tmp_path):
     path = tmp_path / "transfer.csv"
     write_labeled_csv(path, ds)
     back = read_labeled_csv(path)
-    if not (np.array_equal(back.p_data.points, ds.p_data.points)
+    if not (np.array_equal(back.sources[0].points, ds.sources[0].points)
             and np.array_equal(back.q_data.points, ds.q_data.points)
-            and np.array_equal(back.p_data.labels, ds.p_data.labels)
+            and np.array_equal(back.sources[0].labels, ds.sources[0].labels)
             and np.array_equal(back.q_data.labels, ds.q_data.labels)):
         return False
     mds = sample_multisource_dataset(model, (15, 25), 30, rng.substream(1))
     mpath = tmp_path / "multi.csv"
     write_labeled_csv(mpath, mds)
     mback = read_labeled_csv(mpath)
-    if not isinstance(mback, MultiSourceDataset) or mback.m != 2:
+    if not isinstance(mback, TransferDataset) or mback.m != 2:
         return False
     return all(
         np.array_equal(a.points, b.points) and np.array_equal(a.labels, b.labels)
@@ -320,8 +318,8 @@ def test_criterion_7_merged_sources_match_single(capsys):
     model = make_drift_model(0.55, 0.3, 2)
     hp2 = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.3), d=2)
     hp1 = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
-    plan2 = multisource_plan((1000, 1000), 5000, hp2)
-    plan1 = minimax_plan(2000, 5000, hp1)
+    plan2 = minimax_plan((1000, 1000), 5000, hp2)
+    plan1 = minimax_plan((2000,), 5000, hp1)
     root = RandomSource(SEED).substream(8)
     reps = 300
     acc_multi = np.empty(reps)
@@ -331,8 +329,11 @@ def test_criterion_7_merged_sources_match_single(capsys):
         mds = sample_multisource_dataset(model, (1000, 1000), 5000, rs.substream(0))
         x = sample_test_points(model.x_c, 0.05, 1, rs.substream(1))[0]
         truth = model.bayes(x)
-        acc_multi[rep] = multisource_weighted_predict(mds, plan2, x) == truth
-        acc_single[rep] = weighted_knn_predict(merge_sources(mds), plan1, x) == truth
+        merged = SampleSet(np.concatenate([s.points for s in mds.sources]),
+                           np.concatenate([s.labels for s in mds.sources]))
+        acc_multi[rep] = weighted_knn_predict(mds, plan2, x) == truth
+        acc_single[rep] = weighted_knn_predict(TransferDataset((merged,), mds.q_data),
+                                               plan1, x) == truth
     m2, m1 = acc_multi.mean(), acc_single.mean()
     se = math.hypot(acc_multi.std(ddof=1), acc_single.std(ddof=1)) / math.sqrt(reps)
     ok = abs(m2 - m1) <= 2 * se

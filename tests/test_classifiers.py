@@ -10,16 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from driftknn.core import (
-    HyperParams,
-    KnnPlan,
-    MultiKnnPlan,
-    MultiSourceDataset,
-    RandomSource,
-    SampleSet,
-    TransferDataset,
-    merge_sources,
-)
+from driftknn.core import HyperParams, KnnPlan, RandomSource, SampleSet, TransferDataset
 from driftknn.classifiers import (
     LEPSKI_WIDTHS,
     adaptive_predict,
@@ -29,10 +20,6 @@ from driftknn.classifiers import (
     knn_predict,
     lepski_predict,
     minimax_plan,
-    multisource_adaptive_predict,
-    multisource_plan,
-    multisource_weighted_predict,
-    snr_index,
     weighted_knn_eta,
     weighted_knn_predict,
 )
@@ -48,7 +35,24 @@ def random_transfer(seed, n_p, n_q, d=2):
     gen = RandomSource(seed).generator()
     p = SampleSet(gen.random((n_p, d)), gen.integers(0, 2, n_p))
     q = SampleSet(gen.random((n_q, d)), gen.integers(0, 2, n_q))
-    return TransferDataset(p, q)
+    return TransferDataset((p,), q)
+
+
+def snr_index(k_p: int, eta_p: float, k_q: int, eta_q: float) -> float:
+    """Reference two-sample scan statistic of a (k_P, k_Q) neighbor split.
+
+    When the two estimates sit on the same side of 1/2 their evidence adds:
+    k_P (eta_P - 1/2)^2 + k_Q (eta_Q - 1/2)^2. On opposite sides only the
+    stronger one counts: max of the two terms. An estimate exactly at 1/2
+    agrees with everything and contributes zero either way.
+    """
+    sp = eta_p - 0.5
+    sq = eta_q - 0.5
+    tp = k_p * sp * sp
+    tq = k_q * sq * sq
+    if sp * sq >= 0:
+        return tp + tq
+    return max(tp, tq)
 
 
 # ---------------------------------------------------------------- plans
@@ -65,31 +69,31 @@ def test_default_knn_k_frozen():
 
 
 def test_minimax_plan_frozen_main():
-    plan = minimax_plan(2000, 5000, HP_MAIN)
-    assert plan.k_p == 5
+    plan = minimax_plan((2000,), 5000, HP_MAIN)
+    assert plan.k_sources == (5,)
     assert plan.k_q == 14
-    assert plan.w_p == pytest.approx(0.41474412601881938, rel=1e-15)
+    assert plan.w_sources[0] == pytest.approx(0.41474412601881938, rel=1e-15)
     assert plan.w_q == pytest.approx(0.053202757972825004, rel=1e-15)
 
 
 def test_minimax_plan_target_only_matches_single_sample_rule():
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=1)
-    plan = minimax_plan(0, 100, hp)
-    assert plan.k_p == 0
+    plan = minimax_plan((0,), 100, hp)
+    assert plan.k_sources == (0,)
     assert plan.k_q == 21
     assert plan.k_q == default_knn_k(100, hp)
     assert plan.w_q == pytest.approx(0.21544346900318839, rel=1e-15)
     # the identity holds on a grid, not just one size
     for n in (1, 7, 50, 1234, 20000):
-        assert minimax_plan(0, n, hp).k_q == default_knn_k(n, hp)
+        assert minimax_plan((0,), n, hp).k_q == default_knn_k(n, hp)
 
 
 def test_minimax_plan_clamps_small_side():
     hp = HyperParams(alpha=0.0, beta=0.8, gamma=0.5, d=3)
-    plan = minimax_plan(300, 40, hp)
-    assert plan.k_p == 3
+    plan = minimax_plan((300,), 40, hp)
+    assert plan.k_sources == (3,)
     assert plan.k_q == 1  # raw floor is 0; a nonempty set keeps one vote
-    assert plan.w_p == pytest.approx(0.54671956187348703, rel=1e-15)
+    assert plan.w_sources[0] == pytest.approx(0.54671956187348703, rel=1e-15)
     assert plan.w_q == pytest.approx(0.29890227933513758, rel=1e-15)
 
 
@@ -100,27 +104,28 @@ def test_minimax_plan_counts_never_exceed_sizes():
         n_q = int(gen.integers(0, 500))
         if n_p == 0 and n_q == 0:
             continue
-        plan = minimax_plan(n_p, n_q, HP_MAIN)
-        assert 0 <= plan.k_p <= n_p
+        plan = minimax_plan((n_p,), n_q, HP_MAIN)
+        (k_p,), (w_p,) = plan.k_sources, plan.w_sources
+        assert 0 <= k_p <= n_p
         assert 0 <= plan.k_q <= n_q
-        assert (plan.k_p > 0) == (n_p > 0)
+        assert (k_p > 0) == (n_p > 0)
         assert (plan.k_q > 0) == (n_q > 0)
-        assert plan.w_p > 0 and plan.w_q > 0
+        assert w_p > 0 and plan.w_q > 0
         # weaker source signal never outweighs the target
-        assert plan.w_p >= plan.w_q
+        assert w_p >= plan.w_q
 
 
 def test_minimax_plan_validation():
     with pytest.raises(ValueError, match=">= 0"):
-        minimax_plan(-1, 10, HP_MAIN)
+        minimax_plan((-1,), 10, HP_MAIN)
     with pytest.raises(ValueError, match="at least one sample"):
-        minimax_plan(0, 0, HP_MAIN)
+        minimax_plan((0,), 0, HP_MAIN)
 
 
 def test_combined_budget_k_frozen():
     assert combined_budget_k(2000, 5000, HP_MAIN) == 19  # k_P + k_Q = 5 + 14
-    plan = minimax_plan(2000, 5000, HP_MAIN)
-    assert combined_budget_k(2000, 5000, HP_MAIN) == plan.k_p + plan.k_q
+    plan = minimax_plan((2000,), 5000, HP_MAIN)
+    assert combined_budget_k(2000, 5000, HP_MAIN) == plan.k_sources[0] + plan.k_q
 
 
 def test_combined_budget_k_collapses_without_source():
@@ -131,7 +136,7 @@ def test_combined_budget_k_collapses_without_source():
 
 def test_multisource_plan_frozen():
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.3), d=2)
-    plan = multisource_plan((1000, 1000), 5000, hp)
+    plan = minimax_plan((1000, 1000), 5000, hp)
     assert plan.k_sources == (3, 3)
     assert plan.k_q == 16
     assert plan.w_sources[0] == pytest.approx(0.42594367903639346, rel=1e-15)
@@ -140,7 +145,7 @@ def test_multisource_plan_frozen():
 
 def test_multisource_plan_weights_decrease_in_gamma():
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=(0.2, 0.5, 1.0), d=2)
-    plan = multisource_plan((500, 500, 500), 1000, hp)
+    plan = minimax_plan((500, 500, 500), 1000, hp)
     assert plan.k_sources == (2, 2, 2)
     assert plan.k_q == 5
     expect = (0.59103005530836783, 0.26854923274626374, 0.072118690408606925)
@@ -152,18 +157,24 @@ def test_multisource_plan_weights_decrease_in_gamma():
 
 
 def test_multisource_plan_single_source_reduces_to_two_sample():
-    single = multisource_plan((2000,), 5000, HP_MAIN).to_single()
-    direct = minimax_plan(2000, 5000, HP_MAIN)
-    assert single == direct
+    # an empty second source adds nothing to N, so the plan of the one
+    # nonempty source is the two-sample plan, floats included
+    hp2 = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.7), d=2)
+    two = minimax_plan((2000, 0), 5000, hp2)
+    one = minimax_plan((2000,), 5000, HP_MAIN)
+    assert two.k_sources == (*one.k_sources, 0)
+    assert (two.k_q, two.w_q, two.w_sources[0]) == (one.k_q, one.w_q, one.w_sources[0])
 
 
 def test_multisource_plan_validation():
     with pytest.raises(ValueError, match="at least one source"):
-        multisource_plan((), 10, HP_MAIN)
+        minimax_plan((), 10, HP_MAIN)
     with pytest.raises(ValueError, match=">= 0"):
-        multisource_plan((-1,), 10, HP_MAIN)
+        minimax_plan((5, -1), 10, HP_MAIN)
     with pytest.raises(ValueError, match="at least one sample"):
-        multisource_plan((0, 0), 0, HP_MAIN)
+        minimax_plan((0, 0), 0, HP_MAIN)
+    with pytest.raises(ValueError, match="2 entries, need 3"):
+        minimax_plan((1, 1, 1), 1, HyperParams(0.0, 1.0, (0.3, 0.5), 2))
 
 
 # ---------------------------------------------------------------- weighted vote
@@ -172,8 +183,8 @@ def test_multisource_plan_validation():
 def hand_example():
     p = make_set([[0.0, 0.0]], [1])
     q = make_set([[0.1, 0.0], [0.0, 0.1]], [0, 0])
-    ds = TransferDataset(p, q)
-    plan = KnnPlan(k_p=1, k_q=2, w_p=1.0, w_q=1.5)
+    ds = TransferDataset((p,), q)
+    plan = KnnPlan(k_sources=(1,), w_sources=(1.0,), k_q=2, w_q=1.5)
     return ds, plan
 
 
@@ -190,15 +201,17 @@ def test_weighted_eta_rescaling_invariance():
     x = [0.05, 0.02]
     base = weighted_knn_eta(ds, plan, x)
     for c in (0.01, 3.0, 1e6):
-        scaled = KnnPlan(plan.k_p, plan.k_q, c * plan.w_p, c * plan.w_q)
+        scaled = KnnPlan(plan.k_sources, [c * w for w in plan.w_sources], plan.k_q,
+                         c * plan.w_q)
         assert weighted_knn_eta(ds, scaled, x) == pytest.approx(base, rel=1e-12)
 
 
 def test_weighted_label_flip_symmetry():
     ds = random_transfer(5, 30, 50)
-    plan = minimax_plan(30, 50, HP_MAIN)
+    plan = minimax_plan((30,), 50, HP_MAIN)
+    p = ds.sources[0]
     flipped = TransferDataset(
-        SampleSet(ds.p_data.points, 1 - ds.p_data.labels),
+        (SampleSet(p.points, 1 - p.labels),),
         SampleSet(ds.q_data.points, 1 - ds.q_data.labels),
     )
     gen = RandomSource(6).generator()
@@ -213,19 +226,19 @@ def test_weighted_label_flip_symmetry():
 
 def test_weighted_eta_validates_plan_against_sizes():
     ds, _ = hand_example()
-    with pytest.raises(ValueError, match="k_P = 2 but P has 1"):
-        weighted_knn_eta(ds, KnnPlan(2, 1, 1.0, 1.0), [0.0, 0.0])
+    with pytest.raises(ValueError, match="^plan needs k = 2 from source 1 of size 1$"):
+        weighted_knn_eta(ds, KnnPlan((2,), (1.0,), 1, 1.0), [0.0, 0.0])
     with pytest.raises(ValueError, match="k_Q = 3 but Q has 2"):
-        weighted_knn_eta(ds, KnnPlan(1, 3, 1.0, 1.0), [0.0, 0.0])
+        weighted_knn_eta(ds, KnnPlan((1,), (1.0,), 3, 1.0), [0.0, 0.0])
     with pytest.raises(ValueError, match="no positively weighted"):
-        weighted_knn_eta(ds, KnnPlan(1, 2, 0.0, 0.0), [0.0, 0.0])
+        weighted_knn_eta(ds, KnnPlan((1,), (0.0,), 2, 0.0), [0.0, 0.0])
 
 
 def test_weighted_predict_without_source():
     q = make_set([[0.0], [0.2], [0.4]], [1, 1, 0])
-    ds = TransferDataset(SampleSet.empty(1), q)
-    plan = minimax_plan(0, 3, HyperParams(0.0, 1.0, 0.3, 1))
-    assert plan.k_p == 0
+    ds = TransferDataset((SampleSet.empty(1),), q)
+    plan = minimax_plan(ds.source_sizes, ds.n_q, HyperParams(0.0, 1.0, 0.3, 1))
+    assert plan.k_sources == (0,)
     assert weighted_knn_predict(ds, plan, [0.0]) == 1
 
 
@@ -243,47 +256,52 @@ def test_knn_predict_majority_and_validation():
 
 
 def test_multisource_weighted_matches_hand_example():
-    ds, plan = hand_example()
-    mds = MultiSourceDataset((ds.p_data,), ds.q_data)
-    mplan = MultiKnnPlan((1,), (1.0,), 2, 1.5)
-    assert multisource_weighted_predict(mds, mplan, [0.0, 0.0]) == 0
-    assert multisource_weighted_predict(mds, mplan, [0.0, 0.0]) == \
-        weighted_knn_predict(ds, plan, [0.0, 0.0])
+    ds, _ = hand_example()
+    p2 = make_set([[0.0, 0.05], [0.3, 0.0]], [1, 1])
+    mds = TransferDataset((*ds.sources, p2), ds.q_data)
+    plan = KnnPlan((1, 1), (1.0, 0.5), 2, 1.5)
+    # num = 1.5 * 0 + 1.0 * 1 + 0.5 * 1 = 1.5, den = 1.5 * 2 + 1.0 * 1 + 0.5 * 1 = 4.5
+    assert weighted_knn_eta(mds, plan, [0.0, 0.0]) == pytest.approx(1.5 / 4.5, rel=1e-15)
+    assert weighted_knn_predict(mds, plan, [0.0, 0.0]) == 0
+    # all of S2 at full weight tips the vote: (1 + 2) / (3 + 1 + 2) = 1/2 is no majority,
+    # (1 + 4) / (3 + 1 + 4) > 1/2 is
+    assert weighted_knn_predict(mds, KnnPlan((1, 2), (1.0, 1.0), 2, 1.5), [0.0, 0.0]) == 0
+    assert weighted_knn_predict(mds, KnnPlan((1, 2), (1.0, 2.0), 2, 1.5), [0.0, 0.0]) == 1
 
 
 def test_multisource_weighted_validation():
-    mds = MultiSourceDataset((make_set([[0.0]], [1]),), make_set([[1.0]], [0]))
+    mds = TransferDataset((make_set([[0.0]], [1]),), make_set([[1.0]], [0]))
     with pytest.raises(ValueError, match="plan has 2 sources, dataset has 1"):
-        multisource_weighted_predict(mds, MultiKnnPlan((1, 1), (1.0, 1.0), 1, 1.0), [0.0])
+        weighted_knn_predict(mds, KnnPlan((1, 1), (1.0, 1.0), 1, 1.0), [0.0])
     with pytest.raises(ValueError, match="k_Q = 5"):
-        multisource_weighted_predict(mds, MultiKnnPlan((1,), (1.0,), 5, 1.0), [0.0])
+        weighted_knn_predict(mds, KnnPlan((1,), (1.0,), 5, 1.0), [0.0])
     with pytest.raises(ValueError, match="source 1 of size 1"):
-        multisource_weighted_predict(mds, MultiKnnPlan((3,), (1.0,), 1, 1.0), [0.0])
+        weighted_knn_predict(mds, KnnPlan((3,), (1.0,), 1, 1.0), [0.0])
     with pytest.raises(ValueError, match="no positively weighted"):
-        multisource_weighted_predict(mds, MultiKnnPlan((1,), (0.0,), 1, 0.0), [0.0])
+        weighted_knn_predict(mds, KnnPlan((1,), (0.0,), 1, 0.0), [0.0])
 
 
 def test_multisource_weighted_names_the_over_requested_source():
-    mds = MultiSourceDataset((make_set([[0.0], [0.5]], [1, 0]), make_set([[0.2]], [1])),
-                             make_set([[1.0]], [0]))
-    plan = MultiKnnPlan((1, 3), (1.0, 1.0), 1, 1.0)
+    mds = TransferDataset((make_set([[0.0], [0.5]], [1, 0]), make_set([[0.2]], [1])),
+                          make_set([[1.0]], [0]))
+    plan = KnnPlan((1, 3), (1.0, 1.0), 1, 1.0)
     with pytest.raises(ValueError, match="plan needs k = 3 from source 2 of size 1$"):
-        multisource_weighted_predict(mds, plan, [0.0])
+        weighted_knn_predict(mds, plan, [0.0])
 
 
 def test_votes_take_a_batch_of_queries():
     # the (m, d) batch path gives the point path's values, floats included
     gen = RandomSource(71).generator()
-    ds = TransferDataset(make_set(gen.integers(0, 5, (30, 2)) / 4, gen.integers(0, 2, 30)),
-                         make_set(gen.integers(0, 5, (40, 2)) / 4, gen.integers(0, 2, 40)))
-    mds = MultiSourceDataset((ds.p_data, ds.p_data), ds.q_data)
-    plan = minimax_plan(ds.n_p, ds.n_q, HP_MAIN)
-    mplan = multisource_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.5), 2))
+    p = make_set(gen.integers(0, 5, (30, 2)) / 4, gen.integers(0, 2, 30))
+    ds = TransferDataset((p,), make_set(gen.integers(0, 5, (40, 2)) / 4, gen.integers(0, 2, 40)))
+    mds = TransferDataset((p, p), ds.q_data)
+    plan = minimax_plan(ds.source_sizes, ds.n_q, HP_MAIN)
+    mplan = minimax_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.5), 2))
     xs = gen.integers(0, 5, (25, 2)) / 4
     cases = [lambda x: weighted_knn_eta(ds, plan, x),
              lambda x: weighted_knn_predict(ds, plan, x),
              lambda x: knn_predict(ds.q_data, 7, x),
-             lambda x: multisource_weighted_predict(mds, mplan, x)]
+             lambda x: weighted_knn_predict(mds, mplan, x)]
     for f in cases:
         batch = f(xs)
         assert isinstance(batch, np.ndarray) and batch.shape == (25,)
@@ -315,7 +333,7 @@ def test_snr_index_symmetry():
 
 
 def test_adaptive_single_point():
-    ds = TransferDataset(SampleSet.empty(1), make_set([[0.0]], [1]))
+    ds = TransferDataset((SampleSet.empty(1),), make_set([[0.0]], [1]))
     label, trace = adaptive_predict(ds, [0.5])
     assert label == 1
     assert trace.threshold == 0.0  # (d+3) * log(1)
@@ -330,7 +348,7 @@ def test_adaptive_all_ones_frozen_stop():
     gen = RandomSource(13).generator()
     p = SampleSet(gen.random((100, 1)), np.ones(100, dtype=np.int64))
     q = SampleSet(gen.random((100, 1)), np.ones(100, dtype=np.int64))
-    label, trace = adaptive_predict(TransferDataset(p, q), [0.5])
+    label, trace = adaptive_predict(TransferDataset((p,), q), [0.5])
     # snr(k) = k/4 regardless of how the merge splits, so the stop index
     # depends only on the threshold: first k with k/4 > 4 log(200)
     assert trace.threshold == pytest.approx(21.193269466192145, rel=1e-15)
@@ -377,34 +395,53 @@ def test_adaptive_argmax_fallback():
     # balanced labels keep the statistic far below threshold
     p = make_set([[0.0], [0.3]], [1, 0])
     q = make_set([[0.1], [0.2]], [0, 1])
-    label, tr = adaptive_predict(TransferDataset(p, q), [0.0])
+    label, tr = adaptive_predict(TransferDataset((p,), q), [0.0])
     assert tr.stop_step is None
     assert tr.chosen_step == int(np.argmax(tr.snr)) + 1
     assert label == tr.label
 
 
 def test_adaptive_empty_dataset_raises():
-    ds = TransferDataset(SampleSet.empty(2), SampleSet.empty(2))
+    ds = TransferDataset((SampleSet.empty(2),), SampleSet.empty(2))
+    with pytest.raises(ValueError, match="empty"):
+        adaptive_predict(ds, [0.0, 0.0])
+    ds = TransferDataset((SampleSet.empty(2),) * 3, SampleSet.empty(2))
     with pytest.raises(ValueError, match="empty"):
         adaptive_predict(ds, [0.0, 0.0])
 
 
 def test_multisource_adaptive_single_source_equals_two_sample():
+    # at m = 1 the per-side statistic max(snr_pos, snr_neg) is the
+    # two-sample statistic of Alg. 3 at every step, not just the chosen one
     ds = random_transfer(33, 50, 70)
-    mds = MultiSourceDataset((ds.p_data,), ds.q_data)
     gen = RandomSource(34).generator()
     for _ in range(10):
-        x = gen.random(2)
-        label2, tr2 = adaptive_predict(ds, x)
-        label_m, tr_m = multisource_adaptive_predict(mds, x)
-        assert label_m == label2
-        assert tr_m.stop_step == tr2.stop_step
-        assert tr_m.chosen_step == tr2.chosen_step
-        np.testing.assert_allclose(tr_m.snr, tr2.snr, rtol=1e-13)
-        np.testing.assert_array_equal(tr_m.k_counts[0], tr2.k_q)
-        np.testing.assert_array_equal(tr_m.k_counts[1], tr2.k_p)
-        np.testing.assert_array_equal(tr_m.etas[0], tr2.eta_q)
-        np.testing.assert_array_equal(tr_m.etas[1], tr2.eta_p)
+        _, tr = adaptive_predict(ds, gen.random(2))
+        want = [snr_index(int(kp), float(ep), int(kq), float(eq))
+                for kp, ep, kq, eq in zip(tr.k_p, tr.eta_p, tr.k_q, tr.eta_q)]
+        np.testing.assert_allclose(tr.snr, want, rtol=1e-12)
+
+
+def test_adaptive_label_rule_follows_m():
+    # one source: Alg. 3's sign rule; m >= 2: snr_pos >= snr_neg. Lattice
+    # data gives exact distance ties and balanced steps.
+    gen = RandomSource(37).generator()
+
+    def lattice(n):
+        return make_set(gen.integers(0, 5, (n, 2)) / 4, gen.integers(0, 2, n))
+
+    one = TransferDataset((lattice(30),), lattice(40))
+    three = TransferDataset((lattice(20), lattice(15), lattice(25)), lattice(30))
+    for x in gen.integers(0, 5, (40, 2)) / 4:
+        label, tr = adaptive_predict(one, x)
+        c = tr.chosen_step - 1
+        score = (math.sqrt(tr.k_p[c]) * (tr.eta_p[c] - 0.5)
+                 + math.sqrt(tr.k_q[c]) * (tr.eta_q[c] - 0.5))
+        assert label == int(score >= 0) == tr.label
+        label, tr = adaptive_predict(three, x)
+        c = tr.chosen_step - 1
+        assert tr.k_counts.shape[0] == 4
+        assert label == int(tr.snr_pos[c] >= tr.snr_neg[c]) == tr.label
 
 
 def test_multisource_adaptive_trace_invariants():
@@ -413,9 +450,9 @@ def test_multisource_adaptive_trace_invariants():
         SampleSet(gen.random((n, 2)), gen.integers(0, 2, n)) for n in (20, 15, 25)
     )
     q = SampleSet(gen.random((30, 2)), gen.integers(0, 2, 30))
-    mds = MultiSourceDataset(sources, q)
+    mds = TransferDataset(sources, q)
     x = gen.random(2)
-    label, tr = multisource_adaptive_predict(mds, x)
+    label, tr = adaptive_predict(mds, x)
     n = 90
     assert tr.k_counts.shape == (4, n)
     np.testing.assert_array_equal(tr.k_counts.sum(axis=0), np.arange(1, n + 1))

@@ -7,13 +7,9 @@ from driftknn.core import (
     SUBSTREAM_CAP,
     HyperParams,
     KnnPlan,
-    LabeledSample,
-    MultiKnnPlan,
-    MultiSourceDataset,
     RandomSource,
     SampleSet,
     TransferDataset,
-    merge_sources,
     pooled_sample_set,
 )
 
@@ -25,48 +21,12 @@ def make_set(points, labels):
 # ---------------------------------------------------------------- samples
 
 
-def test_labeled_sample_basics():
-    s = LabeledSample([0.5, 1.5], 1)
-    assert s.d == 2
-    assert s.y == 1
-    assert s.x.dtype == np.float64
-
-
-def test_labeled_sample_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="nonempty 1-d"):
-        LabeledSample([], 0)
-    with pytest.raises(ValueError, match="nonempty 1-d"):
-        LabeledSample([[1.0, 2.0]], 0)
-
-
-def test_labeled_sample_rejects_nonfinite():
-    with pytest.raises(ValueError, match="position 1"):
-        LabeledSample([0.0, np.nan, 1.0], 0)
-    with pytest.raises(ValueError, match="position 0"):
-        LabeledSample([np.inf], 1)
-
-
-def test_labeled_sample_rejects_bad_label():
-    for y in (-1, 2, 0.5):
-        with pytest.raises(ValueError, match="label must be 0 or 1"):
-            LabeledSample([0.0], y)
-
-
-def test_labeled_sample_is_readonly():
-    s = LabeledSample([1.0, 2.0], 0)
-    with pytest.raises(ValueError):
-        s.x[0] = 9.0
-
-
 def test_sample_set_basics():
     s = make_set([[0, 0], [1, 1], [2, 2]], [0, 1, 0])
     assert len(s) == 3
     assert s.d == 2
     assert s.labels.tolist() == [0, 1, 0]
-    samples = s.samples
-    assert len(samples) == 3
-    assert samples[1].y == 1
-    np.testing.assert_array_equal(samples[2].x, [2.0, 2.0])
+    np.testing.assert_array_equal(s.points[2], [2.0, 2.0])
 
 
 def test_sample_set_points_readonly():
@@ -96,29 +56,12 @@ def test_sample_set_error_cites_offending_index():
         make_set([[0.0], [1.0], [2.0]], [0, 1, 7])
 
 
-def test_sample_set_from_samples():
-    samples = [LabeledSample([0.0, 1.0], 1), LabeledSample([2.0, 3.0], 0)]
-    s = SampleSet.from_samples(samples)
-    assert len(s) == 2
-    np.testing.assert_array_equal(s.points, [[0.0, 1.0], [2.0, 3.0]])
-    assert s.labels.tolist() == [1, 0]
-
-
-def test_sample_set_from_samples_dimension_mismatch():
-    samples = [LabeledSample([0.0], 0), LabeledSample([0.0, 1.0], 0)]
-    with pytest.raises(ValueError, match="sample 1: dimension 2 != 1"):
-        SampleSet.from_samples(samples)
-
-
 def test_empty_sample_set():
     s = SampleSet.empty(3)
     assert len(s) == 0
     assert s.d == 3
-    with pytest.raises(ValueError, match="d is required"):
-        SampleSet.from_samples([])
     with pytest.raises(ValueError, match="d must be >= 1"):
         SampleSet.empty(0)
-    assert len(SampleSet.from_samples([], d=2)) == 0
 
 
 # ---------------------------------------------------------------- datasets
@@ -127,28 +70,43 @@ def test_empty_sample_set():
 def test_transfer_dataset_sizes():
     p = make_set([[0, 0]], [1])
     q = make_set([[1, 1], [2, 2]], [0, 1])
-    ds = TransferDataset(p, q)
-    assert (ds.n_p, ds.n_q, ds.d) == (1, 2, 2)
+    ds = TransferDataset((p,), q)
+    assert (ds.m, ds.n_p, ds.n_q, ds.d) == (1, 1, 2, 2)
+    assert ds.source_sizes == (1,)
+    assert ds.sources[0] is p
 
 
 def test_transfer_dataset_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        TransferDataset(make_set([[0, 0]], [1]), make_set([[1]], [0]))
+    with pytest.raises(ValueError, match="^source 1: dimension mismatch"):
+        TransferDataset((make_set([[0, 0]], [1]),), make_set([[1]], [0]))
+
+
+def test_transfer_dataset_rejects_bad_sources():
+    p = make_set([[0.0, 0.0], [1.0, 1.0]], [1, 0])
+    q = make_set([[2.0, 2.0]], [0])
+    # a bare SampleSet is not read as a sequence of rows
+    with pytest.raises(TypeError, match="sequence of SampleSets"):
+        TransferDataset(p, q)
+    with pytest.raises(ValueError, match="at least one source"):
+        TransferDataset((), q)
+    # sources are numbered 1-based, as the P1..Pm tags
+    with pytest.raises(ValueError, match="^source 3: dimension mismatch, d=1 against target d=2$"):
+        TransferDataset((p, p, make_set([[0.0]], [1])), q)
 
 
 def test_pooled_order_is_p_then_q():
     p = make_set([[10.0], [11.0]], [1, 1])
     q = make_set([[20.0]], [0])
-    pooled = pooled_sample_set(TransferDataset(p, q))
+    pooled = pooled_sample_set(TransferDataset((p,), q))
     assert pooled.points[:, 0].tolist() == [10.0, 11.0, 20.0]
     assert pooled.labels.tolist() == [1, 1, 0]
 
 
 def test_pooled_degenerate_sides():
     q = make_set([[1.0]], [0])
-    ds = TransferDataset(SampleSet.empty(1), q)
+    ds = TransferDataset((SampleSet.empty(1),), q)
     assert pooled_sample_set(ds) is q
-    ds = TransferDataset(q, SampleSet.empty(1))
+    ds = TransferDataset((q,), SampleSet.empty(1))
     assert pooled_sample_set(ds) is q
 
 
@@ -156,32 +114,34 @@ def test_multi_source_dataset():
     s1 = make_set([[0.0]], [0])
     s2 = make_set([[1.0], [2.0]], [1, 1])
     q = make_set([[3.0]], [0])
-    mds = MultiSourceDataset((s1, s2), q)
+    mds = TransferDataset([s1, s2], q)
+    assert mds.sources == (s1, s2)
     assert mds.m == 2
     assert mds.source_sizes == (1, 2)
-    assert mds.n_q == 1
+    assert (mds.n_p, mds.n_q) == (3, 1)
     with pytest.raises(ValueError, match="at least one source"):
-        MultiSourceDataset((), q)
-    with pytest.raises(ValueError, match="source 1"):
-        MultiSourceDataset((s1, make_set([[0, 0]], [1])), q)
+        TransferDataset((), q)
+    with pytest.raises(ValueError, match="^source 2: dimension mismatch"):
+        TransferDataset((s1, make_set([[0, 0]], [1])), q)
 
 
 def test_merge_sources_preserves_order():
+    # the pooled set of m = 2 sources: S1 rows, S2 rows, then Q rows
     s1 = make_set([[1.0]], [1])
     s2 = make_set([[2.0], [3.0]], [0, 1])
     q = make_set([[9.0]], [0])
-    merged = merge_sources(MultiSourceDataset((s1, s2), q))
-    assert merged.p_data.points[:, 0].tolist() == [1.0, 2.0, 3.0]
-    assert merged.p_data.labels.tolist() == [1, 0, 1]
-    assert merged.q_data is q
+    pooled = pooled_sample_set(TransferDataset((s1, s2), q))
+    assert pooled.points[:, 0].tolist() == [1.0, 2.0, 3.0, 9.0]
+    assert pooled.labels.tolist() == [1, 0, 1, 0]
 
 
 def test_merge_sources_all_empty():
     q = make_set([[0.0, 0.0]], [1])
-    mds = MultiSourceDataset((SampleSet.empty(2), SampleSet.empty(2)), q)
-    merged = merge_sources(mds)
-    assert merged.n_p == 0
-    assert merged.d == 2
+    ds = TransferDataset((SampleSet.empty(2), SampleSet.empty(2)), q)
+    assert ds.n_p == 0
+    assert pooled_sample_set(ds) is q
+    empty = pooled_sample_set(TransferDataset((SampleSet.empty(2),) * 2, SampleSet.empty(2)))
+    assert (len(empty), empty.d) == (0, 2)
 
 
 # ---------------------------------------------------------------- parameters
@@ -233,26 +193,19 @@ def test_hyperparams_scalar_broadcast():
 
 
 def test_knn_plan_validation():
-    plan = KnnPlan(2, 3, 0.5, 1.5)
-    assert (plan.k_p, plan.k_q) == (2, 3)
-    with pytest.raises(ValueError):
-        KnnPlan(-1, 1, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        KnnPlan(1, 1, -0.5, 0.5)
-
-
-def test_multi_knn_plan_to_single():
-    plan = MultiKnnPlan((4,), (0.25,), 9, 0.75)
-    single = plan.to_single()
-    assert (single.k_p, single.k_q, single.w_p, single.w_q) == (4, 9, 0.25, 0.75)
-    plan2 = MultiKnnPlan((1, 2), (0.1, 0.2), 3, 0.3)
+    plan = KnnPlan((2,), (0.5,), 3, 1.5)
+    assert (plan.m, plan.k_sources, plan.k_q) == (1, (2,), 3)
+    assert (plan.w_sources, plan.w_q) == ((0.5,), 1.5)
+    plan2 = KnnPlan((1, 2), (0.1, 0.2), 3, 0.3)
     assert plan2.m == 2
-    with pytest.raises(ValueError, match="expected 1"):
-        plan2.to_single()
+    with pytest.raises(ValueError, match=">= 0"):
+        KnnPlan((-1,), (0.5,), 1, 0.5)
+    with pytest.raises(ValueError, match=">= 0"):
+        KnnPlan((1,), (-0.5,), 1, 0.5)
     with pytest.raises(ValueError, match="counts but"):
-        MultiKnnPlan((1, 2), (0.1,), 3, 0.3)
+        KnnPlan((1, 2), (0.1,), 3, 0.3)
     with pytest.raises(ValueError, match="at least one source"):
-        MultiKnnPlan((), (), 3, 0.3)
+        KnnPlan((), (), 3, 0.3)
 
 
 # ---------------------------------------------------------------- randomness

@@ -15,18 +15,9 @@ from driftknn.classifiers import (
     knn_predict,
     lepski_predict,
     minimax_plan,
-    multisource_adaptive_predict,
-    multisource_plan,
-    multisource_weighted_predict,
     weighted_knn_predict,
 )
-from driftknn.core import (
-    HyperParams,
-    MultiSourceDataset,
-    SampleSet,
-    TransferDataset,
-    pooled_sample_set,
-)
+from driftknn.core import HyperParams, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.io_cli import (
     CsvFormatError,
     CsvSchema,
@@ -74,14 +65,14 @@ def test_sample_set_round_trip_is_bit_exact(tmp_path):
 def test_transfer_round_trip(tmp_path):
     p = make_set([[math.pi, 0.1], [2.5, -1e-12]], [1, 0])
     q = make_set([[0.0, 1e300]], [1])
-    ds = TransferDataset(p, q)
+    ds = TransferDataset((p,), q)
     path = tmp_path / "transfer.csv"
     schema = write_labeled_csv(path, ds)
     assert schema == CsvSchema(2, "transfer")
     back = read_labeled_csv(path, schema=schema)
-    assert isinstance(back, TransferDataset)
-    np.testing.assert_array_equal(back.p_data.points, p.points)
-    np.testing.assert_array_equal(back.p_data.labels, p.labels)
+    assert isinstance(back, TransferDataset) and back.m == 1
+    np.testing.assert_array_equal(back.sources[0].points, p.points)
+    np.testing.assert_array_equal(back.sources[0].labels, p.labels)
     np.testing.assert_array_equal(back.q_data.points, q.points)
     # P rows precede Q rows in the file
     lines = path.read_text().splitlines()
@@ -90,7 +81,7 @@ def test_transfer_round_trip(tmp_path):
 
 
 def test_transfer_round_trip_with_empty_target(tmp_path):
-    ds = TransferDataset(make_set([[1.0]], [1]), SampleSet.empty(1))
+    ds = TransferDataset((make_set([[1.0]], [1]),), SampleSet.empty(1))
     path = tmp_path / "ponly.csv"
     write_labeled_csv(path, ds)
     back = read_labeled_csv(path)
@@ -103,13 +94,15 @@ def test_multisource_round_trip(tmp_path):
     s1 = make_set([[0.1, 0.2]], [1])
     s2 = make_set([[0.3, 0.4], [0.5, 0.6]], [0, 1])
     q = make_set([[0.7, 0.8]], [0])
-    mds = MultiSourceDataset((s1, s2), q)
+    mds = TransferDataset((s1, s2), q)
     path = tmp_path / "multi.csv"
     schema = write_labeled_csv(path, mds)
     assert schema == CsvSchema(2, "multi", m=2)
     back = read_labeled_csv(path, schema=schema)
-    assert isinstance(back, MultiSourceDataset)
+    assert isinstance(back, TransferDataset)
     assert back.m == 2
+    assert [ln.rsplit(",", 1)[1] for ln in path.read_text().splitlines()[1:]] == \
+        ["P1", "P2", "P2", "Q"]
     np.testing.assert_array_equal(back.sources[1].points, s2.points)
     np.testing.assert_array_equal(back.q_data.labels, q.labels)
 
@@ -244,9 +237,26 @@ def test_read_skips_blank_lines(tmp_path):
 def test_multisource_without_target_rows(tmp_path):
     p = write_text(tmp_path / "m.csv", "x0,y,origin\n0,1,P1\n1,0,P2\n")
     mds = read_labeled_csv(p)
-    assert isinstance(mds, MultiSourceDataset)
+    assert isinstance(mds, TransferDataset)
     assert mds.m == 2
     assert mds.n_q == 0
+
+
+def test_single_numbered_source_reads_as_a_p_q_file(tmp_path):
+    body = "0.25,1,{}\n0.5,0,Q\n0.75,1,{}\n"
+    numbered = write_text(tmp_path / "p1.csv", "x0,y,origin\n" + body.format("P1", "P1"))
+    tagged = write_text(tmp_path / "pq.csv", "x0,y,origin\n" + body.format("P", "P"))
+    a, b = read_labeled_csv(numbered), read_labeled_csv(tagged)
+    assert (a.m, a.source_sizes, a.n_q) == (b.m, b.source_sizes, b.n_q) == (1, (2,), 1)
+    for s, t in zip((*a.sources, a.q_data), (*b.sources, b.q_data)):
+        np.testing.assert_array_equal(s.points, t.points)
+        np.testing.assert_array_equal(s.labels, t.labels)
+    # the schema still reports the tags found; a write-back uses P/Q tags
+    read_labeled_csv(numbered, schema=CsvSchema(1, "multi", m=1))
+    with pytest.raises(CsvFormatError, match="schema mismatch"):
+        read_labeled_csv(numbered, schema=CsvSchema(1, "transfer"))
+    assert write_labeled_csv(tmp_path / "back.csv", a) == CsvSchema(1, "transfer")
+    assert (tmp_path / "back.csv").read_text() == "x0,y,origin\n0.25,1,P\n0.75,1,P\n0.5,0,Q\n"
 
 
 # ---------------------------------------------------------------- query points
@@ -327,7 +337,7 @@ def transfer_csv(tmp_path, name="train.csv"):
     # two tight clusters with opposite labels, in both samples
     p_pts = [[0.1, 0.1], [0.12, 0.1], [0.9, 0.9], [0.88, 0.9]]
     q_pts = [[0.1, 0.12], [0.14, 0.1], [0.9, 0.88], [0.86, 0.9]]
-    ds = TransferDataset(make_set(p_pts, [0, 0, 1, 1]), make_set(q_pts, [0, 0, 1, 1]))
+    ds = TransferDataset((make_set(p_pts, [0, 0, 1, 1]),), make_set(q_pts, [0, 0, 1, 1]))
     path = tmp_path / name
     write_labeled_csv(path, ds)
     return path
@@ -378,7 +388,7 @@ def test_cli_predict_multisource(tmp_path):
     s2 = make_set([[0.12, 0.1], [0.88, 0.9]], [0, 1])
     q = make_set([[0.1, 0.12], [0.9, 0.88]], [0, 1])
     train = tmp_path / "multi.csv"
-    write_labeled_csv(train, MultiSourceDataset((s1, s2), q))
+    write_labeled_csv(train, TransferDataset((s1, s2), q))
     test = tmp_path / "test.csv"
     write_points(test, [[0.1, 0.1], [0.9, 0.9]])
     out = tmp_path / "pred.csv"
@@ -389,6 +399,30 @@ def test_cli_predict_multisource(tmp_path):
     code = run_cli(["predict", "--method", "adaptive", "--train", str(train),
                     "--test", str(test), "--out", str(out)])
     assert code == 0
+
+
+def test_cli_weighted_and_multisource_are_one_fit(tmp_path):
+    gen = np.random.default_rng(23)
+    sets = [make_set(gen.integers(0, 9, size=(n, 2)) / 8, gen.integers(0, 2, n))
+            for n in (40, 30, 50)]
+    pq, multi, plain = tmp_path / "pq.csv", tmp_path / "multi.csv", tmp_path / "plain.csv"
+    write_labeled_csv(pq, TransferDataset((sets[0],), sets[2]))
+    write_labeled_csv(multi, TransferDataset(sets[:2], sets[2]))
+    write_labeled_csv(plain, sets[2])
+    test = tmp_path / "test.csv"
+    write_points(test, (gen.integers(0, 9, size=(25, 2)) / 8).tolist())
+    for train, gamma in ((pq, "0.3"), (multi, "0.3"), (multi, "0.3,0.6")):
+        outputs = []
+        for method in ("weighted", "multisource"):
+            out = tmp_path / f"{method}.csv"
+            assert run_cli(["predict", "--method", method, "--train", str(train),
+                            "--test", str(test), "--out", str(out), "--gamma", gamma]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], (train, gamma)
+    # both need origin tags
+    for method in ("weighted", "multisource"):
+        assert run_cli(["predict", "--method", method, "--train", str(plain), "--test",
+                        str(test), "--out", str(tmp_path / "x.csv"), "--gamma", "0.3"]) == 2
 
 
 def lattice_set(gen, n):
@@ -406,8 +440,8 @@ def cli_labels(tmp_path, train, test, extra):
 
 def test_cli_predict_matches_library_labels(tmp_path):
     gen = np.random.default_rng(17)
-    ds = TransferDataset(lattice_set(gen, 60), lattice_set(gen, 90))
-    mds = MultiSourceDataset((lattice_set(gen, 40), lattice_set(gen, 50)), lattice_set(gen, 70))
+    ds = TransferDataset((lattice_set(gen, 60),), lattice_set(gen, 90))
+    mds = TransferDataset((lattice_set(gen, 40), lattice_set(gen, 50)), lattice_set(gen, 70))
     queries = gen.integers(0, 9, size=(30, 2)) / 8
     train, multi, test = tmp_path / "pq.csv", tmp_path / "multi.csv", tmp_path / "q.csv"
     write_labeled_csv(train, ds)
@@ -415,8 +449,8 @@ def test_cli_predict_matches_library_labels(tmp_path):
     write_points(test, queries.tolist())
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
     q, pooled = ds.q_data, pooled_sample_set(ds)
-    plan = minimax_plan(ds.n_p, ds.n_q, hp)
-    mplan = multisource_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.3), 2))
+    plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
+    mplan = minimax_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.3), 2))
     cases = [
         (train, ["--method", "knn"], lambda x: knn_predict(q, default_knn_k(len(q), hp), x)),
         (train, ["--method", "knn", "--pool"],
@@ -431,8 +465,10 @@ def test_cli_predict_matches_library_labels(tmp_path):
         (train, ["--method", "combined"],
          lambda x: knn_predict(pooled, default_knn_k(len(pooled), hp), x)),
         (multi, ["--method", "multisource", "--gamma", "0.3"],
-         lambda x: multisource_weighted_predict(mds, mplan, x)),
-        (multi, ["--method", "adaptive"], lambda x: multisource_adaptive_predict(mds, x)[0]),
+         lambda x: weighted_knn_predict(mds, mplan, x)),
+        (multi, ["--method", "weighted", "--gamma", "0.3"],
+         lambda x: weighted_knn_predict(mds, mplan, x)),
+        (multi, ["--method", "adaptive"], lambda x: adaptive_predict(mds, x)[0]),
     ]
     for path, extra, library in cases:
         assert cli_labels(tmp_path, path, test, extra) == [library(x) for x in queries], extra
@@ -446,8 +482,11 @@ def test_cli_predict_usage_errors(tmp_path):
     base = ["predict", "--train", str(train), "--test", str(test), "--out", str(out)]
     # weighted needs a gamma for the plan
     assert run_cli(base + ["--method", "weighted"]) == 2
-    # multisource needs numbered source tags
-    assert run_cli(base + ["--method", "multisource", "--gamma", "0.3"]) == 2
+    # multisource is the weighted fit under its other name, on a P/Q file too
+    assert run_cli(base + ["--method", "multisource", "--gamma", "0.3"]) == 0
+    multi_out = out.read_bytes()
+    assert run_cli(base + ["--method", "weighted", "--gamma", "0.3"]) == 0
+    assert out.read_bytes() == multi_out
     # k out of range for the 4 target rows
     assert run_cli(base + ["--method", "knn", "--k", "9"]) == 2
     # declared dimension disagrees with the file
@@ -460,7 +499,7 @@ def test_cli_predict_bad_gamma_is_a_usage_error(tmp_path, capsys):
     train = transfer_csv(tmp_path)
     multi = tmp_path / "multi.csv"
     s = make_set([[0.1, 0.1], [0.9, 0.9]], [0, 1])
-    write_labeled_csv(multi, MultiSourceDataset((s, s), s))
+    write_labeled_csv(multi, TransferDataset((s, s), s))
     test = tmp_path / "test.csv"
     write_points(test, [[0.5, 0.5]])
     cases = [(train, method, gamma, f"gamma vector has {count} entries, need 1")

@@ -1,19 +1,19 @@
 """Exact neighbor search against a brute-force oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftknn.core import RandomSource, SampleSet, TransferDataset
+from driftknn.core import RandomSource, SampleSet
 from driftknn.neighbors import (
     MergedOrder,
     NeighborIndex,
     NeighborList,
     _canonical_argsort,
     _distances,
-    merged_knn,
     merged_order,
 )
 
@@ -33,6 +33,16 @@ def make_set(points, labels=None):
     if labels is None:
         labels = np.zeros(len(pts), dtype=np.int64)
     return SampleSet(pts, np.asarray(labels))
+
+
+def merged_knn(sets, x, k):
+    """Reference split of the merged order's first k positions by group:
+    one NeighborList per set, indices within the set, in merged order."""
+    mo = merged_order(sets, x)
+    head = slice(0, k)
+    return [NeighborList(mo.within_index[head][mask], mo.distances[head][mask],
+                         mo.labels[head][mask])
+            for mask in (mo.group[head] == g for g in range(len(sets)))]
 
 
 def test_neighbor_list_validation():
@@ -172,6 +182,35 @@ def test_batch_with_ties_reroutes_to_canonical():
         np.testing.assert_array_equal(dists[row], nl.distances)
 
 
+def test_batch_tie_tolerance_is_per_row():
+    # one far query must not widen the tie window of the ordinary rows: on
+    # continuous data they need no canonical recomputation at all
+    gen = RandomSource(67).generator()
+    idx = NeighborIndex(SampleSet(gen.random((2000, 2)), gen.integers(0, 2, 2000)))
+    xs = np.vstack([gen.random((100, 2)), [[1e6, 1e6]]])
+    calls = []
+    query = idx.query
+    idx.query = lambda x, k: calls.append(x) or query(x, k)
+    dists, nbrs = idx.query_batch(xs, 14)
+    assert len(calls) <= 1
+    assert all(np.array_equal(c, xs[-1]) for c in calls)
+    for row in (0, 50, 99, 100):
+        assert nbrs[row].tolist() == query(xs[row], 14).indices.tolist()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_batch_overflow_warns_no_invalid_value():
+    s = make_set([[1e308, 0.0], [-1e308, 0.0], [1e308, 1e308]], [0, 1, 0])
+    idx = NeighborIndex(s)
+    xs = np.array([[-1e308, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dists, nbrs = idx.query_batch(xs, 2)
+    assert not [w for w in caught if "invalid value" in str(w.message)]
+    for row in range(2):
+        assert nbrs[row].tolist() == idx.query(xs[row], 2).indices.tolist()
+
+
 def test_batch_edge_cases():
     s = make_set([[0.0], [1.0]], [0, 1])
     idx = NeighborIndex(s)
@@ -212,50 +251,45 @@ def test_merged_order_tie_prefers_target():
 def test_merged_knn_split_counts():
     p = make_set([[0.1], [0.2], [0.3]], [1, 1, 1])
     q = make_set([[0.15], [0.4]], [0, 0])
-    ds = TransferDataset(p, q)
-    p_list, q_list = merged_knn(ds, [0.0], 5)
+    q_list, p_list = merged_knn([q, p], [0.0], 5)
     assert len(p_list) == 3
     assert len(q_list) == 2
     assert p_list.label_sum == 3
     assert q_list.label_sum == 0
     # indices refer to positions inside each origin set
-    assert sorted(p_list.indices.tolist()) == [0, 1, 2]
-    assert sorted(q_list.indices.tolist()) == [0, 1]
+    assert p_list.indices.tolist() == [0, 1, 2]
+    assert q_list.indices.tolist() == [0, 1]
+    q_list, p_list = merged_knn([q, p], [0.0], 3)
+    assert (p_list.indices.tolist(), q_list.indices.tolist()) == ([0, 1], [0])
 
 
 def test_merged_knn_equidistant_pair():
     p = make_set([[1.0, 0.0]], [1])
     q = make_set([[0.0, 1.0]], [0])
-    ds = TransferDataset(p, q)
     # k = 1 takes only the Q point because of the tie priority
-    p_list, q_list = merged_knn(ds, [0.0, 0.0], 1)
+    q_list, p_list = merged_knn([q, p], [0.0, 0.0], 1)
     assert (len(p_list), len(q_list)) == (0, 1)
-    p_list, q_list = merged_knn(ds, [0.0, 0.0], 2)
+    q_list, p_list = merged_knn([q, p], [0.0, 0.0], 2)
     assert (len(p_list), len(q_list)) == (1, 1)
-
-
-def test_merged_knn_validates_k():
-    ds = TransferDataset(make_set([[0.0]], [1]), make_set([[1.0]], [0]))
-    with pytest.raises(ValueError, match="exceeds the 2 available"):
-        merged_knn(ds, [0.0], 3)
-    with pytest.raises(ValueError, match=">= 0"):
-        merged_knn(ds, [0.0], -1)
+    # with P listed first, P takes the tie
+    p_list, q_list = merged_knn([p, q], [0.0, 0.0], 1)
+    assert (len(p_list), len(q_list)) == (1, 0)
 
 
 def test_merged_knn_prefix_monotone():
+    # every group's share of the first k merged positions is that set's own
+    # canonical k_g nearest, so the shares only grow by appending
     gen = RandomSource(59).generator()
-    p = SampleSet(gen.random((12, 2)), gen.integers(0, 2, 12))
-    q = SampleSet(gen.random((8, 2)), gen.integers(0, 2, 8))
-    ds = TransferDataset(p, q)
-    x = gen.random(2)
-    prev_p, prev_q = [], []
-    for k in range(1, 21):
-        p_list, q_list = merged_knn(ds, x, k)
-        assert len(p_list) + len(q_list) == k
-        assert p_list.indices.tolist()[: len(prev_p)] == prev_p
-        assert q_list.indices.tolist()[: len(prev_q)] == prev_q
-        prev_p = p_list.indices.tolist()
-        prev_q = q_list.indices.tolist()
+    sets = [SampleSet(gen.integers(0, 4, (n, 2)) / 3, gen.integers(0, 2, n)) for n in (8, 12, 5)]
+    x = gen.integers(0, 4, 2) / 3
+    prev = [[] for _ in sets]
+    for k in range(1, 26):
+        lists = merged_knn(sets, x, k)
+        assert sum(len(nl) for nl in lists) == k
+        for s, nl, before in zip(sets, lists, prev):
+            assert nl.indices.tolist() == NeighborIndex(s).query(x, len(nl)).indices.tolist()
+            assert nl.indices.tolist()[: len(before)] == before
+        prev = [nl.indices.tolist() for nl in lists]
 
 
 def test_merged_order_distances_ascend_and_labels_match():
@@ -343,7 +377,6 @@ def test_orders_match_lexsort_on_lattices(sizes, seed, grid, d):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_orders_keep_exact_float_ties_only():
     one, next_up = 1.0, np.nextafter(1.0, 2.0)
     # one ulp apart is no tie: the primitive takes no tolerance

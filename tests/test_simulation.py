@@ -12,19 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftknn.classifiers import (
-    adaptive_predict,
-    multisource_adaptive_predict,
-    multisource_plan,
-    multisource_weighted_predict,
-)
-from driftknn.core import (
-    HyperParams,
-    MultiSourceDataset,
-    RandomSource,
-    SampleSet,
-    TransferDataset,
-)
+from driftknn.classifiers import adaptive_predict, minimax_plan, weighted_knn_predict
+from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset
 from driftknn.neighbors import merged_order
 from driftknn.simulation import (
     ADAPTIVE_METHODS,
@@ -127,7 +116,8 @@ def test_sample_dataset_shapes_and_cube():
     m = make_drift_model(0.55, d=3)
     ds = sample_dataset(m, 40, 60, RandomSource(5))
     assert (ds.n_p, ds.n_q, ds.d) == (40, 60, 3)
-    for s in (ds.p_data, ds.q_data):
+    assert ds.m == 1
+    for s in (*ds.sources, ds.q_data):
         assert ((s.points >= 0) & (s.points <= 1)).all()
         assert set(np.unique(s.labels)) <= {0, 1}
     with pytest.raises(ValueError, match=">= 0"):
@@ -148,7 +138,7 @@ def test_sample_dataset_deterministic():
     m = make_drift_model(0.6)
     a = sample_dataset(m, 10, 10, RandomSource(3))
     b = sample_dataset(m, 10, 10, RandomSource(3))
-    np.testing.assert_array_equal(a.p_data.points, b.p_data.points)
+    np.testing.assert_array_equal(a.sources[0].points, b.sources[0].points)
     np.testing.assert_array_equal(a.q_data.labels, b.q_data.labels)
     c = sample_dataset(m, 10, 10, RandomSource(4))
     assert not np.array_equal(a.q_data.points, c.q_data.points)
@@ -161,8 +151,8 @@ def test_sample_multisource_single_source_matches_two_sample():
     ds = sample_dataset(m, 30, 20, rs)
     np.testing.assert_array_equal(mds.q_data.points, ds.q_data.points)
     np.testing.assert_array_equal(mds.q_data.labels, ds.q_data.labels)
-    np.testing.assert_array_equal(mds.sources[0].points, ds.p_data.points)
-    np.testing.assert_array_equal(mds.sources[0].labels, ds.p_data.labels)
+    np.testing.assert_array_equal(mds.sources[0].points, ds.sources[0].points)
+    np.testing.assert_array_equal(mds.sources[0].labels, ds.sources[0].labels)
 
 
 def test_sample_multisource_shapes():
@@ -317,7 +307,7 @@ LATTICE = dict(seed=st.integers(0, 2**32 - 1), grid=st.integers(1, 8))
 @given(n_p=st.integers(0, 40), n_q=st.integers(1, 40), **LATTICE)
 def test_fit_method_batch_agrees_with_point(n_p, n_q, seed, grid):
     gen = np.random.default_rng(seed)
-    ds = TransferDataset(lattice_set(gen, n_p, grid), lattice_set(gen, n_q, grid))
+    ds = TransferDataset((lattice_set(gen, n_p, grid),), lattice_set(gen, n_q, grid))
     pts = lattice_points(gen, 12, grid)
     for name in METHODS:
         fm = fit_method(name, ds, HP_MAIN)
@@ -330,14 +320,14 @@ def test_fit_method_batch_agrees_with_point(n_p, n_q, seed, grid):
        **LATTICE)
 def test_multisource_fits_batch_agree_with_point(sizes, n_q, seed, grid):
     gen = np.random.default_rng(seed)
-    mds = MultiSourceDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
-                             lattice_set(gen, n_q, grid))
+    mds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
+                          lattice_set(gen, n_q, grid))
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
-    plan = multisource_plan(mds.source_sizes, mds.n_q, hp)
+    plan = minimax_plan(mds.source_sizes, mds.n_q, hp)
     pts = lattice_points(gen, 10, grid)
     weighted, adaptive = _fit_weighted(mds, hp), _fit_adaptive(mds)
-    want_w = [multisource_weighted_predict(mds, plan, x) for x in pts]
-    want_a = [multisource_adaptive_predict(mds, x)[0] for x in pts]
+    want_w = [weighted_knn_predict(mds, plan, x) for x in pts]
+    want_a = [adaptive_predict(mds, x)[0] for x in pts]
     np.testing.assert_array_equal(weighted.predict_batch(pts), want_w)
     np.testing.assert_array_equal([weighted.predict_point(x) for x in pts], want_w)
     np.testing.assert_array_equal(adaptive.predict_batch(pts), want_a)
@@ -347,13 +337,14 @@ def test_multisource_fits_batch_agree_with_point(sizes, n_q, seed, grid):
 @given(n_p=st.integers(0, 40), n_q=st.integers(0, 40), **LATTICE)
 def test_single_source_scan_is_bit_identical(n_p, n_q, seed, grid):
     gen = np.random.default_rng(seed)
-    ds = TransferDataset(lattice_set(gen, n_p, grid), lattice_set(gen, n_q, grid))
+    ds = TransferDataset((lattice_set(gen, n_p, grid),), lattice_set(gen, n_q, grid))
     if n_p + n_q == 0:
         return
-    mds = MultiSourceDataset(ds.sources, ds.q_data)
+    # an empty extra source adds a zero row to every sum
+    padded = TransferDataset((*ds.sources, SampleSet.empty(2)), ds.q_data)
     for x in lattice_points(gen, 5, grid):
         _, two = adaptive_predict(ds, x)
-        _, multi = multisource_adaptive_predict(mds, x)
+        _, multi = adaptive_predict(padded, x)
         np.testing.assert_array_equal(two.snr, multi.snr)
         # the two-sample statistic (snr_index at every step), in its own arithmetic
         sp, sq = two.eta_p - 0.5, two.eta_q - 0.5
@@ -368,12 +359,12 @@ def test_single_source_scan_is_bit_identical(n_p, n_q, seed, grid):
        **LATTICE)
 def test_scan_evidence_matches_a_group_loop(sizes, n_q, seed, grid):
     gen = np.random.default_rng(seed)
-    mds = MultiSourceDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
-                             lattice_set(gen, n_q, grid))
+    mds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
+                          lattice_set(gen, n_q, grid))
     if sum(sizes) + n_q == 0:
         return
     x = lattice_points(gen, 1, grid)[0]
-    _, trace = multisource_adaptive_predict(mds, x)
+    _, trace = adaptive_predict(mds, x)
     mo = merged_order([mds.q_data, *mds.sources], x)
     # reference: plain floats step by step, the groups added Q first
     counts, sums = [0] * (len(sizes) + 1), [0] * (len(sizes) + 1)
@@ -400,9 +391,9 @@ def test_non_finite_queries_raise_on_every_path(bad):
     mds = sample_multisource_dataset(m, (20, 25), 30, RandomSource(57))
     fits = [fit_method(name, ds, HP_MAIN) for name in METHODS]
     fits += [_fit_weighted(mds, HP_MAIN), _fit_adaptive(mds)]
-    plan = multisource_plan(mds.source_sizes, mds.n_q, HP_MAIN)
-    calls = [lambda: multisource_weighted_predict(mds, plan, x),
-             lambda: multisource_adaptive_predict(mds, x)]
+    plan = minimax_plan(mds.source_sizes, mds.n_q, HP_MAIN)
+    calls = [lambda: weighted_knn_predict(mds, plan, x),
+             lambda: adaptive_predict(mds, x)]
     calls += [lambda fm=fm: fm.predict_point(x) for fm in fits]
     calls += [lambda fm=fm: fm.predict_batch(pts) for fm in fits]
     for call in calls:
