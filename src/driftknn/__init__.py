@@ -16,12 +16,11 @@ from .core import (
     TransferDataset,
     pooled_sample_set,
 )
-from .neighbors import NeighborIndex, NeighborList
+from .neighbors import NeighborIndex
 from .classifiers import (
     AdaptiveTrace,
     LepskiTrace,
     adaptive_predict,
-    bayes_classify,
     combined_budget_k,
     default_knn_k,
     knn_predict,
@@ -51,11 +50,9 @@ from .simulation import (
 __all__ = [
     "__version__",
     "HyperParams", "KnnPlan", "RandomSource", "SampleSet", "TransferDataset",
-    "pooled_sample_set",
-    "NeighborIndex", "NeighborList",
-    "AdaptiveTrace", "LepskiTrace", "adaptive_predict",
-    "bayes_classify", "combined_budget_k", "default_knn_k", "knn_predict",
-    "lepski_predict",
+    "pooled_sample_set", "NeighborIndex",
+    "AdaptiveTrace", "LepskiTrace", "adaptive_predict", "combined_budget_k",
+    "default_knn_k", "knn_predict", "lepski_predict",
     "minimax_plan", "weighted_knn_eta", "weighted_knn_predict",
     "DriftModel", "ExperimentRecord", "McEstimate", "RateCheckResult",
     "classification_accuracy", "excess_risk_mc", "make_drift_model",

@@ -49,7 +49,6 @@ __all__ = [
     "LEPSKI_WIDTHS",
     "LepskiTrace",
     "lepski_predict",
-    "bayes_classify",
 ]
 
 
@@ -135,10 +134,8 @@ def _vote_eta(groups: Sequence[SampleSet], ks: Sequence[int], ws: Sequence[float
         if k == 0:
             continue
         idx = NeighborIndex(s)
-        if x.ndim == 1:
-            num += w * idx.query(x, k).label_sum
-        else:
-            num += w * idx.labels[idx.query_batch(x, k)[1]].sum(axis=1)
+        _, nbrs = idx.query(x, k) if x.ndim == 1 else idx.query_batch(x, k)
+        num += w * idx.labels[nbrs].sum(axis=-1)
     return num / den
 
 
@@ -307,7 +304,7 @@ class LepskiTrace:
     label: int
 
 
-def lepski_predict(s: SampleSet, x, width: str = "algorithm3", return_trace: bool = False):
+def lepski_predict(s: SampleSet, x, width: str = "algorithm3") -> tuple[int, LepskiTrace]:
     """Interval-intersection adaptive k-NN label on a single sample.
 
     For k = 1..n the running intersection of the confidence intervals
@@ -315,7 +312,7 @@ def lepski_predict(s: SampleSet, x, width: str = "algorithm3", return_trace: boo
     scan stops as soon as the intersection lies strictly above or below
     1/2 and labels 1{eta_k >= 1/2} at that k. If the intersection never
     separates, the label comes from eta_n. ``width`` picks the convention
-    from LEPSKI_WIDTHS.
+    from LEPSKI_WIDTHS. Returns (label, trace), like ``adaptive_predict``.
     """
     n = len(s)
     if n == 0:
@@ -339,15 +336,6 @@ def lepski_predict(s: SampleSet, x, width: str = "algorithm3", return_trace: boo
     else:
         stop_step = None
         label = int(eta[-1] >= 0.5)
-    if not return_trace:
-        return label
     return label, LepskiTrace(eta=eta, width=w, lower=lower, upper=upper,
                               stop_step=stop_step, label=label)
 
-
-def bayes_classify(model, x) -> int:
-    """Oracle label under a known target regression: 0 iff eta_Q(x) <= 1/2.
-
-    ``model`` is anything exposing ``eta_q(x)`` (see simulation.DriftModel).
-    """
-    return int(np.asarray(model.eta_q(x)) > 0.5)

@@ -20,7 +20,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,7 +49,6 @@ from .simulation import (
 __all__ = [
     "CsvFormatError",
     "UsageError",
-    "CsvSchema",
     "read_labeled_csv",
     "write_labeled_csv",
     "read_points_csv",
@@ -66,32 +64,11 @@ _FLOAT_FMT = ".17g"
 
 
 class CsvFormatError(ValueError):
-    """A data file violates the CSV schema; the message cites the line."""
+    """A data file violates the CSV format; the message cites the line."""
 
 
 class UsageError(Exception):
     """Bad command-line configuration; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Shape of a labeled-data CSV: dimension and origin structure.
-
-    origin is "none" (plain sample set), "transfer" (P/Q tags), or
-    "multi" (P1..Pm tags); m counts the sources for "multi".
-    """
-
-    d: int
-    origin: str
-    m: int = 0
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.origin not in ("none", "transfer", "multi"):
-            raise ValueError(f"origin must be none/transfer/multi, got {self.origin!r}")
-        if self.origin == "multi" and self.m < 1:
-            raise ValueError("multi-source schema needs m >= 1")
 
 
 def _fmt(v: float) -> str:
@@ -116,37 +93,31 @@ def _parse_header(header: list[str], path: str) -> tuple[int, bool]:
     return len(feats), has_origin
 
 
-def write_labeled_csv(path, data) -> CsvSchema:
+def write_labeled_csv(path, data) -> None:
     """Write a SampleSet (no origin column) or a TransferDataset.
 
-    One source writes P rows then Q rows; m >= 2 sources write P1..Pm
-    then Q. Floats carry 17 significant digits for exact round-trips.
+    A dataset gets an origin column: one source writes P rows then Q rows,
+    m >= 2 sources write P1..Pm then Q. Floats carry 17 significant digits
+    for exact round-trips.
     """
+    columns = ["y"]
     if isinstance(data, SampleSet):
-        schema = CsvSchema(data.d, "none")
         parts = [(None, data)]
     elif not hasattr(data, "sources"):
         raise TypeError(f"not a dataset type: {type(data).__name__}")
-    elif data.m == 1:
-        schema = CsvSchema(data.d, "transfer")
-        parts = [("P", data.sources[0]), ("Q", data.q_data)]
     else:
-        schema = CsvSchema(data.d, "multi", m=data.m)
-        parts = [(f"P{i}", s) for i, s in enumerate(data.sources, start=1)]
-        parts.append(("Q", data.q_data))
+        columns.append("origin")
+        tags = ["P"] if data.m == 1 else [f"P{i}" for i in range(1, data.m + 1)]
+        parts = [*zip(tags, data.sources), ("Q", data.q_data)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = _feature_header(schema.d) + ["y"]
-        if schema.origin != "none":
-            header.append("origin")
-        w.writerow(header)
+        w.writerow(_feature_header(data.d) + columns)
         for tag, s in parts:
             for i in range(len(s)):
                 row = [_fmt(v) for v in s.points[i]] + [str(int(s.labels[i]))]
                 if tag is not None:
                     row.append(tag)
                 w.writerow(row)
-    return schema
 
 
 def _data_rows(fh, path: str):
@@ -174,15 +145,14 @@ def _coords(path: str, lineno: int, row: list[str], d: int) -> list[float]:
 _ORIGIN_TAG = re.compile(r"[PQ]|P[1-9][0-9]*")
 
 
-def read_labeled_csv(path, schema: CsvSchema | None = None):
+def read_labeled_csv(path):
     """Read a labeled-data CSV; the origin column decides the return type.
 
     No origin column gives a SampleSet. Tagged rows give a TransferDataset:
     {P, Q} tags one source, contiguous P1..Pm tags (plus optional Q) m
-    sources, so a P1-only file is the same dataset as a P/Q file. The
-    schema records which tags were found; if one is given the file must
-    match it. Format violations raise CsvFormatError citing the 1-based
-    line number of the first faulty row.
+    sources, so a P1-only file is the same dataset as a P/Q file. Format
+    violations raise CsvFormatError citing the 1-based line number of the
+    first faulty row.
     """
     path = str(path)
     coords: list[float] = []
@@ -209,34 +179,24 @@ def read_labeled_csv(path, schema: CsvSchema | None = None):
 
     pts = np.array(coords, dtype=np.float64).reshape(-1, d)
     labs = np.array(labels, dtype=np.int64)
+    if not has_origin:
+        return SampleSet(pts, labs)
     tag_of = np.array(tags, dtype=str)
 
     def rows_tagged(tag: str) -> SampleSet:
         mask = tag_of == tag
         return SampleSet(pts[mask], labs[mask])
 
-    if not has_origin:
-        data = SampleSet(pts, labs)
-        found = CsvSchema(d, "none")
-    else:
-        numbered = set(tags) - {"P", "Q"}
-        if numbered and "P" in tags:
-            raise CsvFormatError(f"{path}: cannot mix origin 'P' with numbered sources")
-        if numbered:
-            ids = sorted(int(t[1:]) for t in numbered)
-            if ids != list(range(1, len(ids) + 1)):
-                raise CsvFormatError(
-                    f"{path}: source tags must be contiguous P1..Pm, got {sorted(numbered)}")
-            data = TransferDataset(tuple(rows_tagged(f"P{i}") for i in ids), rows_tagged("Q"))
-            found = CsvSchema(d, "multi", m=len(ids))
-        else:
-            data = TransferDataset((rows_tagged("P"),), rows_tagged("Q"))
-            found = CsvSchema(d, "transfer")
-
-    if schema is not None and (schema.d != found.d or schema.origin != found.origin
-                               or (schema.origin == "multi" and schema.m != found.m)):
-        raise CsvFormatError(f"{path}: schema mismatch: expected {schema}, found {found}")
-    return data
+    numbered = set(tags) - {"P", "Q"}
+    if not numbered:
+        return TransferDataset((rows_tagged("P"),), rows_tagged("Q"))
+    if "P" in tags:
+        raise CsvFormatError(f"{path}: cannot mix origin 'P' with numbered sources")
+    ids = sorted(int(t[1:]) for t in numbered)
+    if ids != list(range(1, len(ids) + 1)):
+        raise CsvFormatError(
+            f"{path}: source tags must be contiguous P1..Pm, got {sorted(numbered)}")
+    return TransferDataset(tuple(rows_tagged(f"P{i}") for i in ids), rows_tagged("Q"))
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -405,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="analytic model signal level (required)")
     ev.add_argument("--gamma-sim", type=float, default=None,
                     help="model drift exponent (defaults to --gamma)")
-    ev.add_argument("--gamma", type=float, default=0.3)
+    ev.add_argument("--gamma", default="0.3", help="relative signal exponent(s), comma list")
     ev.add_argument("--beta", type=float, default=1.0)
     ev.add_argument("--alpha", type=float, default=0.0)
     ev.add_argument("--n-test", type=int, default=1000)
@@ -500,33 +460,33 @@ def _read_train(path) -> tuple[TransferDataset, bool]:
     return data, True
 
 
-def _gammas(args, m: int) -> list[float]:
-    """--gamma as m values, one per source; a single value serves every source."""
+def _gammas(args, m: int) -> float | tuple[float, ...]:
+    """--gamma as a HyperParams gamma: a single value for every source, or m values."""
     gammas = _parse_floats(args.gamma)
     if len(gammas) == 1:
-        gammas *= m
+        return gammas[0]
     if len(gammas) != m:
         raise UsageError(f"gamma vector has {len(gammas)} entries, need {m}")
-    return gammas
+    return tuple(gammas)
 
 
 def _fit_for(args, train: TransferDataset, tagged: bool):
     """Translate the predict method, --pool, --k and --gamma into a fit."""
     method = args.method
     # --gamma is checked for every method, also where it goes unused.
-    gammas = None if args.gamma is None else _gammas(args, train.m)
+    gamma = None if args.gamma is None else _gammas(args, train.m)
     if method in ("weighted", "multisource", "adaptive") and not tagged:
         raise UsageError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
     if method in ("weighted", "multisource"):
-        if gammas is None:
+        if gamma is None:
             raise UsageError(f"{method} needs --gamma (one value, or one per source)")
-        return _fit_weighted(train, _hyperparams(args, tuple(gammas)))
+        return _fit_weighted(train, _hyperparams(args, gamma))
     if method == "adaptive":
         return _fit_adaptive(train)
     # knn, lepski and combined run on one sample set: the target rows, or
     # everything pooled (source rows, then Q rows) for combined and --pool.
     # combined takes the plan budget only on a one-source file with --gamma.
-    budget = method == "combined" and gammas is not None and tagged and train.m == 1
+    budget = method == "combined" and gamma is not None and tagged and train.m == 1
     s = pooled_sample_set(train) if (method == "combined" or args.pool) else train.q_data
     if len(s) == 0:
         raise UsageError(f"{method} has no training rows to use")
@@ -536,7 +496,7 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
         if not (1 <= args.k <= len(s)):
             raise UsageError(f"--k must be in [1, {len(s)}]")
         return _fit_knn(method, s, args.k)
-    hp = _hyperparams(args, 1.0 if gammas is None else gammas[0])
+    hp = _hyperparams(args, 1.0 if gamma is None else gamma)
     k = combined_budget_k(train.n_p, train.n_q, hp) if budget else default_knn_k(len(s), hp)
     return _fit_knn(method, s, k)
 
@@ -579,8 +539,11 @@ def _cmd_eval(args, argv) -> int:
         raise UsageError("--nmc must be >= 2")
     train, _ = _read_train(args.train)
     args.d = train.d
-    hp = _hyperparams(args, args.gamma)
-    gamma_sim = args.gamma_sim if args.gamma_sim is not None else args.gamma
+    gamma = _gammas(args, train.m)
+    if isinstance(gamma, tuple) and args.gamma_sim is None:
+        raise UsageError("a per-source --gamma needs --gamma-sim (the model has one exponent)")
+    hp = _hyperparams(args, gamma)
+    gamma_sim = args.gamma_sim if args.gamma_sim is not None else gamma
     model = make_drift_model(args.pmax, gamma_sim, train.d)
     fitted = fit_method(args.method, train, hp, args.lepski_width)
     rs = RandomSource(args.seed).substream(_EXPERIMENT_STREAM_IDS["eval"])
@@ -597,11 +560,12 @@ def _cmd_eval(args, argv) -> int:
                         "n_p", "n_q", "n_test", "accuracy", "excess_risk",
                         "excess_risk_se", "n_mc", "seed"])
             w.writerow([args.method, repr(args.pmax), repr(float(gamma_sim)),
-                        repr(args.gamma), repr(args.beta), repr(args.alpha), train.d,
+                        ",".join(map(repr, gamma)) if isinstance(gamma, tuple) else repr(gamma),
+                        repr(args.beta), repr(args.alpha), train.d,
                         train.n_p, train.n_q, args.n_test, repr(acc), repr(est.value),
                         repr(est.std_error), args.nmc, args.seed])
         config = dict(command="eval", method=args.method, train=str(args.train),
-                      pmax=args.pmax, gamma_sim=gamma_sim, gamma=args.gamma,
+                      pmax=args.pmax, gamma_sim=gamma_sim, gamma=gamma,
                       beta=args.beta, alpha=args.alpha, n_test=args.n_test,
                       radius=args.radius, nmc=args.nmc, seed=args.seed, out=str(args.out))
         write_manifest(args.out, argv, args.seed, started, config)

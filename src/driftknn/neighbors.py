@@ -1,7 +1,8 @@
 """Exact nearest-neighbor search with deterministic tie-breaking.
 
 All queries use the Euclidean norm and are exact, and a query with a
-non-finite coordinate is rejected. Neighbor order is canonical: ascending
+non-finite coordinate is rejected. Every ``NeighborIndex`` query returns
+plain (distances, indices) arrays. Neighbor order is canonical: ascending
 distance, ties broken by ascending sample index. Merged queries over several
 sample sets additionally break cross-set distance ties by set priority
 (target set first, then source order).
@@ -27,7 +28,6 @@ from scipy.spatial import cKDTree
 from .core import SampleSet
 
 __all__ = [
-    "NeighborList",
     "NeighborIndex",
     "MergedOrder",
     "merged_order",
@@ -67,47 +67,6 @@ def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """Query result: parallel arrays of sample index, distance, and label.
-
-    Entries are sorted by (distance, index). ``indices`` refer to positions
-    in the queried sample set.
-    """
-
-    indices: np.ndarray
-    distances: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        ix = np.asarray(self.indices, dtype=np.int64)
-        dist = np.asarray(self.distances, dtype=np.float64)
-        lab = np.asarray(self.labels, dtype=np.int64)
-        if not (ix.shape == dist.shape == lab.shape) or ix.ndim != 1:
-            raise ValueError("indices, distances, labels must be equal-length 1-d arrays")
-        for a in (ix, dist, lab):
-            a.setflags(write=False)
-        object.__setattr__(self, "indices", ix)
-        object.__setattr__(self, "distances", dist)
-        object.__setattr__(self, "labels", lab)
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    def __iter__(self):
-        return iter(zip(self.indices.tolist(), self.distances.tolist(), self.labels.tolist()))
-
-    @property
-    def label_sum(self) -> int:
-        return int(self.labels.sum())
-
-
-def _empty_list() -> NeighborList:
-    return NeighborList(
-        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-    )
-
-
 class NeighborIndex:
     """Exact k-NN index over one SampleSet (Euclidean, canonical tie order)."""
 
@@ -137,13 +96,14 @@ class NeighborIndex:
         order = _canonical_argsort(dist)
         return dist[order], order
 
-    def query(self, x, k: int) -> NeighborList:
+    def query(self, x, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest samples to x in canonical order.
 
-        An argpartition finds the k-th distance; every sample at or within
-        it is then ordered by the canonical sort. Returns min(k, n) entries;
-        k = 0 or an empty index gives an empty result. Raises on dimension
-        mismatch or negative k.
+        Returns (distances, indices), both of length min(k, n): the first
+        min(k, n) entries of ``sorted_order(x)``. An argpartition finds the
+        k-th distance; every sample at or within it is then ordered by the
+        canonical sort. k = 0 or an empty index gives empty float64/int64
+        arrays. Raises on dimension mismatch or negative k.
         """
         x = np.asarray(x, dtype=np.float64)
         self._require_dim(x)
@@ -151,7 +111,7 @@ class NeighborIndex:
             raise ValueError(f"k must be >= 0, got {k}")
         k_eff = min(int(k), self.n)
         if k_eff == 0:
-            return _empty_list()
+            return np.empty(0), np.empty(0, dtype=np.int64)
         dist = _distances(self.points, x)
         if k_eff >= self.n:
             order = _canonical_argsort(dist)
@@ -161,7 +121,7 @@ class NeighborIndex:
             # cand ascends, so its positions order like the sample indices.
             cand = np.flatnonzero(dist <= dmax)
             order = cand[_canonical_argsort(dist[cand])][:k_eff]
-        return NeighborList(order, dist[order], self.labels[order])
+        return dist[order], order
 
     def _ensure_tree(self) -> cKDTree:
         if self._tree is None:
@@ -209,9 +169,7 @@ class NeighborIndex:
         out_d = dist[:, :k_eff].copy()
         out_i = idx[:, :k_eff].astype(np.int64)
         for row in np.flatnonzero(suspect):
-            nl = self.query(xs[row], k_eff)
-            out_d[row] = nl.distances
-            out_i[row] = nl.indices
+            out_d[row], out_i[row] = self.query(xs[row], k_eff)
         return out_d, out_i
 
 

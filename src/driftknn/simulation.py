@@ -304,7 +304,7 @@ def _fit_adaptive(ds: TransferDataset) -> FittedMethod:
 
 def _fit_lepski(name: str, s: SampleSet, width: str) -> FittedMethod:
     """The Lepski interval scan on one sample set."""
-    return FittedMethod(name, lambda x: lepski_predict(s, x, width=width))
+    return FittedMethod(name, lambda x: lepski_predict(s, x, width=width)[0])
 
 
 # The named methods of simulate and eval: each maps (dataset, hyper-parameters,

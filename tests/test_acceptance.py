@@ -166,9 +166,9 @@ def _check_brute_force(rng):
         labels = gen.integers(0, 2, n)
         x = gen.random(d).tolist()
         k = int(gen.integers(1, n + 1))
-        nl = NeighborIndex(SampleSet(pts, labels)).query(x, k)
+        _, nbrs = NeighborIndex(SampleSet(pts, labels)).query(x, k)
         keyed = sorted((math.dist(p, x), i) for i, p in enumerate(pts.tolist()))
-        if nl.indices.tolist() != [i for _, i in keyed[:k]]:
+        if nbrs.tolist() != [i for _, i in keyed[:k]]:
             return False
     return True
 

@@ -13,8 +13,8 @@ import pytest
 from driftknn.core import HyperParams, KnnPlan, RandomSource, SampleSet, TransferDataset
 from driftknn.classifiers import (
     LEPSKI_WIDTHS,
+    LepskiTrace,
     adaptive_predict,
-    bayes_classify,
     combined_budget_k,
     default_knn_k,
     knn_predict,
@@ -476,10 +476,10 @@ def test_lepski_all_ones_frozen_stops():
     gen = RandomSource(41).generator()
     s = SampleSet(gen.random((2000, 1)), np.ones(2000, dtype=np.int64))
     # eta is 1 at every k, so the stop is the first k with width < 1/2
-    label, tr = lepski_predict(s, [0.5], width="algorithm3", return_trace=True)
+    label, tr = lepski_predict(s, [0.5], width="algorithm3")
     assert label == 1
     assert tr.stop_step == 925
-    label5, tr5 = lepski_predict(s, [0.5], width="lemma5", return_trace=True)
+    label5, tr5 = lepski_predict(s, [0.5], width="lemma5")
     assert label5 == 1
     assert tr5.stop_step == 122
 
@@ -487,17 +487,17 @@ def test_lepski_all_ones_frozen_stops():
 def test_lepski_single_sample():
     s = make_set([[0.0]], [0])
     # log(1) = 0 widths collapse the interval; it splits immediately
-    label, tr = lepski_predict(s, [0.3], return_trace=True)
+    label, tr = lepski_predict(s, [0.3])
     assert label == 0
     assert tr.stop_step == 1
-    assert lepski_predict(make_set([[0.0]], [1]), [0.3]) == 1
+    assert lepski_predict(make_set([[0.0]], [1]), [0.3])[0] == 1
 
 
-def test_lepski_default_returns_bare_label():
+def test_lepski_returns_label_and_trace():
     s = make_set([[0.0], [1.0]], [1, 1])
-    out = lepski_predict(s, [0.0])
-    assert out in (0, 1)
-    assert not isinstance(out, tuple)
+    label, tr = lepski_predict(s, [0.0])
+    assert type(label) is int and label == 1
+    assert isinstance(tr, LepskiTrace) and tr.label == label
 
 
 def test_lepski_trace_invariants():
@@ -505,7 +505,7 @@ def test_lepski_trace_invariants():
     s = SampleSet(gen.random((200, 2)), gen.integers(0, 2, 200))
     x = gen.random(2)
     for width in LEPSKI_WIDTHS:
-        label, tr = lepski_predict(s, x, width=width, return_trace=True)
+        label, tr = lepski_predict(s, x, width=width)
         k = np.arange(1, 201, dtype=float)
         np.testing.assert_allclose(tr.width, LEPSKI_WIDTHS[width](200, 2, k))
         np.testing.assert_array_equal(tr.lower, np.maximum.accumulate(tr.eta - tr.width))
@@ -536,18 +536,3 @@ def test_lepski_validation():
     with pytest.raises(ValueError, match="empty"):
         lepski_predict(SampleSet.empty(1), [0.0])
 
-
-# ---------------------------------------------------------------- oracle
-
-
-def test_bayes_classify_threshold():
-    class Stub:
-        def __init__(self, v):
-            self.v = v
-
-        def eta_q(self, x):
-            return self.v
-
-    assert bayes_classify(Stub(0.51), [0.0]) == 1
-    assert bayes_classify(Stub(0.5), [0.0]) == 0  # boundary goes to 0
-    assert bayes_classify(Stub(0.49), [0.0]) == 0

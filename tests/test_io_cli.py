@@ -17,10 +17,9 @@ from driftknn.classifiers import (
     minimax_plan,
     weighted_knn_predict,
 )
-from driftknn.core import HyperParams, SampleSet, TransferDataset, pooled_sample_set
+from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.io_cli import (
     CsvFormatError,
-    CsvSchema,
     manifest_argv,
     read_labeled_csv,
     read_points_csv,
@@ -30,7 +29,16 @@ from driftknn.io_cli import (
     write_manifest,
     write_records_csv,
 )
-from driftknn.simulation import run_accuracy_experiment, summarize_accuracy
+from driftknn.simulation import (
+    _EXPERIMENT_STREAM_IDS,
+    classification_accuracy,
+    fit_method,
+    make_drift_model,
+    run_accuracy_experiment,
+    sample_multisource_dataset,
+    sample_test_points,
+    summarize_accuracy,
+)
 
 
 def make_set(points, labels):
@@ -54,10 +62,10 @@ def test_sample_set_round_trip_is_bit_exact(tmp_path):
     pts = np.array([AWKWARD, AWKWARD[::-1]])
     s = SampleSet(pts, np.array([0, 1]))
     path = tmp_path / "plain.csv"
-    schema = write_labeled_csv(path, s)
-    assert schema == CsvSchema(5, "none")
+    write_labeled_csv(path, s)
+    assert path.read_text().splitlines()[0] == "x0,x1,x2,x3,x4,y"
     back = read_labeled_csv(path)
-    assert isinstance(back, SampleSet)
+    assert isinstance(back, SampleSet) and back.d == 5
     np.testing.assert_array_equal(back.points, s.points)
     np.testing.assert_array_equal(back.labels, s.labels)
 
@@ -67,10 +75,9 @@ def test_transfer_round_trip(tmp_path):
     q = make_set([[0.0, 1e300]], [1])
     ds = TransferDataset((p,), q)
     path = tmp_path / "transfer.csv"
-    schema = write_labeled_csv(path, ds)
-    assert schema == CsvSchema(2, "transfer")
-    back = read_labeled_csv(path, schema=schema)
-    assert isinstance(back, TransferDataset) and back.m == 1
+    write_labeled_csv(path, ds)
+    back = read_labeled_csv(path)
+    assert isinstance(back, TransferDataset) and (back.m, back.d) == (1, 2)
     np.testing.assert_array_equal(back.sources[0].points, p.points)
     np.testing.assert_array_equal(back.sources[0].labels, p.labels)
     np.testing.assert_array_equal(back.q_data.points, q.points)
@@ -96,11 +103,10 @@ def test_multisource_round_trip(tmp_path):
     q = make_set([[0.7, 0.8]], [0])
     mds = TransferDataset((s1, s2), q)
     path = tmp_path / "multi.csv"
-    schema = write_labeled_csv(path, mds)
-    assert schema == CsvSchema(2, "multi", m=2)
-    back = read_labeled_csv(path, schema=schema)
+    write_labeled_csv(path, mds)
+    back = read_labeled_csv(path)
     assert isinstance(back, TransferDataset)
-    assert back.m == 2
+    assert (back.m, back.d) == (2, 2)
     assert [ln.rsplit(",", 1)[1] for ln in path.read_text().splitlines()[1:]] == \
         ["P1", "P2", "P2", "Q"]
     np.testing.assert_array_equal(back.sources[1].points, s2.points)
@@ -127,24 +133,6 @@ def test_interleaved_tags_round_trip(tmp_path, tags, rows_per_set):
 def test_write_rejects_non_dataset(tmp_path):
     with pytest.raises(TypeError, match="not a dataset"):
         write_labeled_csv(tmp_path / "x.csv", [1, 2, 3])
-
-
-def test_schema_mismatch_detected(tmp_path):
-    path = tmp_path / "plain.csv"
-    write_labeled_csv(path, make_set([[0.0]], [1]))
-    with pytest.raises(CsvFormatError, match="schema mismatch"):
-        read_labeled_csv(path, schema=CsvSchema(1, "transfer"))
-    with pytest.raises(CsvFormatError, match="schema mismatch"):
-        read_labeled_csv(path, schema=CsvSchema(2, "none"))
-
-
-def test_csv_schema_validation():
-    with pytest.raises(ValueError, match="d must be"):
-        CsvSchema(0, "none")
-    with pytest.raises(ValueError, match="origin"):
-        CsvSchema(1, "both")
-    with pytest.raises(ValueError, match="m >= 1"):
-        CsvSchema(1, "multi")
 
 
 # ---------------------------------------------------------------- format errors
@@ -251,11 +239,10 @@ def test_single_numbered_source_reads_as_a_p_q_file(tmp_path):
     for s, t in zip((*a.sources, a.q_data), (*b.sources, b.q_data)):
         np.testing.assert_array_equal(s.points, t.points)
         np.testing.assert_array_equal(s.labels, t.labels)
-    # the schema still reports the tags found; a write-back uses P/Q tags
-    read_labeled_csv(numbered, schema=CsvSchema(1, "multi", m=1))
-    with pytest.raises(CsvFormatError, match="schema mismatch"):
-        read_labeled_csv(numbered, schema=CsvSchema(1, "transfer"))
-    assert write_labeled_csv(tmp_path / "back.csv", a) == CsvSchema(1, "transfer")
+    # a write-back uses P/Q tags
+    assert write_labeled_csv(tmp_path / "back.csv", a) is None
+    with open(tmp_path / "back.csv", newline="") as fh:
+        assert [row["origin"] for row in csv.DictReader(fh)] == ["P", "P", "Q"]
     assert (tmp_path / "back.csv").read_text() == "x0,y,origin\n0.25,1,P\n0.75,1,P\n0.5,0,Q\n"
 
 
@@ -458,8 +445,8 @@ def test_cli_predict_matches_library_labels(tmp_path):
         (train, ["--method", "weighted", "--gamma", "0.3"],
          lambda x: weighted_knn_predict(ds, plan, x)),
         (train, ["--method", "adaptive"], lambda x: adaptive_predict(ds, x)[0]),
-        (train, ["--method", "lepski"], lambda x: lepski_predict(q, x)),
-        (train, ["--method", "lepski", "--pool"], lambda x: lepski_predict(pooled, x)),
+        (train, ["--method", "lepski"], lambda x: lepski_predict(q, x)[0]),
+        (train, ["--method", "lepski", "--pool"], lambda x: lepski_predict(pooled, x)[0]),
         (train, ["--method", "combined", "--gamma", "0.3"],
          lambda x: knn_predict(pooled, combined_budget_k(ds.n_p, ds.n_q, hp), x)),
         (train, ["--method", "combined"],
@@ -624,6 +611,42 @@ def test_cli_eval_usage_errors(tmp_path):
                     "--pmax", "0.55", "--n-test", "0"]) == 2
     assert run_cli(["eval", "--method", "qonly", "--train", str(train),
                     "--pmax", "0.55", "--nmc", "1"]) == 2
+
+
+def test_cli_eval_per_source_gamma(tmp_path, capsys):
+    model = make_drift_model(0.55, 0.3, 2)
+    mds = sample_multisource_dataset(model, (60, 80), 100, RandomSource(5))
+    train, out = tmp_path / "multi.csv", tmp_path / "eval.csv"
+    write_labeled_csv(train, mds)
+    base = ["eval", "--train", str(train), "--pmax", "0.55", "--n-test", "50",
+            "--nmc", "2000", "--seed", "1", "--out", str(out)]
+    rs = RandomSource(1).substream(_EXPERIMENT_STREAM_IDS["eval"])
+    test = sample_test_points(model.x_c, 0.05, 50, rs.substream(0))
+    # one value stays a scalar gamma, written as before; two give the vector
+    for gamma, extra, cell, hp_gamma in (("0.30", [], "0.3", 0.3),
+                                         ("0.3,0.5", ["--gamma-sim", "0.3"], "0.3,0.5",
+                                          (0.3, 0.5))):
+        assert run_cli(base + ["--method", "weighted", "--gamma", gamma] + extra) == 0
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        fitted = fit_method("weighted", read_labeled_csv(train),
+                            HyperParams(alpha=0.0, beta=1.0, gamma=hp_gamma, d=2))
+        assert row["gamma"] == cell
+        assert row["gamma_sim"] == "0.3"
+        assert float(row["accuracy"]) == classification_accuracy(
+            fitted.predict_batch, model, test)
+    capsys.readouterr()
+    # any other count, or a vector without the model's own exponent, is a usage error
+    for gamma, extra, message in (
+            ("0.3,0.5,0.7", ["--gamma-sim", "0.3"], "gamma vector has 3 entries, need 2"),
+            ("0.3,0.5", [], "needs --gamma-sim")):
+        assert run_cli(base + ["--method", "weighted", "--gamma", gamma] + extra) == 2
+        assert message in capsys.readouterr().err
+    # the pooled baseline takes its budget from a one-source plan, so a true
+    # vector still fails there (a runtime error)
+    assert run_cli(base + ["--method", "combined", "--gamma", "0.3,0.5",
+                           "--gamma-sim", "0.3"]) == 1
+    assert "gamma vector has 2 entries, need 1" in capsys.readouterr().err
 
 
 def test_cli_argparse_failures():

@@ -11,7 +11,6 @@ from driftknn.core import RandomSource, SampleSet
 from driftknn.neighbors import (
     MergedOrder,
     NeighborIndex,
-    NeighborList,
     _canonical_argsort,
     _distances,
     merged_order,
@@ -37,57 +36,51 @@ def make_set(points, labels=None):
 
 def merged_knn(sets, x, k):
     """Reference split of the merged order's first k positions by group:
-    one NeighborList per set, indices within the set, in merged order."""
+    per set, (indices within the set, labels), in merged order."""
     mo = merged_order(sets, x)
     head = slice(0, k)
-    return [NeighborList(mo.within_index[head][mask], mo.distances[head][mask],
-                         mo.labels[head][mask])
+    return [(mo.within_index[head][mask], mo.labels[head][mask])
             for mask in (mo.group[head] == g for g in range(len(sets)))]
-
-
-def test_neighbor_list_validation():
-    nl = NeighborList([0, 1], [0.5, 1.0], [1, 0])
-    assert len(nl) == 2
-    assert nl.label_sum == 1
-    assert list(nl) == [(0, 0.5, 1), (1, 1.0, 0)]
-    with pytest.raises(ValueError):
-        NeighborList([0, 1], [0.5], [1, 0])
 
 
 def test_query_simple():
     s = make_set([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]], [1, 0, 1])
-    idx = NeighborIndex(s)
-    nl = idx.query([0.1, 0.0], 2)
-    assert nl.indices.tolist() == [0, 2]
-    assert nl.labels.tolist() == [1, 1]
-    assert nl.label_sum == 2
-    np.testing.assert_allclose(nl.distances, [0.1, 0.9])
+    dist, nbrs = NeighborIndex(s).query([0.1, 0.0], 2)
+    assert nbrs.tolist() == [0, 2]
+    assert s.labels[nbrs].tolist() == [1, 1]
+    np.testing.assert_allclose(dist, [0.1, 0.9])
 
 
 def test_tie_breaks_by_lower_index():
     # both points sit at distance 1 from the origin
     s = make_set([[0.0, 1.0], [1.0, 0.0]], [0, 1])
-    nl = NeighborIndex(s).query([0.0, 0.0], 1)
-    assert nl.indices.tolist() == [0]
+    assert NeighborIndex(s).query([0.0, 0.0], 1)[1].tolist() == [0]
     # flip the storage order and the other point wins
     s2 = make_set([[1.0, 0.0], [0.0, 1.0]], [1, 0])
-    nl2 = NeighborIndex(s2).query([0.0, 0.0], 1)
-    assert nl2.indices.tolist() == [0]
-    assert nl2.labels.tolist() == [1]
+    nbrs = NeighborIndex(s2).query([0.0, 0.0], 1)[1]
+    assert nbrs.tolist() == [0]
+    assert s2.labels[nbrs].tolist() == [1]
 
 
 def test_query_edge_cases():
     s = make_set([[0.0], [1.0]], [0, 1])
     idx = NeighborIndex(s)
-    assert len(idx.query([0.0], 0)) == 0
-    # k beyond n quietly returns everything
-    assert len(idx.query([0.0], 10)) == 2
     with pytest.raises(ValueError, match="k must be >= 0"):
         idx.query([0.0], -1)
     with pytest.raises(ValueError, match="dimension"):
         idx.query([0.0, 1.0], 1)
+    # query, sorted_order and a one-row query_batch give the same float64 /
+    # int64 arrays at k = 0, at k beyond n (everything) and on an empty index
     empty = NeighborIndex(SampleSet.empty(1))
-    assert len(empty.query([0.0], 3)) == 0
+    for index, k, n_out in ((idx, 0, 0), (idx, 10, 2), (empty, 3, 0)):
+        all_d, all_i = index.sorted_order([0.0])
+        batch_d, batch_i = index.query_batch([[0.0]], k)
+        for dist, nbrs in (index.query([0.0], k), (all_d[:k], all_i[:k]),
+                           (batch_d[0], batch_i[0])):
+            assert (dist.dtype, nbrs.dtype) == (np.float64, np.int64)
+            np.testing.assert_array_equal(dist, all_d[:n_out])
+            np.testing.assert_array_equal(nbrs, all_i[:n_out])
+        assert len(all_i) == len(index.sample_set)
 
 
 def test_query_matches_brute_force():
@@ -101,17 +94,17 @@ def test_query_matches_brute_force():
         idx = NeighborIndex(SampleSet(pts, labels))
         oracle_idx, oracle_dist = brute_force_order(pts, x)
         for k in (1, min(3, n), n):
-            nl = idx.query(x, k)
-            assert nl.indices.tolist() == oracle_idx[:k]
-            np.testing.assert_allclose(nl.distances, oracle_dist[:k], rtol=1e-12)
+            dist, nbrs = idx.query(x, k)
+            assert nbrs.tolist() == oracle_idx[:k]
+            np.testing.assert_allclose(dist, oracle_dist[:k], rtol=1e-12)
 
 
 def test_query_with_duplicate_points():
     # four copies of the same point plus one farther away
     s = make_set([[0.5, 0.5]] * 4 + [[0.9, 0.9]], [1, 0, 1, 0, 1])
-    nl = NeighborIndex(s).query([0.5, 0.5], 3)
-    assert nl.indices.tolist() == [0, 1, 2]
-    np.testing.assert_array_equal(nl.distances, 0.0)
+    dist, nbrs = NeighborIndex(s).query([0.5, 0.5], 3)
+    assert nbrs.tolist() == [0, 1, 2]
+    np.testing.assert_array_equal(dist, 0.0)
 
 
 def test_prefix_property():
@@ -121,7 +114,7 @@ def test_prefix_property():
     x = gen.random(3)
     prev = []
     for k in range(1, 26):
-        cur = idx.query(x, k).indices.tolist()
+        cur = idx.query(x, k)[1].tolist()
         assert cur[: len(prev)] == prev
         prev = cur
 
@@ -134,8 +127,7 @@ def test_sorted_order_agrees_with_query():
     x = gen.random(2)
     dist, order = idx.sorted_order(x)
     assert (np.diff(dist) >= 0).all()
-    nl = idx.query(x, 30)
-    np.testing.assert_array_equal(order, nl.indices)
+    np.testing.assert_array_equal(order, idx.query(x, 30)[1])
     oracle_idx, _ = brute_force_order(pts, x)
     assert order.tolist() == oracle_idx
 
@@ -146,13 +138,13 @@ def test_permutation_invariance():
     labels = gen.integers(0, 2, 40)
     x = gen.random(2)
     perm = gen.permutation(40)
-    nl = NeighborIndex(SampleSet(pts, labels)).query(x, 7)
-    nl_p = NeighborIndex(SampleSet(pts[perm], labels[perm])).query(x, 7)
+    dist, nbrs = NeighborIndex(SampleSet(pts, labels)).query(x, 7)
+    dist_p, nbrs_p = NeighborIndex(SampleSet(pts[perm], labels[perm])).query(x, 7)
     # random continuous points: distances distinct, so the same physical
     # neighbors come back regardless of storage order
-    np.testing.assert_allclose(nl.distances, nl_p.distances, rtol=1e-12)
-    np.testing.assert_array_equal(pts[nl.indices], pts[perm][nl_p.indices])
-    assert nl.label_sum == nl_p.label_sum
+    np.testing.assert_allclose(dist, dist_p, rtol=1e-12)
+    np.testing.assert_array_equal(pts[nbrs], pts[perm][nbrs_p])
+    assert labels[nbrs].sum() == labels[perm][nbrs_p].sum()
 
 
 def test_batch_matches_single():
@@ -165,9 +157,9 @@ def test_batch_matches_single():
         dists, nbrs = idx.query_batch(xs, k)
         assert dists.shape == (20, k)
         for row in range(20):
-            nl = idx.query(xs[row], k)
-            assert nbrs[row].tolist() == nl.indices.tolist()
-            np.testing.assert_allclose(dists[row], nl.distances, rtol=1e-12)
+            dist, nbr = idx.query(xs[row], k)
+            assert nbrs[row].tolist() == nbr.tolist()
+            np.testing.assert_allclose(dists[row], dist, rtol=1e-12)
 
 
 def test_batch_with_ties_reroutes_to_canonical():
@@ -177,9 +169,9 @@ def test_batch_with_ties_reroutes_to_canonical():
     xs = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
     dists, nbrs = idx.query_batch(xs, 2)
     for row in range(3):
-        nl = idx.query(xs[row], 2)
-        assert nbrs[row].tolist() == nl.indices.tolist()
-        np.testing.assert_array_equal(dists[row], nl.distances)
+        dist, nbr = idx.query(xs[row], 2)
+        assert nbrs[row].tolist() == nbr.tolist()
+        np.testing.assert_array_equal(dists[row], dist)
 
 
 def test_batch_tie_tolerance_is_per_row():
@@ -195,7 +187,7 @@ def test_batch_tie_tolerance_is_per_row():
     assert len(calls) <= 1
     assert all(np.array_equal(c, xs[-1]) for c in calls)
     for row in (0, 50, 99, 100):
-        assert nbrs[row].tolist() == query(xs[row], 14).indices.tolist()
+        assert nbrs[row].tolist() == query(xs[row], 14)[1].tolist()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -208,7 +200,7 @@ def test_batch_overflow_warns_no_invalid_value():
         dists, nbrs = idx.query_batch(xs, 2)
     assert not [w for w in caught if "invalid value" in str(w.message)]
     for row in range(2):
-        assert nbrs[row].tolist() == idx.query(xs[row], 2).indices.tolist()
+        assert nbrs[row].tolist() == idx.query(xs[row], 2)[1].tolist()
 
 
 def test_batch_edge_cases():
@@ -251,29 +243,27 @@ def test_merged_order_tie_prefers_target():
 def test_merged_knn_split_counts():
     p = make_set([[0.1], [0.2], [0.3]], [1, 1, 1])
     q = make_set([[0.15], [0.4]], [0, 0])
-    q_list, p_list = merged_knn([q, p], [0.0], 5)
-    assert len(p_list) == 3
-    assert len(q_list) == 2
-    assert p_list.label_sum == 3
-    assert q_list.label_sum == 0
+    (q_idx, q_lab), (p_idx, p_lab) = merged_knn([q, p], [0.0], 5)
+    assert p_lab.sum() == 3
+    assert q_lab.sum() == 0
     # indices refer to positions inside each origin set
-    assert p_list.indices.tolist() == [0, 1, 2]
-    assert q_list.indices.tolist() == [0, 1]
-    q_list, p_list = merged_knn([q, p], [0.0], 3)
-    assert (p_list.indices.tolist(), q_list.indices.tolist()) == ([0, 1], [0])
+    assert p_idx.tolist() == [0, 1, 2]
+    assert q_idx.tolist() == [0, 1]
+    (q_idx, _), (p_idx, _) = merged_knn([q, p], [0.0], 3)
+    assert (p_idx.tolist(), q_idx.tolist()) == ([0, 1], [0])
 
 
 def test_merged_knn_equidistant_pair():
     p = make_set([[1.0, 0.0]], [1])
     q = make_set([[0.0, 1.0]], [0])
     # k = 1 takes only the Q point because of the tie priority
-    q_list, p_list = merged_knn([q, p], [0.0, 0.0], 1)
-    assert (len(p_list), len(q_list)) == (0, 1)
-    q_list, p_list = merged_knn([q, p], [0.0, 0.0], 2)
-    assert (len(p_list), len(q_list)) == (1, 1)
+    (q_idx, _), (p_idx, _) = merged_knn([q, p], [0.0, 0.0], 1)
+    assert (len(p_idx), len(q_idx)) == (0, 1)
+    (q_idx, _), (p_idx, _) = merged_knn([q, p], [0.0, 0.0], 2)
+    assert (len(p_idx), len(q_idx)) == (1, 1)
     # with P listed first, P takes the tie
-    p_list, q_list = merged_knn([p, q], [0.0, 0.0], 1)
-    assert (len(p_list), len(q_list)) == (1, 0)
+    (p_idx, _), (q_idx, _) = merged_knn([p, q], [0.0, 0.0], 1)
+    assert (len(p_idx), len(q_idx)) == (1, 0)
 
 
 def test_merged_knn_prefix_monotone():
@@ -284,12 +274,12 @@ def test_merged_knn_prefix_monotone():
     x = gen.integers(0, 4, 2) / 3
     prev = [[] for _ in sets]
     for k in range(1, 26):
-        lists = merged_knn(sets, x, k)
-        assert sum(len(nl) for nl in lists) == k
-        for s, nl, before in zip(sets, lists, prev):
-            assert nl.indices.tolist() == NeighborIndex(s).query(x, len(nl)).indices.tolist()
-            assert nl.indices.tolist()[: len(before)] == before
-        prev = [nl.indices.tolist() for nl in lists]
+        shares = [nbrs.tolist() for nbrs, _ in merged_knn(sets, x, k)]
+        assert sum(map(len, shares)) == k
+        for s, share, before in zip(sets, shares, prev):
+            assert share == NeighborIndex(s).query(x, len(share))[1].tolist()
+            assert share[: len(before)] == before
+        prev = shares
 
 
 def test_merged_order_distances_ascend_and_labels_match():
@@ -345,9 +335,9 @@ def assert_orders_match_lexsort(sets, x):
         np.testing.assert_array_equal(got_i, ref)
         np.testing.assert_array_equal(got_d, dist[ref])
         for k in range(len(s) + 1):
-            nl = idx.query(x, k)
-            np.testing.assert_array_equal(nl.indices, ref[:k])
-            np.testing.assert_array_equal(nl.distances, dist[ref[:k]])
+            got_d, got_i = idx.query(x, k)
+            np.testing.assert_array_equal(got_i, ref[:k])
+            np.testing.assert_array_equal(got_d, dist[ref[:k]])
             # tree distances may differ from _distances in the last ulps
             batch_d, batch_i = idx.query_batch(x[None], k)
             np.testing.assert_array_equal(batch_i, ref[None, :k])
