@@ -52,27 +52,32 @@ __all__ = [
 ]
 
 
+def _floor_count(x: float) -> int:
+    """floor(x) after rounding to 9 decimals, so a count that is an integer in exact
+    arithmetic (8^(2/3) = 4, 2401^(1/2) = 49) survives a float power a few ulps low."""
+    return math.floor(round(x, 9))
+
+
 def default_knn_k(n: int, hp: HyperParams) -> int:
     """Rate-optimal single-sample neighbor count floor(n^(2b/(2b+d))), >= 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0
-    return max(1, math.floor(n ** (2 * hp.beta / (2 * hp.beta + hp.d))))
+    return max(1, _floor_count(n ** (2 * hp.beta / (2 * hp.beta + hp.d))))
 
 
-def combined_budget_k(n_p: int, n_q: int, hp: HyperParams) -> int:
+def combined_budget_k(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> int:
     """Neighbor count for the source-blind pooled baseline.
 
-    n_p is the number of source rows, over all sources. Uses the total
-    budget k_P + k_Q of the one-source plan on n_p rows, so the pooled
-    classifier looks at essentially the same neighborhood but votes it
-    uniformly. This isolates what the weights buy. With n_P=0 it
-    collapses to default_knn_k(n_Q), so the pooled and target-only
-    baselines coincide exactly in the degenerate case.
+    The total budget k_Q + sum_i k_i of ``minimax_plan(source_sizes, n_q,
+    hp)``: the pooled classifier reads the neighborhood that the m-source
+    weighted vote reads, but votes it uniformly, which isolates what the
+    weights buy. With no source rows it equals default_knn_k(n_Q), so the
+    pooled and target-only baselines coincide in the degenerate case.
     """
-    plan = minimax_plan((n_p,), n_q, hp)
-    return max(1, plan.k_sources[0] + plan.k_q)
+    plan = minimax_plan(source_sizes, n_q, hp)
+    return max(1, plan.k_q + sum(plan.k_sources))
 
 
 def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnPlan:
@@ -103,9 +108,9 @@ def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnP
     )
     shrink = eff ** (-d / (2 * b + d))
     w_q = eff ** (-b / (2 * b + d))
-    k_q = max(math.floor(n_q * shrink), min(n_q, 1))
+    k_q = max(_floor_count(n_q * shrink), min(n_q, 1))
     w_s = tuple(eff ** (-g * b / (2 * b + d)) for g in gammas)
-    k_s = tuple(max(math.floor(n * shrink), min(n, 1)) for n in sizes)
+    k_s = tuple(max(_floor_count(n * shrink), min(n, 1)) for n in sizes)
     return KnnPlan(k_sources=k_s, w_sources=w_s, k_q=k_q, w_q=w_q)
 
 

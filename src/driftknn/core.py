@@ -29,13 +29,13 @@ __all__ = [
 SUBSTREAM_CAP = 1 << 20
 
 
-def _as_points(x, d: int | None = None) -> np.ndarray:
-    """Coerce to a read-only (n, d) float64 array of finite coordinates."""
+def _as_points(x) -> np.ndarray:
+    """Coerce to a read-only (n, d) float64 array with d >= 1."""
     arr = np.array(x, dtype=np.float64, copy=True)
-    if arr.ndim == 1 and arr.size == 0:
-        arr = arr.reshape(0, d if d is not None else 0)
     if arr.ndim != 2:
         raise ValueError(f"points must be a 2-d array, got shape {arr.shape}")
+    if arr.shape[1] == 0:
+        raise ValueError("points must have at least one coordinate")
     arr.setflags(write=False)
     return arr
 
@@ -67,8 +67,6 @@ class SampleSet:
             raise ValueError(
                 f"{pts.shape[0]} points but {labs.shape[0]} labels"
             )
-        if pts.shape[0] > 0 and pts.shape[1] == 0:
-            raise ValueError("points must have at least one coordinate")
         bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
         if bad.size:
             raise ValueError(f"sample {int(bad[0])}: non-finite coordinate")

@@ -27,14 +27,12 @@ import numpy as np
 
 from . import __version__
 from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
-from .classifiers import LEPSKI_WIDTHS, combined_budget_k, default_knn_k
+from .classifiers import LEPSKI_WIDTHS, default_knn_k
 from .simulation import (
     _EXPERIMENT_STREAM_IDS,
     EXPERIMENT_PRESETS,
-    _fit_adaptive,
     _fit_knn,
     _fit_lepski,
-    _fit_weighted,
     classification_accuracy,
     excess_risk_mc,
     fit_method,
@@ -226,6 +224,11 @@ _AGGREGATE_COLS = ["experiment", "method", "seed", "p_max", "gamma", "d", "n_p",
                    "n_q", "reps", "accuracy_mean", "accuracy_se"]
 
 
+def _repr(v) -> str:
+    """A float field as the shortest repr that round-trips, also for numpy scalars."""
+    return "" if v is None else repr(float(v))
+
+
 def write_records_csv(path, records) -> None:
     """One row per replication record (wall time excluded: output is rerun-stable)."""
     with open(path, "w", newline="") as fh:
@@ -233,10 +236,8 @@ def write_records_csv(path, records) -> None:
         w.writerow(_RECORD_COLS)
         for r in records:
             w.writerow([
-                r.experiment, r.method, r.seed, r.replication, repr(r.p_max),
-                repr(r.gamma), r.d, r.n_p, r.n_q,
-                "" if r.accuracy is None else repr(r.accuracy),
-                "" if r.excess_risk is None else repr(r.excess_risk),
+                r.experiment, r.method, r.seed, r.replication, _repr(r.p_max),
+                _repr(r.gamma), r.d, r.n_p, r.n_q, _repr(r.accuracy), _repr(r.excess_risk),
             ])
 
 
@@ -247,8 +248,8 @@ def write_aggregate_csv(path, rows) -> None:
         w.writerow(_AGGREGATE_COLS)
         for r in rows:
             w.writerow([
-                r.experiment, r.method, r.seed, repr(r.p_max), repr(r.gamma), r.d,
-                r.n_p, r.n_q, r.reps, repr(r.accuracy_mean), repr(r.accuracy_se),
+                r.experiment, r.method, r.seed, _repr(r.p_max), _repr(r.gamma), r.d,
+                r.n_p, r.n_q, r.reps, _repr(r.accuracy_mean), _repr(r.accuracy_se),
             ])
 
 
@@ -345,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pred = sub.add_parser("predict", help="label query points from a training CSV")
     pred.add_argument("--method", required=True,
-                      choices=["knn", "weighted", "adaptive", "multisource", "lepski", "combined"])
+                      choices=["knn", "weighted", "adaptive", "lepski", "combined"])
     pred.add_argument("--train", required=True)
     pred.add_argument("--test", required=True)
     pred.add_argument("--out", required=True)
@@ -353,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--beta", type=float, default=1.0)
     pred.add_argument("--alpha", type=float, default=0.0)
     pred.add_argument("--d", type=int, default=None, help="expected dimension (validated)")
-    pred.add_argument("--k", type=int, default=None, help="neighbor count for knn/combined")
+    pred.add_argument("--k", type=int, default=None, help="neighbor count for knn")
     pred.add_argument("--lepski-width", choices=sorted(LEPSKI_WIDTHS), default="algorithm3")
     pred.add_argument("--pool", action="store_true",
                       help="run knn/lepski on the pooled sample instead of the target rows")
@@ -471,34 +472,33 @@ def _gammas(args, m: int) -> float | tuple[float, ...]:
 
 
 def _fit_for(args, train: TransferDataset, tagged: bool):
-    """Translate the predict method, --pool, --k and --gamma into a fit."""
+    """Translate the predict method and its switches into one fit.
+
+    weighted, adaptive and combined are the registry's fits of the whole
+    dataset; knn and lepski run on one sample set: the target rows, or
+    every row pooled (source rows, then Q rows) with --pool.
+    """
     method = args.method
-    # --gamma is checked for every method, also where it goes unused.
+    if args.k is not None and method != "knn":
+        raise UsageError("--k applies only to knn")
+    if args.pool and method not in ("knn", "lepski"):
+        raise UsageError("--pool applies only to knn and lepski")
     gamma = None if args.gamma is None else _gammas(args, train.m)
-    if method in ("weighted", "multisource", "adaptive") and not tagged:
+    hp = _hyperparams(args, 1.0 if gamma is None else gamma)
+    if method in ("weighted", "adaptive") and not tagged:
         raise UsageError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
-    if method in ("weighted", "multisource"):
-        if gamma is None:
-            raise UsageError(f"{method} needs --gamma (one value, or one per source)")
-        return _fit_weighted(train, _hyperparams(args, gamma))
-    if method == "adaptive":
-        return _fit_adaptive(train)
-    # knn, lepski and combined run on one sample set: the target rows, or
-    # everything pooled (source rows, then Q rows) for combined and --pool.
-    # combined takes the plan budget only on a one-source file with --gamma.
-    budget = method == "combined" and gamma is not None and tagged and train.m == 1
-    s = pooled_sample_set(train) if (method == "combined" or args.pool) else train.q_data
+    if method in ("weighted", "combined") and gamma is None:
+        raise UsageError(f"{method} needs --gamma (one value, or one per source)")
+    if method in SIM_METHODS:
+        return fit_method(method, train, hp, args.lepski_width)
+    s = pooled_sample_set(train) if args.pool else train.q_data
     if len(s) == 0:
         raise UsageError(f"{method} has no training rows to use")
     if method == "lepski":
         return _fit_lepski(method, s, args.lepski_width)
-    if args.k is not None:
-        if not (1 <= args.k <= len(s)):
-            raise UsageError(f"--k must be in [1, {len(s)}]")
-        return _fit_knn(method, s, args.k)
-    hp = _hyperparams(args, 1.0 if gamma is None else gamma)
-    k = combined_budget_k(train.n_p, train.n_q, hp) if budget else default_knn_k(len(s), hp)
-    return _fit_knn(method, s, k)
+    if args.k is not None and not (1 <= args.k <= len(s)):
+        raise UsageError(f"--k must be in [1, {len(s)}]")
+    return _fit_knn(method, s, default_knn_k(len(s), hp) if args.k is None else args.k)
 
 
 def _cmd_predict(args, argv) -> int:

@@ -76,7 +76,6 @@ class NeighborIndex:
         self.labels = sample_set.labels
         self.n = len(sample_set)
         self.d = sample_set.d
-        self._tree: cKDTree | None = None
 
     def _require_dim(self, x: np.ndarray):
         if x.shape[-1] != self.d:
@@ -123,11 +122,6 @@ class NeighborIndex:
             order = cand[_canonical_argsort(dist[cand])][:k_eff]
         return dist[order], order
 
-    def _ensure_tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        return self._tree
-
     def query_batch(self, xs, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors for each row of xs.
 
@@ -150,9 +144,8 @@ class NeighborIndex:
         k_eff = min(int(k), self.n)
         if k_eff == 0 or m == 0:
             return np.empty((m, 0)), np.empty((m, 0), dtype=np.int64)
-        tree = self._ensure_tree()
         k_probe = min(k_eff + 1, self.n)
-        dist, idx = tree.query(xs, k=k_probe, workers=-1)
+        dist, idx = cKDTree(self.points).query(xs, k=k_probe, workers=-1)
         dist = np.atleast_2d(dist.reshape(m, k_probe))
         idx = np.atleast_2d(idx.reshape(m, k_probe))
         # A row needs exact treatment if any two of its k + 1 probed distances

@@ -308,12 +308,12 @@ def _fit_lepski(name: str, s: SampleSet, width: str) -> FittedMethod:
 
 
 # The named methods of simulate and eval: each maps (dataset, hyper-parameters,
-# Lepski width) to a fit. The predict CLI builds its predictors from the same
-# _fit_* functions.
+# Lepski width) to a fit. predict fits weighted, adaptive and combined by name
+# here, and its one-set knn and lepski from _fit_knn and _fit_lepski.
 METHODS: dict[str, Callable[[TransferDataset, HyperParams, str], FittedMethod]] = {
     "weighted": lambda ds, hp, _w: _fit_weighted(ds, hp),
     "combined": lambda ds, hp, _w: _fit_knn(
-        "combined", pooled_sample_set(ds), combined_budget_k(ds.n_p, ds.n_q, hp)),
+        "combined", pooled_sample_set(ds), combined_budget_k(ds.source_sizes, ds.n_q, hp)),
     "qonly": lambda ds, hp, _w: _fit_knn("qonly", ds.q_data, default_knn_k(ds.n_q, hp)),
     "adaptive": lambda ds, _hp, _w: _fit_adaptive(ds),
     "lepski-combined": lambda ds, _hp, w: _fit_lepski("lepski-combined", pooled_sample_set(ds), w),

@@ -218,7 +218,7 @@ def _check_reductions(rng):
     # and the pooled baseline's budget matches the single-sample rule
     ds0 = sample_dataset(model, 0, 400, rng.substream(0))
     plan0 = minimax_plan((0,), 400, hp)
-    if combined_budget_k(0, 400, hp) != default_knn_k(400, hp):
+    if combined_budget_k((0,), 400, hp) != default_knn_k(400, hp):
         return False
     for _ in range(20):
         x = gen.random(2)

@@ -61,6 +61,7 @@ def snr_index(k_p: int, eta_p: float, k_q: int, eta_q: float) -> float:
 def test_default_knn_k_frozen():
     hp1 = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=1)
     assert default_knn_k(100, hp1) == 21  # floor(100^(2/3))
+    assert default_knn_k(8, hp1) == 4  # 8^(2/3) is exactly 4; the float power falls short
     assert default_knn_k(5000, HP_MAIN) == 70  # floor(5000^(1/2))
     assert default_knn_k(0, HP_MAIN) == 0
     assert default_knn_k(1, HP_MAIN) == 1
@@ -123,15 +124,31 @@ def test_minimax_plan_validation():
 
 
 def test_combined_budget_k_frozen():
-    assert combined_budget_k(2000, 5000, HP_MAIN) == 19  # k_P + k_Q = 5 + 14
+    assert combined_budget_k((2000,), 5000, HP_MAIN) == 19  # k_P + k_Q = 5 + 14
     plan = minimax_plan((2000,), 5000, HP_MAIN)
-    assert combined_budget_k(2000, 5000, HP_MAIN) == plan.k_sources[0] + plan.k_q
+    assert combined_budget_k((2000,), 5000, HP_MAIN) == plan.k_sources[0] + plan.k_q
+
+
+def test_combined_budget_k_is_the_m_source_plan_total():
+    hp = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.8), d=2)
+    plan = minimax_plan((1000, 3000), 5000, hp)
+    assert combined_budget_k((1000, 3000), 5000, hp) == plan.k_q + sum(plan.k_sources)
+    with pytest.raises(ValueError, match="gamma vector has 2 entries, need 1"):
+        combined_budget_k((4000,), 5000, hp)
 
 
 def test_combined_budget_k_collapses_without_source():
-    assert combined_budget_k(0, 5000, HP_MAIN) == default_knn_k(5000, HP_MAIN) == 70
-    for n in (1, 10, 999):
-        assert combined_budget_k(0, n, HP_MAIN) == default_knn_k(n, HP_MAIN)
+    assert combined_budget_k((0,), 5000, HP_MAIN) == default_knn_k(5000, HP_MAIN) == 70
+    assert combined_budget_k((0,), 2401, HP_MAIN) == default_knn_k(2401, HP_MAIN) == 49
+    # Every n <= 2000, and every perfect power up to 20000: only there is the
+    # exact count an integer that the float powers can miss by a few ulps.
+    powers = {t ** j for j in range(2, 15) for t in range(2, 142) if t ** j <= 20000}
+    sizes = sorted(set(range(1, 2001)) | powers)
+    for beta in (1.0, 0.5, 0.25):
+        for d in (1, 2, 3, 5):
+            hp = HyperParams(alpha=0.0, beta=beta, gamma=0.3, d=d)
+            for n in sizes:
+                assert combined_budget_k((0,), n, hp) == default_knn_k(n, hp), (beta, d, n)
 
 
 def test_multisource_plan_frozen():

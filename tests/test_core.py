@@ -62,6 +62,11 @@ def test_empty_sample_set():
     assert s.d == 3
     with pytest.raises(ValueError, match="d must be >= 1"):
         SampleSet.empty(0)
+    # an empty set still needs a dimension: no guessing d = 0 from empty input
+    with pytest.raises(ValueError, match="2-d array"):
+        SampleSet([], [])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        SampleSet(np.empty((0, 0)), [])
 
 
 # ---------------------------------------------------------------- datasets

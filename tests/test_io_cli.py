@@ -302,6 +302,20 @@ def test_records_and_aggregate_files(tmp_path):
     assert int(arows[0]["reps"]) == 3
 
 
+def test_result_csvs_write_numpy_scalars_as_plain_floats(tmp_path):
+    records = run_accuracy_experiment(
+        "fig4a", methods=("qonly",), p_max_values=np.array([0.55]), n_p_values=(10,),
+        n_q=20, reps=2, seed=5, gamma=np.float64(0.3))
+    write_records_csv(tmp_path / "records.csv", records)
+    write_aggregate_csv(tmp_path / "agg.csv", summarize_accuracy(records))
+    for name in ("records.csv", "agg.csv"):
+        text = (tmp_path / name).read_text()
+        assert "np." not in text, name
+        with open(tmp_path / name) as fh:
+            row = next(csv.DictReader(fh))
+        assert (row["p_max"], row["gamma"]) == ("0.55", "0.3"), name
+
+
 def test_manifest_round_trip(tmp_path):
     out = tmp_path / "result.csv"
     out.write_text("stub\n")
@@ -357,7 +371,6 @@ def test_cli_predict_all_methods(tmp_path):
         ["--method", "lepski", "--lepski-width", "lemma5"],
         ["--method", "lepski", "--pool"],
         ["--method", "combined", "--gamma", "0.3"],
-        ["--method", "combined"],
     ]
     for i, extra in enumerate(cases):
         out = tmp_path / f"pred{i}.csv"
@@ -379,37 +392,14 @@ def test_cli_predict_multisource(tmp_path):
     test = tmp_path / "test.csv"
     write_points(test, [[0.1, 0.1], [0.9, 0.9]])
     out = tmp_path / "pred.csv"
-    for gamma in ("0.3", "0.3,0.5"):
-        code = run_cli(["predict", "--method", "multisource", "--train", str(train),
-                        "--test", str(test), "--out", str(out), "--gamma", gamma])
-        assert code == 0
+    for method in ("weighted", "combined"):
+        for gamma in ("0.3", "0.3,0.5"):
+            code = run_cli(["predict", "--method", method, "--train", str(train),
+                            "--test", str(test), "--out", str(out), "--gamma", gamma])
+            assert code == 0, (method, gamma)
     code = run_cli(["predict", "--method", "adaptive", "--train", str(train),
                     "--test", str(test), "--out", str(out)])
     assert code == 0
-
-
-def test_cli_weighted_and_multisource_are_one_fit(tmp_path):
-    gen = np.random.default_rng(23)
-    sets = [make_set(gen.integers(0, 9, size=(n, 2)) / 8, gen.integers(0, 2, n))
-            for n in (40, 30, 50)]
-    pq, multi, plain = tmp_path / "pq.csv", tmp_path / "multi.csv", tmp_path / "plain.csv"
-    write_labeled_csv(pq, TransferDataset((sets[0],), sets[2]))
-    write_labeled_csv(multi, TransferDataset(sets[:2], sets[2]))
-    write_labeled_csv(plain, sets[2])
-    test = tmp_path / "test.csv"
-    write_points(test, (gen.integers(0, 9, size=(25, 2)) / 8).tolist())
-    for train, gamma in ((pq, "0.3"), (multi, "0.3"), (multi, "0.3,0.6")):
-        outputs = []
-        for method in ("weighted", "multisource"):
-            out = tmp_path / f"{method}.csv"
-            assert run_cli(["predict", "--method", method, "--train", str(train),
-                            "--test", str(test), "--out", str(out), "--gamma", gamma]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1], (train, gamma)
-    # both need origin tags
-    for method in ("weighted", "multisource"):
-        assert run_cli(["predict", "--method", method, "--train", str(plain), "--test",
-                        str(test), "--out", str(tmp_path / "x.csv"), "--gamma", "0.3"]) == 2
 
 
 def lattice_set(gen, n):
@@ -431,11 +421,13 @@ def test_cli_predict_matches_library_labels(tmp_path):
     mds = TransferDataset((lattice_set(gen, 40), lattice_set(gen, 50)), lattice_set(gen, 70))
     queries = gen.integers(0, 9, size=(30, 2)) / 8
     train, multi, test = tmp_path / "pq.csv", tmp_path / "multi.csv", tmp_path / "q.csv"
+    plain = tmp_path / "plain.csv"
     write_labeled_csv(train, ds)
     write_labeled_csv(multi, mds)
+    write_labeled_csv(plain, ds.q_data)
     write_points(test, queries.tolist())
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
-    q, pooled = ds.q_data, pooled_sample_set(ds)
+    q, pooled, mpooled = ds.q_data, pooled_sample_set(ds), pooled_sample_set(mds)
     plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
     mplan = minimax_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.3), 2))
     cases = [
@@ -448,17 +440,59 @@ def test_cli_predict_matches_library_labels(tmp_path):
         (train, ["--method", "lepski"], lambda x: lepski_predict(q, x)[0]),
         (train, ["--method", "lepski", "--pool"], lambda x: lepski_predict(pooled, x)[0]),
         (train, ["--method", "combined", "--gamma", "0.3"],
-         lambda x: knn_predict(pooled, combined_budget_k(ds.n_p, ds.n_q, hp), x)),
-        (train, ["--method", "combined"],
-         lambda x: knn_predict(pooled, default_knn_k(len(pooled), hp), x)),
-        (multi, ["--method", "multisource", "--gamma", "0.3"],
-         lambda x: weighted_knn_predict(mds, mplan, x)),
+         lambda x: knn_predict(pooled, combined_budget_k(ds.source_sizes, ds.n_q, hp), x)),
+        # on an untagged file every row is a target row, so combined is knn
+        (plain, ["--method", "combined", "--gamma", "0.3"],
+         lambda x: knn_predict(q, default_knn_k(len(q), hp), x)),
         (multi, ["--method", "weighted", "--gamma", "0.3"],
          lambda x: weighted_knn_predict(mds, mplan, x)),
+        (multi, ["--method", "combined", "--gamma", "0.3"],
+         lambda x: knn_predict(mpooled, combined_budget_k(mds.source_sizes, mds.n_q, hp), x)),
         (multi, ["--method", "adaptive"], lambda x: adaptive_predict(mds, x)[0]),
     ]
     for path, extra, library in cases:
         assert cli_labels(tmp_path, path, test, extra) == [library(x) for x in queries], extra
+
+
+def test_cli_predict_combined_takes_the_m_source_budget(tmp_path):
+    gen = np.random.default_rng(29)
+    sets = [make_set(gen.random((n, 2)), gen.integers(0, 2, n)) for n in (200, 300, 100)]
+    mds = TransferDataset(sets[:2], sets[2])
+    train, test = tmp_path / "multi.csv", tmp_path / "q.csv"
+    write_labeled_csv(train, mds)
+    queries = gen.random((40, 2))
+    write_points(test, queries.tolist())
+    pooled = pooled_sample_set(mds)
+    for gamma, hp_gamma in (("0.3", 0.3), ("0.3,0.5", (0.3, 0.5))):
+        hp = HyperParams(alpha=0.0, beta=1.0, gamma=hp_gamma, d=2)
+        k = combined_budget_k(mds.source_sizes, mds.n_q, hp)
+        assert k < default_knn_k(len(pooled), hp)
+        labels = cli_labels(tmp_path, train, test, ["--method", "combined", "--gamma", gamma])
+        assert labels == [knn_predict(pooled, k, x) for x in queries], gamma
+        assert labels != cli_labels(tmp_path, train, test, ["--method", "knn", "--pool"])
+
+
+def test_cli_predict_switches_apply_to_their_methods(tmp_path, capsys):
+    train = transfer_csv(tmp_path)
+    test = tmp_path / "test.csv"
+    write_points(test, [[0.5, 0.5]])
+    base = ["predict", "--train", str(train), "--test", str(test),
+            "--out", str(tmp_path / "pred.csv")]
+    for extra, message in (
+            (["--method", "combined"], "combined needs --gamma"),
+            (["--method", "combined", "--gamma", "0.3", "--k", "3"], "--k applies only to knn"),
+            (["--method", "lepski", "--k", "3"], "--k applies only to knn"),
+            (["--method", "weighted", "--gamma", "0.3", "--pool"], "--pool applies only"),
+            (["--method", "adaptive", "--pool"], "--pool applies only"),
+            (["--method", "combined", "--gamma", "0.3", "--pool"], "--pool applies only"),
+            (["--method", "lepski", "--gamma", "-5"], "gamma must be > 0"),
+            (["--method", "adaptive", "--gamma", "-5"], "gamma must be > 0"),
+            (["--method", "knn", "--k", "3", "--gamma", "-5"], "gamma must be > 0")):
+        assert run_cli(base + extra) == 2, extra
+        assert message in capsys.readouterr().err, extra
+    # a valid --gamma is accepted where it goes unused
+    for method in ("knn", "lepski", "adaptive"):
+        assert run_cli(base + ["--method", method, "--gamma", "0.3"]) == 0, method
 
 
 def test_cli_predict_usage_errors(tmp_path):
@@ -469,11 +503,6 @@ def test_cli_predict_usage_errors(tmp_path):
     base = ["predict", "--train", str(train), "--test", str(test), "--out", str(out)]
     # weighted needs a gamma for the plan
     assert run_cli(base + ["--method", "weighted"]) == 2
-    # multisource is the weighted fit under its other name, on a P/Q file too
-    assert run_cli(base + ["--method", "multisource", "--gamma", "0.3"]) == 0
-    multi_out = out.read_bytes()
-    assert run_cli(base + ["--method", "weighted", "--gamma", "0.3"]) == 0
-    assert out.read_bytes() == multi_out
     # k out of range for the 4 target rows
     assert run_cli(base + ["--method", "knn", "--k", "9"]) == 2
     # declared dimension disagrees with the file
@@ -492,8 +521,9 @@ def test_cli_predict_bad_gamma_is_a_usage_error(tmp_path, capsys):
     cases = [(train, method, gamma, f"gamma vector has {count} entries, need 1")
              for method in ("knn", "combined", "weighted", "lepski", "knn --k 2", "adaptive")
              for gamma, count in (("", 0), (",", 0), ("0.3,0.5", 2))]
-    cases += [(multi, "multisource", "", "gamma vector has 0 entries, need 2"),
-              (multi, "multisource", "0.3,0.5,0.7", "gamma vector has 3 entries, need 2")]
+    cases += [(multi, method, gamma, f"gamma vector has {count} entries, need 2")
+              for method in ("weighted", "combined")
+              for gamma, count in (("", 0), ("0.3,0.5,0.7", 3))]
     for path, method, gamma, message in cases:
         code = run_cli(["predict", "--method", *method.split(), "--train", str(path),
                         "--test", str(test), "--out", str(tmp_path / "pred.csv"),
@@ -525,6 +555,8 @@ def test_cli_predict_plain_csv_needs_tags_for_adaptive(tmp_path):
     out = tmp_path / "pred.csv"
     assert run_cli(["predict", "--method", "adaptive", "--train", str(plain),
                     "--test", str(test), "--out", str(out)]) == 2
+    assert run_cli(["predict", "--method", "weighted", "--train", str(plain),
+                    "--test", str(test), "--out", str(out), "--gamma", "0.3"]) == 2
     # plain knn still works on an untagged file
     assert run_cli(["predict", "--method", "knn", "--train", str(plain),
                     "--test", str(test), "--out", str(out)]) == 0
@@ -642,11 +674,13 @@ def test_cli_eval_per_source_gamma(tmp_path, capsys):
             ("0.3,0.5", [], "needs --gamma-sim")):
         assert run_cli(base + ["--method", "weighted", "--gamma", gamma] + extra) == 2
         assert message in capsys.readouterr().err
-    # the pooled baseline takes its budget from a one-source plan, so a true
-    # vector still fails there (a runtime error)
+    # the pooled baseline takes its budget from the same m-source plan
     assert run_cli(base + ["--method", "combined", "--gamma", "0.3,0.5",
-                           "--gamma-sim", "0.3"]) == 1
-    assert "gamma vector has 2 entries, need 1" in capsys.readouterr().err
+                           "--gamma-sim", "0.3"]) == 0
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    fitted = fit_method("combined", mds, HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.5), d=2))
+    assert float(row["accuracy"]) == classification_accuracy(fitted.predict_batch, model, test)
 
 
 def test_cli_argparse_failures():
