@@ -114,16 +114,18 @@ def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnP
     return KnnPlan(k_sources=k_s, w_sources=w_s, k_q=k_q, w_q=w_q)
 
 
-def _vote_eta(groups: Sequence[SampleSet], ks: Sequence[int], ws: Sequence[float], x):
+def _vote_eta(groups, ks: Sequence[int], ws: Sequence[float], x=None):
     """The weighted k-NN vote over the groups [Q, S_1..S_m].
 
     eta_hat(x) = sum_g w_g * (sum of the k_g nearest labels of group g)
     / sum_g w_g k_g. The numerator adds the groups in order, Q first; the
     denominator is w_Q k_Q plus the sum over the sources. Raises if a
     group is asked for more neighbors than it holds or every selected
-    neighbor has zero weight. Like ``DriftModel.eta_q``, x is one query
-    (d,) and the answer a float, or an (m, d) array answered row by row
-    through the k-d tree path; both paths give the same values.
+    neighbor has zero weight. The groups are sample sets queried at x or,
+    with no x, each group's labels nearest first (views of one order). Like
+    ``DriftModel.eta_q``, x is one query (d,) and the answer a float, or an
+    (m, d) array answered row by row through the k-d tree path; both paths
+    give the same values.
     """
     if ks[0] > len(groups[0]):
         raise ValueError(f"plan needs k_Q = {ks[0]} but Q has {len(groups[0])} samples")
@@ -133,14 +135,14 @@ def _vote_eta(groups: Sequence[SampleSet], ks: Sequence[int], ws: Sequence[float
     den = ws[0] * ks[0] + sum(w * k for w, k in zip(ws[1:], ks[1:]))
     if den <= 0:
         raise ValueError("plan selects no positively weighted neighbors")
-    x = np.asarray(x, dtype=np.float64)
-    num = 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
+    num = 0.0
     for s, k, w in zip(groups, ks, ws):
-        if k == 0:
-            continue
-        idx = NeighborIndex(s)
-        _, nbrs = idx.query(x, k) if x.ndim == 1 else idx.query_batch(x, k)
-        num += w * idx.labels[nbrs].sum(axis=-1)
+        if k and x is None:
+            num += w * s[:k].sum()
+        elif k:
+            idx = NeighborIndex(s)
+            _, nbrs = idx.query(x, k) if np.ndim(x) == 1 else idx.query_batch(x, k)
+            num += w * idx.labels[nbrs].sum(axis=-1)
     return num / den
 
 
@@ -242,16 +244,19 @@ def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
     1{sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) >= 0} (Alg. 3) for
     one source, and 1{snr_pos >= snr_neg} for m >= 2.
     """
-    groups = [ds.q_data, *ds.sources]
-    n = sum(len(s) for s in groups)
-    if n == 0:
-        raise ValueError("dataset is empty")
     # Looked up on the module, so a replaced neighbors.merged_order (a tracer
     # or a tie-rule mutation) sees every scan.
-    mo = neighbors.merged_order(groups, x)
+    return _adaptive_scan(neighbors.merged_order([ds.q_data, *ds.sources], x), ds.d)
+
+
+def _adaptive_scan(mo: neighbors.MergedOrder, d: int) -> tuple[int, AdaptiveTrace]:
+    """The scan of ``adaptive_predict`` over the merged order of [Q, S_1..S_m]."""
+    n = len(mo)
+    if n == 0:
+        raise ValueError("dataset is empty")
     # Row g of the (m+1, n) arrays is group g; the sums over axis 0 add the
     # groups in order, Q first.
-    member = mo.group == np.arange(len(groups))[:, None]
+    member = mo.group == np.arange(mo.n_groups)[:, None]
     k_counts = np.cumsum(member, axis=1)
     sums = np.cumsum(member * mo.labels, axis=1)
     etas = np.where(k_counts > 0, sums / np.maximum(k_counts, 1), 0.5)
@@ -261,39 +266,26 @@ def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
     snr_pos = np.where(above, terms, 0.0).sum(axis=0)
     snr_neg = np.where(above, 0.0, terms).sum(axis=0)
     snr = np.maximum(snr_pos, snr_neg)
-    threshold = (ds.d + 3) * math.log(n)
+    threshold = (d + 3) * math.log(n)
     exceed = snr > threshold
-    if exceed.any():
-        chosen = int(np.argmax(exceed))
-        stop_step = chosen + 1
-    else:
-        stop_step = None
-        chosen = int(np.argmax(snr))
-    if ds.m == 1:
+    stops = bool(exceed.any())
+    chosen = int(np.argmax(exceed if stops else snr))
+    if mo.n_groups == 2:
         k, eta = k_counts[:, chosen], etas[:, chosen]
         label = int(math.sqrt(k[1]) * (eta[1] - 0.5) + math.sqrt(k[0]) * (eta[0] - 0.5) >= 0)
     else:
         label = int(snr_pos[chosen] >= snr_neg[chosen])
-    trace = AdaptiveTrace(
+    return label, AdaptiveTrace(
         k_counts=k_counts, etas=etas, snr_pos=snr_pos, snr_neg=snr_neg, snr=snr,
-        threshold=threshold, stop_step=stop_step, chosen_step=chosen + 1, label=label,
-    )
-    return label, trace
-
-
-def _width_log_outside(n: int, d: int, k: np.ndarray) -> np.ndarray:
-    return np.sqrt((d + 3) / k) * math.log(n)
-
-
-def _width_log_inside(n: int, d: int, k: np.ndarray) -> np.ndarray:
-    return np.sqrt((d + 3) * math.log(n) / k)
+        threshold=threshold, stop_step=chosen + 1 if stops else None, chosen_step=chosen + 1,
+        label=label)
 
 
 # Two conventions for the confidence width at step k; they differ in
 # where the log(n) factor sits relative to the square root.
 LEPSKI_WIDTHS = {
-    "algorithm3": _width_log_outside,  # sqrt((d+3)/k) * log(n)
-    "lemma5": _width_log_inside,       # sqrt((d+3) * log(n) / k)
+    "algorithm3": lambda n, d, k: np.sqrt((d + 3) / k) * math.log(n),
+    "lemma5": lambda n, d, k: np.sqrt((d + 3) * math.log(n) / k),
 }
 
 
@@ -319,28 +311,26 @@ def lepski_predict(s: SampleSet, x, width: str = "algorithm3") -> tuple[int, Lep
     separates, the label comes from eta_n. ``width`` picks the convention
     from LEPSKI_WIDTHS. Returns (label, trace), like ``adaptive_predict``.
     """
-    n = len(s)
+    _, order = NeighborIndex(s).sorted_order(x)
+    return _lepski_scan(s.labels[order], s.d, width)
+
+
+def _lepski_scan(labels: np.ndarray, d: int, width: str) -> tuple[int, LepskiTrace]:
+    """The scan of ``lepski_predict`` over one sample's labels, nearest first."""
+    n = len(labels)
     if n == 0:
         raise ValueError("sample set is empty")
     try:
         width_fn = LEPSKI_WIDTHS[width]
     except KeyError:
         raise ValueError(f"unknown width variant {width!r}; options: {sorted(LEPSKI_WIDTHS)}")
-    _, order = NeighborIndex(s).sorted_order(x)
-    labels = s.labels[order]
     k = np.arange(1, n + 1, dtype=np.float64)
     eta = np.cumsum(labels) / k
-    w = width_fn(n, s.d, k)
+    w = width_fn(n, d, k)
     lower = np.maximum.accumulate(eta - w)
     upper = np.minimum.accumulate(eta + w)
     split = (lower > 0.5) | (upper < 0.5)
-    if split.any():
-        stop = int(np.argmax(split))
-        stop_step = stop + 1
-        label = int(eta[stop] >= 0.5)
-    else:
-        stop_step = None
-        label = int(eta[-1] >= 0.5)
+    stop = int(np.argmax(split)) if split.any() else None
+    label = int(eta[-1 if stop is None else stop] >= 0.5)
     return label, LepskiTrace(eta=eta, width=w, lower=lower, upper=upper,
-                              stop_step=stop_step, label=label)
-
+                              stop_step=None if stop is None else stop + 1, label=label)

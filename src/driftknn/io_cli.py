@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
+from .core import HyperParams, RandomSource, SampleSet, TransferDataset
 from .classifiers import LEPSKI_WIDTHS, default_knn_k
 from .simulation import (
     _EXPERIMENT_STREAM_IDS,
@@ -491,14 +491,14 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
         raise UsageError(f"{method} needs --gamma (one value, or one per source)")
     if method in SIM_METHODS:
         return fit_method(method, train, hp, args.lepski_width)
-    s = pooled_sample_set(train) if args.pool else train.q_data
-    if len(s) == 0:
+    n = train.n_q + (train.n_p if args.pool else 0)
+    if n == 0:
         raise UsageError(f"{method} has no training rows to use")
     if method == "lepski":
-        return _fit_lepski(method, s, args.lepski_width)
-    if args.k is not None and not (1 <= args.k <= len(s)):
-        raise UsageError(f"--k must be in [1, {len(s)}]")
-    return _fit_knn(method, s, default_knn_k(len(s), hp) if args.k is None else args.k)
+        return _fit_lepski(method, train, args.pool, args.lepski_width)
+    if args.k is not None and not (1 <= args.k <= n):
+        raise UsageError(f"--k must be in [1, {n}]")
+    return _fit_knn(method, train, args.pool, default_knn_k(n, hp) if args.k is None else args.k)
 
 
 def _cmd_predict(args, argv) -> int:

@@ -10,12 +10,16 @@ sample sets additionally break cross-set distance ties by set priority
 Ties are exact float equality. Every ordering path (``sorted_order``, the
 boundary of ``query`` and ``merged_order``) sorts one distance vector with
 one primitive, ``_canonical_argsort``: a default argsort, then one integer
-sort of the runs of equal distances by position. Batch queries go through a
-k-d tree for speed; any row where a distance tie is detected near the cut
-is rerouted through the canonical path, so results never depend on the
-tree's internal ordering. The tie tolerance is relative to each row's own
-k-th distance, and rows whose distances overflow are rerouted without a
-floating-point warning.
+sort of the runs of equal distances by position (``_sort_ties``). Batch
+queries go through a k-d tree for speed; any row where a distance tie is
+detected near the cut is rerouted through the canonical path, so results
+never depend on the tree's internal ordering. The tie tolerance is relative
+to each row's own k-th distance, and rows whose distances overflow are
+rerouted without a floating-point warning.
+
+One ``MergedOrder`` serves every method scored on its query: filtered to one
+set it is that set's order, and with each run of equal distances regrouped by
+pooled position it is the order of ``core.pooled_sample_set`` (S_1..S_m, Q).
 """
 
 from __future__ import annotations
@@ -38,21 +42,22 @@ __all__ = [
 _TIE_RTOL = 1e-9
 
 
-def _canonical_argsort(dist: np.ndarray) -> np.ndarray:
-    """Indices sorting dist by (distance, index): np.lexsort((arange(n), dist)).
-
-    The default argsort is not stable, so each run of exactly equal
-    distances is put back in index order by one sort of the unique integer
-    key run * n + index (exact for n < 3e9). Data without ties skip it.
-    """
-    order = np.argsort(dist)
-    d = dist[order]
+def _sort_ties(d: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """key, a permutation of 0..n-1, sorted within each run of equal values of the
+    ascending d: one sort of the unique integer run * n + key (exact for n < 3e9)."""
     tie = d[1:] == d[:-1]
     if not tie.any():
-        return order
-    n = dist.shape[0]
+        return key
+    n = d.shape[0]
     run = np.concatenate(([0], np.cumsum(~tie)))
-    return np.sort(run * n + order) % n
+    return np.sort(run * n + key) % n
+
+
+def _canonical_argsort(dist: np.ndarray) -> np.ndarray:
+    """Indices sorting dist by (distance, index): np.lexsort((arange(n), dist)).
+    The default argsort is not stable; ``_sort_ties`` restores index order."""
+    order = np.argsort(dist)
+    return _sort_ties(dist[order], order)
 
 
 def _require_finite(x: np.ndarray):
@@ -183,6 +188,20 @@ class MergedOrder:
 
     def __len__(self) -> int:
         return self.distances.shape[0]
+
+    def group_labels(self, g: int) -> np.ndarray:
+        """The labels of set g in its own (distance, index) order."""
+        return self.labels[self.group == g]
+
+    def pooled_labels(self) -> np.ndarray:
+        """The labels in the (distance, index) order of the pooled set S_1..S_m, Q."""
+        sizes = np.bincount(self.group, minlength=self.n_groups)
+        start = np.cumsum(sizes) - sizes  # of each set in [Q, S_1..S_m]
+        start[0] = len(self)              # Q moves behind the sources
+        pos = start[self.group] - sizes[0] + self.within_index
+        by_pos = np.empty_like(self.labels)
+        by_pos[pos] = self.labels
+        return by_pos[_sort_ties(self.distances, pos)]
 
 
 def merged_order(sets: list[SampleSet], x) -> MergedOrder:

@@ -9,10 +9,15 @@ uniformly from the ball B(x_c, 0.05) where the signal lives.
 The experiment engine runs method-vs-grid accuracy sweeps (one fresh
 dataset and one test point per replication), and ``rate_exponent_check``
 fits the empirical log-log convergence slope of the excess risk.
+
+A replication orders its dataset once (``neighbors.merged_order``) and each
+method reads that order, a one-set method through its target or pooled view;
+batch prediction (``eval``, ``rate-check``, ``predict``) orders each query.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,7 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import neighbors
 from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
+from .classifiers import _adaptive_scan, _label, _lepski_scan, _vote_eta
 from .classifiers import (
     adaptive_predict,
     combined_budget_k,
@@ -225,13 +232,14 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
     uniform on [0,1]^d. Draws with zero weight |eta_Q - 1/2| = 0 contribute
     exactly zero, so the classifier is only evaluated where the weight is
     positive; the estimate and standard error equal the full evaluation's.
+    The variance merges per-chunk moments (no E[x^2] - mean^2 cancellation).
     The draw sequence depends only on rng, not on chunk_size.
     """
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2, got {n_mc}")
     gen = rng.generator()
     total = 0.0
-    total_sq = 0.0
+    moments = (0, 0.0, 0.0)  # count, mean, sum of squared deviations
     done = 0
     while done < n_mc:
         m = min(chunk_size, n_mc - done)
@@ -239,17 +247,23 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
         eta = model.eta_q(pts)
         weight = 2.0 * np.abs(eta - 0.5)
         live = np.flatnonzero(weight > 0)
-        if live.size:
-            sub = pts[live]
-            pred = np.asarray(predict(sub))
-            truth = (eta[live] > 0.5).astype(np.int64)
-            contrib = weight[live] * (pred != truth)
-            total += float(contrib.sum())
-            total_sq += float((contrib * contrib).sum())
+        pred = np.asarray(predict(pts[live])) if live.size else 0
+        contrib = weight[live] * (pred != (eta[live] > 0.5))
+        total += float(contrib.sum())
+        moments = _add_chunk(moments, contrib, m)
         done += m
-    mean = total / n_mc
-    var = max(total_sq / n_mc - mean * mean, 0.0) * n_mc / (n_mc - 1)
-    return McEstimate(value=mean, std_error=math.sqrt(var / n_mc), n=n_mc)
+    var = moments[2] / (n_mc - 1)
+    return McEstimate(value=total / n_mc, std_error=math.sqrt(var / n_mc), n=n_mc)
+
+
+def _add_chunk(moments: tuple[int, float, float], values: np.ndarray, n: int):
+    """moments after n more draws, values then zeros (Chan, Golub & LeVeque merge)."""
+    count, mean, m2 = moments
+    c_mean = float(values.sum()) / n
+    dev = values - c_mean
+    c_m2 = float(dev @ dev) + (n - len(values)) * c_mean * c_mean
+    total, delta = count + n, c_mean - mean
+    return total, mean + delta * n / total, m2 + c_m2 + delta * delta * count * n / total
 
 
 def constant_classifier(label: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -264,47 +278,59 @@ def constant_classifier(label: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class FittedMethod:
-    """A classifier fitted to one dataset: point and batch prediction."""
+    """A fitted classifier: one label from a merged order, or labels of query rows."""
 
-    def __init__(self, name: str, point_fn: Callable, batch_fn: Callable | None = None):
-        self.name = name
-        self._point = point_fn
-        self._batch = batch_fn
+    def __init__(self, name: str, order_fn: Callable, batch_fn: Callable | None = None,
+                 point_fn: Callable | None = None):
+        self.name, self._order, self._batch, self._point = name, order_fn, batch_fn, point_fn
 
-    def predict_point(self, x) -> int:
-        return int(self._point(x))
+    def predict_order(self, mo: neighbors.MergedOrder) -> int:
+        return int(self._order(mo))
 
     def predict_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
-        if self._batch is not None:
-            return np.asarray(self._batch(pts), dtype=np.int64)
-        return np.array([self._point(x) for x in pts], dtype=np.int64)
+        labels = self._batch(pts) if self._batch else [self._point(x) for x in pts]
+        return np.asarray(labels, dtype=np.int64)
 
 
-def _fit_knn(name: str, s: SampleSet, k: int) -> FittedMethod:
-    """Plain k-NN majority vote on one sample set, k clamped to [1, len(s)]."""
-    if len(s) == 0:
+def _one_set(ds: TransferDataset, pooled: bool):
+    """(size, MergedOrder view, SampleSet built on first use) of Q, or pooled of S_1..S_m, Q."""
+    if pooled:
+        return (ds.n_q + ds.n_p, neighbors.MergedOrder.pooled_labels,
+                functools.cache(lambda: pooled_sample_set(ds)))
+    return ds.n_q, lambda mo: mo.group_labels(0), lambda: ds.q_data
+
+
+def _fit_knn(name: str, ds: TransferDataset, pooled: bool, k: int) -> FittedMethod:
+    """Plain k-NN majority vote on one set of rows, k clamped to [1, n]."""
+    n, view, one_set = _one_set(ds, pooled)
+    if n == 0:
         raise ValueError(f"method {name!r} has no samples to fit on")
-    k = min(max(1, k), len(s))
-    vote = lambda x: knn_predict(s, k, x)
-    return FittedMethod(name, vote, vote)
+    k = min(max(1, k), n)
+    return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
+                        lambda pts: knn_predict(one_set(), k, pts))
 
 
 def _fit_weighted(ds: TransferDataset, hp: HyperParams) -> FittedMethod:
     """The weighted vote over [Q, S_1..S_m] with the minimax_plan."""
     plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
-    vote = lambda x: weighted_knn_predict(ds, plan, x)
-    return FittedMethod("weighted", vote, vote)
+    ks, ws = (plan.k_q, *plan.k_sources), (plan.w_q, *plan.w_sources)
+    views = lambda mo: [mo.group_labels(g) for g in range(mo.n_groups)]
+    return FittedMethod("weighted", lambda mo: _label(_vote_eta(views(mo), ks, ws)),
+                        lambda pts: weighted_knn_predict(ds, plan, pts))
 
 
 def _fit_adaptive(ds: TransferDataset) -> FittedMethod:
     """The adaptive scan over [Q, S_1..S_m]."""
-    return FittedMethod("adaptive", lambda x: adaptive_predict(ds, x)[0])
+    return FittedMethod("adaptive", lambda mo: _adaptive_scan(mo, ds.d)[0],
+                        point_fn=lambda x: adaptive_predict(ds, x)[0])
 
 
-def _fit_lepski(name: str, s: SampleSet, width: str) -> FittedMethod:
-    """The Lepski interval scan on one sample set."""
-    return FittedMethod(name, lambda x: lepski_predict(s, x, width=width)[0])
+def _fit_lepski(name: str, ds: TransferDataset, pooled: bool, width: str) -> FittedMethod:
+    """The Lepski interval scan on one set of rows."""
+    _, view, one_set = _one_set(ds, pooled)
+    return FittedMethod(name, lambda mo: _lepski_scan(view(mo), ds.d, width)[0],
+                        point_fn=lambda x: lepski_predict(one_set(), x, width=width)[0])
 
 
 # The named methods of simulate and eval: each maps (dataset, hyper-parameters,
@@ -313,11 +339,11 @@ def _fit_lepski(name: str, s: SampleSet, width: str) -> FittedMethod:
 METHODS: dict[str, Callable[[TransferDataset, HyperParams, str], FittedMethod]] = {
     "weighted": lambda ds, hp, _w: _fit_weighted(ds, hp),
     "combined": lambda ds, hp, _w: _fit_knn(
-        "combined", pooled_sample_set(ds), combined_budget_k(ds.source_sizes, ds.n_q, hp)),
-    "qonly": lambda ds, hp, _w: _fit_knn("qonly", ds.q_data, default_knn_k(ds.n_q, hp)),
+        "combined", ds, True, combined_budget_k(ds.source_sizes, ds.n_q, hp)),
+    "qonly": lambda ds, hp, _w: _fit_knn("qonly", ds, False, default_knn_k(ds.n_q, hp)),
     "adaptive": lambda ds, _hp, _w: _fit_adaptive(ds),
-    "lepski-combined": lambda ds, _hp, w: _fit_lepski("lepski-combined", pooled_sample_set(ds), w),
-    "lepski-q": lambda ds, _hp, w: _fit_lepski("lepski-q", ds.q_data, w),
+    "lepski-combined": lambda ds, _hp, w: _fit_lepski("lepski-combined", ds, True, w),
+    "lepski-q": lambda ds, _hp, w: _fit_lepski("lepski-q", ds, False, w),
 }
 NONADAPTIVE_METHODS = ("weighted", "combined", "qonly")
 ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
@@ -384,7 +410,8 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     """Accuracy sweep over a (p_max x n_P) grid.
 
     Each replication draws a fresh dataset and a single test point from
-    B(x_c, test_radius), then scores every method on that point. gamma is
+    B(x_c, test_radius), orders the dataset once around it and scores every
+    method on that order (wall_time excludes the shared ordering). gamma is
     used both to generate the source data and in the weighted plan.
     Replication streams are keyed by (experiment, grid index, replication),
     so results are independent of method order and reproducible per seed.
@@ -414,9 +441,11 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
                 truth = int(model.sample_labels(x[None, :], "Q", rs.substream(2).generator())[0])
             else:
                 raise ValueError(f"unknown accuracy target {accuracy_target!r}")
+            # one order for every method, looked up on the module as in adaptive_predict
+            mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
             for name in methods:
                 t0 = time.perf_counter()
-                pred = fit_method(name, ds, hp, lepski_width).predict_point(x)
+                pred = fit_method(name, ds, hp, lepski_width).predict_order(mo)
                 elapsed = time.perf_counter() - t0
                 records.append(ExperimentRecord(
                     experiment=experiment, method=name, seed=seed, replication=rep,
@@ -548,6 +577,12 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     if sweep not in ("q", "p"):
         raise ValueError(f"sweep must be 'q' or 'p', got {sweep!r}")
     model = make_drift_model(p_max, hp.scalar_gamma(), hp.d)
+    # Only draws in the signal ball B(x_c, p_max - 1/2) can carry risk.
+    in_ball = n_mc * math.pi ** (hp.d / 2) * (p_max - 0.5) ** hp.d / math.gamma(hp.d / 2 + 1)
+    ball_note = (f"d = {hp.d}, p_max = {p_max}, n_mc = {n_mc}: about {in_ball:.3g} Monte Carlo "
+                 f"draws per replication are expected in the signal ball")
+    if in_ball < 1:
+        raise ValueError(f"too few draws to fit a slope ({ball_note}; need at least 1)")
     experiment = f"rate-{sweep}"
     target = target_rate_exponent(hp, sweep)
     root = rng.substream(_EXPERIMENT_STREAM_IDS[experiment])
@@ -572,12 +607,8 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     means = rep_risks.mean(axis=1)
     if np.any(means <= 0):
         bad = sizes[int(np.flatnonzero(means <= 0)[0])]
-        # Only draws in the signal ball B(x_c, p_max - 1/2) can carry risk.
-        in_ball = n_mc * math.pi ** (hp.d / 2) * (p_max - 0.5) ** hp.d / math.gamma(hp.d / 2 + 1)
         raise RuntimeError(
-            f"mean excess risk is zero at size {bad}; cannot fit a log-log slope "
-            f"(d = {hp.d}, p_max = {p_max}, n_mc = {n_mc}: about {in_ball:.3g} Monte Carlo "
-            f"draws per replication are expected in the signal ball)")
+            f"mean excess risk is zero at size {bad}; cannot fit a log-log slope ({ball_note})")
     log_sizes = np.log(np.asarray(sizes, dtype=np.float64))
     slope = _fit_slope(log_sizes, means)
     boot_gen = root.substream(0).generator()

@@ -1,6 +1,7 @@
 """CSV exchange formats, run manifests, and the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -594,6 +595,24 @@ def test_cli_simulate_usage_errors(tmp_path):
     assert run_cli(["simulate", "no-such-sweep", "--out", out]) == 2
 
 
+# SHA-256 of the aggregate CSVs at --seed 7, written when every method still
+# ordered its own sample (merged, pooled and target orders computed apart).
+PRESET_CSV_SHA256 = {
+    "fig4a": "c6babce0013562f019a2eee43c88d20dba24e37b3f712574999405a0ff432aab",
+    "fig5a": "fc7918d033027f06ae8c625fac9b4c27a432f4a5ba01ee3794f94c0c7c653bf8",
+    "fig4b": "3d46a3001a7081eef3f42da96a5cc2c118dae1acc3a8c3f9f521129f316c54d9",
+    "fig5b": "6396135827f4f2b18077f6a94f037c1addbd7501c28438783270fb35cab967fb",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_CSV_SHA256))
+def test_cli_simulate_presets_are_frozen(tmp_path, preset):
+    out = tmp_path / "agg.csv"
+    flags = ["--reps", "3", "--pmax", "0.53,0.55"] if preset.endswith("a") else ["--reps", "2"]
+    assert run_cli(["simulate", preset, "--seed", "7", "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[preset]
+
+
 def test_cli_rate_check(tmp_path, capsys):
     out = tmp_path / "rate.csv"
     code = run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "2",
@@ -617,6 +636,8 @@ def test_cli_rate_check_usage_errors():
                     "--pmax", "0.3"]) == 2
     assert run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "2",
                     "--nmc", "1"]) == 2
+    # about 0.517 of the 100000 default draws are expected in the d = 6 signal ball
+    assert run_cli(["rate-check", "--d", "6"]) == 2
 
 
 def test_cli_eval(tmp_path, capsys):

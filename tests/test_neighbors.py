@@ -2,12 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftknn.core import RandomSource, SampleSet
+from driftknn.core import RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.neighbors import (
     MergedOrder,
     NeighborIndex,
@@ -324,7 +325,8 @@ def test_merged_order_multi_groups():
 def assert_orders_match_lexsort(sets, x):
     """Every ordering path, the k-d tree batch path included, against
     np.lexsort on the same float distances: (distance, index) in each set,
-    (distance, group, index) merged."""
+    (distance, group, index) merged, and the merged order's views of one
+    set and of the pooled set."""
     x = np.asarray(x, dtype=np.float64)
     dists = [_distances(s.points, x) for s in sets]
     for s, dist in zip(sets, dists):
@@ -352,6 +354,21 @@ def assert_orders_match_lexsort(sets, x):
     np.testing.assert_array_equal(mo.group, group[ref])
     np.testing.assert_array_equal(mo.within_index, within[ref])
     np.testing.assert_array_equal(mo.labels, np.concatenate([s.labels for s in sets])[ref])
+    # The views of the merged order, once with row ids in place of the labels,
+    # so that each must reproduce an order, not only a label sequence: set g
+    # alone, and the pooled set S_1..S_m, Q.
+    for g, s in enumerate(sets):
+        got = replace(mo, labels=mo.within_index).group_labels(g)
+        np.testing.assert_array_equal(got, NeighborIndex(s).sorted_order(x)[1])
+        np.testing.assert_array_equal(mo.group_labels(g), s.labels[got])
+    pooled = pooled_sample_set(TransferDataset(tuple(sets[1:]), sets[0]))
+    pooled_ref = np.lexsort((np.arange(len(pooled)), _distances(pooled.points, x)))
+    starts = np.cumsum([0] + [len(s) for s in sets[1:]])  # S_1..S_m, then Q
+    first = np.roll(starts, 1)  # the pooled row of each set's first row, Q first
+    got = replace(mo, labels=first[mo.group] + mo.within_index).pooled_labels()
+    np.testing.assert_array_equal(got, pooled_ref)
+    np.testing.assert_array_equal(got, NeighborIndex(pooled).sorted_order(x)[1])
+    np.testing.assert_array_equal(mo.pooled_labels(), pooled.labels[pooled_ref])
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

@@ -24,6 +24,7 @@ from driftknn.simulation import (
     classification_accuracy,
     constant_classifier,
     excess_risk_mc,
+    _add_chunk,
     _fit_adaptive,
     _fit_weighted,
     fit_method,
@@ -252,6 +253,26 @@ def test_excess_risk_chunk_size_invariance():
     assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
 
 
+def test_chunk_merged_variance_is_exact_far_from_zero():
+    # 1e8 + U(0,1): E[x^2] - mean^2 cancels all but a few bits of the variance 1/12
+    gen = np.random.default_rng(3)
+    values = 1e8 + gen.random(100_000)
+    want = np.var(values, ddof=1)
+    naive = (np.mean(values * values) - values.mean() ** 2) * len(values) / (len(values) - 1)
+    assert abs(naive - want) > 1e-3 * want
+    for cuts in ([], [1], [5, 17], list(range(1000, 100_000, 7919))):
+        moments = (0, 0.0, 0.0)
+        for chunk in np.split(values, cuts):
+            moments = _add_chunk(moments, chunk, len(chunk))
+        assert moments[0] == len(values)
+        assert moments[2] / (len(values) - 1) == pytest.approx(want, rel=1e-9)
+    # a chunk's zero draws are counted without being stored
+    n, mean, m2 = _add_chunk((0, 0.0, 0.0), values[:10], 25)
+    padded = np.concatenate([values[:10], np.zeros(15)])
+    assert n == 25 and mean == pytest.approx(padded.mean(), rel=1e-15)
+    assert m2 == pytest.approx(np.var(padded) * 25, rel=1e-12)
+
+
 def test_excess_risk_validation():
     m = make_drift_model(0.55)
     with pytest.raises(ValueError, match="n_mc"):
@@ -267,13 +288,14 @@ def test_fitted_method_point_fallback():
         calls.append(1)
         return 1
 
-    fm = FittedMethod("stub", point)
-    assert fm.predict_point([0.0]) == 1
+    fm = FittedMethod("stub", lambda mo: 0, point_fn=point)
+    assert fm.predict_order(None) == 0
     out = fm.predict_batch(np.zeros((3, 1)))
     assert out.tolist() == [1, 1, 1]
-    assert len(calls) == 4  # one point call plus three fallback calls
-    fm2 = FittedMethod("stub2", point, lambda pts: np.zeros(len(pts)))
+    assert len(calls) == 3  # one fallback call per row
+    fm2 = FittedMethod("stub2", lambda mo: 0, lambda pts: np.zeros(len(pts)), point)
     assert fm2.predict_batch(np.zeros((3, 1))).tolist() == [0, 0, 0]
+    assert len(calls) == 3  # a batch function replaces the fallback
 
 
 def test_fit_method_all_names_predict():
@@ -283,7 +305,7 @@ def test_fit_method_all_names_predict():
     for name in METHODS:
         fm = fit_method(name, ds, HP_MAIN)
         assert fm.name == name
-        assert fm.predict_point(x) in (0, 1)
+        assert fm.predict_order(merged_order([ds.q_data, *ds.sources], x)) in (0, 1)
         assert fm.predict_batch(np.vstack([x, x])).shape == (2,)
     with pytest.raises(ValueError, match="unknown method"):
         fit_method("nope", ds, HP_MAIN)
@@ -303,34 +325,26 @@ def lattice_set(gen, n, grid, d=2):
 LATTICE = dict(seed=st.integers(0, 2**32 - 1), grid=st.integers(1, 8))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(n_p=st.integers(0, 40), n_q=st.integers(1, 40), **LATTICE)
-def test_fit_method_batch_agrees_with_point(n_p, n_q, seed, grid):
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=3), n_q=st.integers(1, 40),
+       **LATTICE)
+def test_fit_method_batch_agrees_with_order(sizes, n_q, seed, grid):
+    # m = 1..3 sources on the 1/grid lattice, so distance ties are common: each
+    # registry method gives the same label from the shared merged order (the
+    # replication path) and from its batch path (eval, predict)
     gen = np.random.default_rng(seed)
-    ds = TransferDataset((lattice_set(gen, n_p, grid),), lattice_set(gen, n_q, grid))
-    pts = lattice_points(gen, 12, grid)
+    ds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
+                         lattice_set(gen, n_q, grid))
+    pts = lattice_points(gen, 10, grid)
+    orders = [merged_order([ds.q_data, *ds.sources], x) for x in pts]
     for name in METHODS:
         fm = fit_method(name, ds, HP_MAIN)
-        single = np.array([fm.predict_point(x) for x in pts])
-        np.testing.assert_array_equal(fm.predict_batch(pts), single, err_msg=name)
-
-
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(sizes=st.lists(st.integers(0, 30), min_size=2, max_size=3), n_q=st.integers(1, 30),
-       **LATTICE)
-def test_multisource_fits_batch_agree_with_point(sizes, n_q, seed, grid):
-    gen = np.random.default_rng(seed)
-    mds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
-                          lattice_set(gen, n_q, grid))
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
-    plan = minimax_plan(mds.source_sizes, mds.n_q, hp)
-    pts = lattice_points(gen, 10, grid)
-    weighted, adaptive = _fit_weighted(mds, hp), _fit_adaptive(mds)
-    want_w = [weighted_knn_predict(mds, plan, x) for x in pts]
-    want_a = [adaptive_predict(mds, x)[0] for x in pts]
-    np.testing.assert_array_equal(weighted.predict_batch(pts), want_w)
-    np.testing.assert_array_equal([weighted.predict_point(x) for x in pts], want_w)
-    np.testing.assert_array_equal(adaptive.predict_batch(pts), want_a)
+        np.testing.assert_array_equal(
+            fm.predict_batch(pts), [fm.predict_order(mo) for mo in orders], err_msg=name)
+    # the one-query vote, through NeighborIndex.query
+    plan = minimax_plan(ds.source_sizes, ds.n_q, HP_MAIN)
+    np.testing.assert_array_equal([weighted_knn_predict(ds, plan, x) for x in pts],
+                                  fit_method("weighted", ds, HP_MAIN).predict_batch(pts))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -394,7 +408,7 @@ def test_non_finite_queries_raise_on_every_path(bad):
     plan = minimax_plan(mds.source_sizes, mds.n_q, HP_MAIN)
     calls = [lambda: weighted_knn_predict(mds, plan, x),
              lambda: adaptive_predict(mds, x)]
-    calls += [lambda fm=fm: fm.predict_point(x) for fm in fits]
+    calls += [lambda: merged_order([mds.q_data, *mds.sources], x)]
     calls += [lambda fm=fm: fm.predict_batch(pts) for fm in fits]
     for call in calls:
         with pytest.raises(ValueError, match="non-finite coordinate"):
@@ -422,6 +436,31 @@ def test_run_accuracy_experiment_shape_and_determinism():
     assert [r.accuracy for r in rec1] == [r.accuracy for r in rec2]
     assert {r.method for r in rec1} == {"weighted", "qonly"}
     assert all(r.excess_risk is None for r in rec1)
+
+
+def test_replication_orders_once_for_every_method(monkeypatch):
+    from driftknn import core, neighbors, simulation
+
+    calls = []
+    real = neighbors.merged_order
+
+    def counting(sets, x):
+        calls.append(len(sets))
+        return real(sets, x)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a replication ordered its points a second time")
+
+    monkeypatch.setattr(neighbors, "merged_order", counting)
+    for owner, attr in ((neighbors.NeighborIndex, "sorted_order"),
+                        (neighbors.NeighborIndex, "query"),
+                        (neighbors.NeighborIndex, "query_batch"),
+                        (core, "pooled_sample_set"), (simulation, "pooled_sample_set")):
+        monkeypatch.setattr(owner, attr, refuse)
+    records = run_accuracy_experiment("fig5a", methods=tuple(METHODS), p_max_values=(0.53, 0.55),
+                                      n_p_values=(0, 40), n_q=30, reps=3, seed=4)
+    assert calls == [2] * (2 * 2 * 3)
+    assert len(records) == len(calls) * len(METHODS)
 
 
 def test_run_accuracy_experiment_method_streams_independent():
@@ -519,13 +558,22 @@ def test_rate_check_smoke():
     assert again.slope == result.slope
 
 
-def test_rate_check_zero_risk_names_the_expected_ball_draws():
+def test_rate_check_refuses_fewer_than_one_expected_ball_draw():
     # at d = 6 the signal ball B(x_c, 0.1) holds 2000 * pi^3 * 0.1^6 / 3! = 0.0103
-    # of the 2000 Monte Carlo draws in expectation, so every risk is zero
+    # of the 2000 Monte Carlo draws in expectation: refused before any sampling
     hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=6)
-    with pytest.raises(RuntimeError, match=r"^mean excess risk is zero at size 20; .*"
-                       r"\(d = 6, p_max = 0.6, n_mc = 2000: about 0.0103 Monte Carlo draws"):
+    with pytest.raises(ValueError, match=r"^too few draws to fit a slope \(d = 6, p_max = 0.6, "
+                       r"n_mc = 2000: about 0.0103 Monte Carlo draws .*; need at least 1\)$"):
         rate_exponent_check(hp, (20, 50, 100, 200), reps=2, rng=RandomSource(6), n_mc=2000)
+
+
+def test_rate_check_zero_risk_names_the_expected_ball_draws():
+    # 4000 * pi * 0.01^2 = 1.26 expected draws in B(x_c, 0.01): past the refusal,
+    # yet at this seed both replications at size 20 have zero risk
+    with pytest.raises(RuntimeError, match=r"^mean excess risk is zero at size 20; .*"
+                       r"\(d = 2, p_max = 0.51, n_mc = 4000: about 1.26 Monte Carlo draws"):
+        rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(0),
+                            p_max=0.51, n_mc=4000)
 
 
 def test_rate_check_source_sweep_runs():
