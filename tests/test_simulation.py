@@ -325,26 +325,42 @@ def lattice_set(gen, n, grid, d=2):
 LATTICE = dict(seed=st.integers(0, 2**32 - 1), grid=st.integers(1, 8))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=3), n_q=st.integers(1, 40),
-       **LATTICE)
-def test_fit_method_batch_agrees_with_order(sizes, n_q, seed, grid):
-    # m = 1..3 sources on the 1/grid lattice, so distance ties are common: each
-    # registry method gives the same label from the shared merged order (the
-    # replication path) and from its batch path (eval, predict)
-    gen = np.random.default_rng(seed)
-    ds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
-                         lattice_set(gen, n_q, grid))
-    pts = lattice_points(gen, 10, grid)
+def assert_batch_agrees_with_order(ds, pts):
+    """Each registry method gives the same label from the shared merged order
+    of one query (the replication path) and from its batch path (eval, predict)."""
     orders = [merged_order([ds.q_data, *ds.sources], x) for x in pts]
     for name in METHODS:
         fm = fit_method(name, ds, HP_MAIN)
         np.testing.assert_array_equal(
             fm.predict_batch(pts), [fm.predict_order(mo) for mo in orders], err_msg=name)
-    # the one-query vote, through NeighborIndex.query
-    plan = minimax_plan(ds.source_sizes, ds.n_q, HP_MAIN)
-    np.testing.assert_array_equal([weighted_knn_predict(ds, plan, x) for x in pts],
-                                  fit_method("weighted", ds, HP_MAIN).predict_batch(pts))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n_p=st.integers(0, 40), n_q=st.integers(1, 40), **LATTICE)
+def test_fit_method_batch_agrees_with_point(n_p, n_q, seed, grid):
+    # one source on the 1/grid lattice, so distance ties are common
+    gen = np.random.default_rng(seed)
+    ds = TransferDataset((lattice_set(gen, n_p, grid),), lattice_set(gen, n_q, grid))
+    assert_batch_agrees_with_order(ds, lattice_points(gen, 12, grid))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(sizes=st.lists(st.integers(0, 30), min_size=2, max_size=3), n_q=st.integers(1, 30),
+       **LATTICE)
+def test_multisource_fits_batch_agree_with_point(sizes, n_q, seed, grid):
+    gen = np.random.default_rng(seed)
+    mds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
+                          lattice_set(gen, n_q, grid))
+    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    plan = minimax_plan(mds.source_sizes, mds.n_q, hp)
+    pts = lattice_points(gen, 10, grid)
+    assert_batch_agrees_with_order(mds, pts)
+    # the one-query public functions: the vote through NeighborIndex.query, the scan
+    weighted, adaptive = _fit_weighted(mds, hp), _fit_adaptive(mds)
+    want_w = [weighted_knn_predict(mds, plan, x) for x in pts]
+    want_a = [adaptive_predict(mds, x)[0] for x in pts]
+    np.testing.assert_array_equal(weighted.predict_batch(pts), want_w)
+    np.testing.assert_array_equal(adaptive.predict_batch(pts), want_a)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
