@@ -67,8 +67,8 @@ class SampleSet:
             raise ValueError(
                 f"{pts.shape[0]} points but {labs.shape[0]} labels"
             )
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        if bad.size:
+        if not np.isfinite(pts).all():
+            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
             raise ValueError(f"sample {int(bad[0])}: non-finite coordinate")
         bad = np.flatnonzero((labs != 0) & (labs != 1))
         if bad.size:

@@ -289,15 +289,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    out = []
-    for v in text.split(","):
-        v = v.strip()
-        if not v:
-            continue
-        if not v.lstrip("-").isdigit():
-            raise UsageError(f"expected a comma-separated list of integers, got {text!r}")
-        out.append(int(v))
-    return out
+    vals = [v.strip() for v in text.split(",") if v.strip()]
+    if not all(v.lstrip("-").isdigit() for v in vals):
+        raise UsageError(f"expected a comma-separated list of integers, got {text!r}")
+    return [int(v) for v in vals]
 
 
 def _hyperparams(args, gamma) -> HyperParams:
@@ -601,3 +596,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -543,8 +543,20 @@ class RateCheckResult:
     records: list[ExperimentRecord] = field(repr=False, default_factory=list)
 
 
-def _fit_slope(log_sizes: np.ndarray, means: np.ndarray) -> float:
-    return float(np.polyfit(log_sizes, np.log(means), 1)[0])
+def _fit_slope(log_sizes: np.ndarray, means: np.ndarray):
+    """Least-squares slope of log(means) on log_sizes; one per column of a 2-d means."""
+    return np.polyfit(log_sizes, np.log(means), 1)[0]
+
+
+def _bootstrap_ci(rep_risks: np.ndarray, log_sizes: np.ndarray, gen: np.random.Generator,
+                  n_bootstrap: int) -> tuple[float, ...]:
+    """95% percentile slope interval over n_bootstrap resamples, drawn and fitted at once."""
+    draws = gen.integers(rep_risks.shape[1], size=(n_bootstrap, *rep_risks.shape))
+    means = np.take_along_axis(rep_risks[None], draws, axis=2).mean(axis=2)
+    means = means[np.all(means > 0, axis=1)]
+    if len(means) < max(n_bootstrap // 2, 1):
+        raise RuntimeError("bootstrap degenerate: too many zero-risk resamples")
+    return tuple(map(float, np.percentile(_fit_slope(log_sizes, means.T), [2.5, 97.5])))
 
 
 def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: RandomSource,
@@ -610,20 +622,9 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise RuntimeError(
             f"mean excess risk is zero at size {bad}; cannot fit a log-log slope ({ball_note})")
     log_sizes = np.log(np.asarray(sizes, dtype=np.float64))
-    slope = _fit_slope(log_sizes, means)
-    boot_gen = root.substream(0).generator()
-    boot_slopes = []
-    for _ in range(n_bootstrap):
-        draw = rep_risks[np.arange(len(sizes))[:, None],
-                         boot_gen.integers(reps, size=(len(sizes), reps))]
-        bmeans = draw.mean(axis=1)
-        if np.all(bmeans > 0):
-            boot_slopes.append(_fit_slope(log_sizes, bmeans))
-    if len(boot_slopes) < n_bootstrap // 2:
-        raise RuntimeError("bootstrap degenerate: too many zero-risk resamples")
-    lo, hi = np.percentile(boot_slopes, [2.5, 97.5])
+    lo, hi = _bootstrap_ci(rep_risks, log_sizes, root.substream(0).generator(), n_bootstrap)
     return RateCheckResult(
         sweep=sweep, sizes=sizes, mean_risks=tuple(float(v) for v in means),
-        rep_risks=rep_risks, slope=slope, ci_low=float(lo), ci_high=float(hi),
+        rep_risks=rep_risks, slope=float(_fit_slope(log_sizes, means)), ci_low=lo, ci_high=hi,
         target_slope=target, n_mc=n_mc, reps=reps, seed=rng.seed, records=records,
     )

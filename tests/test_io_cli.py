@@ -4,11 +4,16 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftknn
 from driftknn.classifiers import (
     adaptive_predict,
     combined_budget_k,
@@ -613,6 +618,24 @@ def test_cli_simulate_presets_are_frozen(tmp_path, preset):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[preset]
 
 
+# SHA-256 of rate-check --seed 7 --reps 4 --nmc 25000 --out rate.csv, written
+# when the bootstrap drew and fitted one resample at a time; stdout holds the CI.
+RATE_CHECK_SHA256 = {
+    "stdout": "2905b7583d3a4f90a62fa3dc20529c21cae548c3d66538d3dca63cce0d89cb8d",
+    "csv": "d89614a03cf314ef8a54b65af45ac028b22931957bc3c646c725166b09296996",
+}
+
+
+def test_cli_rate_check_is_frozen(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["rate-check", "--seed", "7", "--reps", "4", "--nmc", "25000",
+                    "--out", "rate.csv"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == RATE_CHECK_SHA256["stdout"]
+    csv_bytes = (tmp_path / "rate.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == RATE_CHECK_SHA256["csv"]
+
+
 def test_cli_rate_check(tmp_path, capsys):
     out = tmp_path / "rate.csv"
     code = run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "2",
@@ -638,6 +661,15 @@ def test_cli_rate_check_usage_errors():
                     "--nmc", "1"]) == 2
     # about 0.517 of the 100000 default draws are expected in the d = 6 signal ball
     assert run_cli(["rate-check", "--d", "6"]) == 2
+
+
+def test_module_form_exits_like_the_console_script():
+    src = str(Path(driftknn.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "driftknn.io_cli", "rate-check", "--d", "6"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert "too few draws" in proc.stderr
 
 
 def test_cli_eval(tmp_path, capsys):

@@ -16,6 +16,7 @@ from driftknn.classifiers import adaptive_predict, minimax_plan, weighted_knn_pr
 from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset
 from driftknn.neighbors import merged_order
 from driftknn.simulation import (
+    _EXPERIMENT_STREAM_IDS,
     ADAPTIVE_METHODS,
     EXPERIMENT_PRESETS,
     METHODS,
@@ -25,7 +26,9 @@ from driftknn.simulation import (
     constant_classifier,
     excess_risk_mc,
     _add_chunk,
+    _bootstrap_ci,
     _fit_adaptive,
+    _fit_slope,
     _fit_weighted,
     fit_method,
     make_drift_model,
@@ -590,6 +593,68 @@ def test_rate_check_zero_risk_names_the_expected_ball_draws():
                        r"\(d = 2, p_max = 0.51, n_mc = 4000: about 1.26 Monte Carlo draws"):
         rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(0),
                             p_max=0.51, n_mc=4000)
+
+
+def _loop_bootstrap_ci(rep_risks, log_sizes, gen, n_bootstrap=1000):
+    """Reference: one draw, one mean and one fit per resample."""
+    n_sizes, reps = rep_risks.shape
+    slopes = []
+    for _ in range(n_bootstrap):
+        draw = rep_risks[np.arange(n_sizes)[:, None], gen.integers(reps, size=(n_sizes, reps))]
+        means = draw.mean(axis=1)
+        if np.all(means > 0):
+            slopes.append(float(_fit_slope(log_sizes, means)))
+    if len(slopes) < n_bootstrap // 2:
+        raise RuntimeError("bootstrap degenerate: too many zero-risk resamples")
+    return tuple(float(v) for v in np.percentile(slopes, [2.5, 97.5]))
+
+
+def _hand_risks(n_sizes, reps, seed, zero_frac=0.0):
+    """Replicate risks falling like n^-0.4 over a doubling grid, some set to zero."""
+    gen = np.random.default_rng(seed)
+    sizes = 500 * 2.0 ** np.arange(n_sizes)
+    risks = gen.exponential(size=(n_sizes, reps)) * sizes[:, None] ** -0.4
+    risks[gen.random((n_sizes, reps)) < zero_frac] = 0.0
+    return np.log(sizes), risks
+
+
+def test_rate_check_bootstrap_matches_the_per_resample_loop():
+    seed, sizes = 6, (20, 50, 100, 200)
+    result = rate_exponent_check(HP_MAIN, sizes, reps=3, rng=RandomSource(seed),
+                                 p_max=0.7, n_mc=2000)
+    root = RandomSource(seed).substream(_EXPERIMENT_STREAM_IDS["rate-q"])
+    ref = _loop_bootstrap_ci(result.rep_risks, np.log(np.asarray(sizes, dtype=np.float64)),
+                             root.substream(0).generator())
+    assert (result.ci_low, result.ci_high) == ref
+    # the benchmark's 6-size grid, odd and even reps, some resamples dropped
+    for reps, seed in ((4, 0), (5, 1), (24, 2)):
+        log_sizes, risks = _hand_risks(6, reps, seed, zero_frac=0.15)
+        got = _bootstrap_ci(risks, log_sizes, RandomSource(seed).generator(), 1000)
+        assert got == _loop_bootstrap_ci(risks, log_sizes, RandomSource(seed).generator())
+
+
+def test_rate_check_bootstrap_long_grid_agrees_to_rounding():
+    # From 8 sizes up, LAPACK's many-column least-squares solve may round the
+    # last bits apart from the one-column solve (seen with OpenBLAS).
+    log_sizes, risks = _hand_risks(9, 3, 3, zero_frac=0.15)
+    got = _bootstrap_ci(risks, log_sizes, RandomSource(3).generator(), 1000)
+    ref = _loop_bootstrap_ci(risks, log_sizes, RandomSource(3).generator())
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_rate_check_bootstrap_degenerate():
+    # three sizes with a single positive replication out of 4: each resample
+    # misses it with probability (3/4)^4, so about 0.32 of resamples are valid
+    log_sizes, risks = _hand_risks(4, 4, 4)
+    risks[:3, :3] = 0.0
+    for fn in (_bootstrap_ci, _loop_bootstrap_ci):
+        with pytest.raises(RuntimeError, match="^bootstrap degenerate"):
+            fn(risks, log_sizes, RandomSource(4).generator(), 1000)
+    # no valid resample at all: the same error, also where half of n_bootstrap is 0
+    risks[0] = 0.0
+    for n_bootstrap in (1000, 1):
+        with pytest.raises(RuntimeError, match="^bootstrap degenerate"):
+            _bootstrap_ci(risks, log_sizes, RandomSource(4).generator(), n_bootstrap)
 
 
 def test_rate_check_source_sweep_runs():
