@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -125,22 +125,65 @@ def _data_rows(fh, path: str):
         header = next(reader)
     except StopIteration:
         raise CsvFormatError(f"{path}: line 1: empty file, expected a header row")
-    return header, ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+    return header, filter(itemgetter(1), enumerate(reader, start=2))
 
 
-def _coords(path: str, lineno: int, row: list[str], d: int) -> list[float]:
-    """The first d fields of a data row as finite floats."""
-    try:
-        x = [float(v) for v in row[:d]]
-    except ValueError:
-        raise CsvFormatError(f"{path}: line {lineno}: non-numeric coordinate")
-    if not all(map(math.isfinite, x)):
-        raise CsvFormatError(f"{path}: line {lineno}: non-finite coordinate")
-    return x
+def _columns(rows, ncols: int, exact: bool):
+    """The first ncols fields of each row by column, up to the first with a wrong field
+    count (any other if exact, else fewer); line numbers; faults as (row, rank, message)."""
+    flat, lines, faults = [], [], []
+    for lineno, row in rows:
+        lines.append(lineno)
+        if len(row) != ncols and (exact or len(row) < ncols):
+            faults.append((len(lines) - 1, 0, f"expected {ncols} fields, got {len(row)}"
+                           if exact else f"expected >= {ncols} fields"))
+            break
+        flat += row if exact else row[:ncols]
+    return [flat[j::ncols] for j in range(ncols)], lines, faults
+
+
+def _float_columns(cols, faults) -> np.ndarray:
+    """The columns as an (n, len(cols)) float array, zero from a column's first
+    non-numeric field on; the first non-numeric and non-finite rows go to faults."""
+    pts = np.zeros((len(cols[0]), len(cols)))
+    for j, col in enumerate(cols):
+        fields = iter(col)
+        try:
+            pts[:, j] = np.fromiter(map(float, fields), np.float64, len(col))
+        except ValueError:  # the field that failed was the last one taken from fields
+            i = len(col) - 1 - len(list(fields))
+            pts[:i, j] = list(map(float, col[:i]))
+            faults.append((i, 1, "non-numeric coordinate"))
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        faults.append((int(finite.argmin()), 2, "non-finite coordinate"))
+    return pts
+
+
+def _code_column(col, code, rank: int, message: str, faults) -> np.ndarray:
+    """code(field.strip()) of each field, computed once per distinct field; a code
+    below 0 marks an invalid field, and the first one goes to faults."""
+    of = {v: code(v.strip()) for v in set(col)}
+    codes = np.fromiter(map(of.__getitem__, col), np.int64, len(col))
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        faults.append((int(bad[0]), rank, message.format(col[bad[0]].strip())))
+    return codes
+
+
+def _raise_first(path: str, lines: list[int], faults) -> None:
+    if faults:
+        row, _, message = min(faults)
+        raise CsvFormatError(f"{path}: line {lines[row]}: {message}")
 
 
 # P, Q, or P followed by a source number in ASCII digits without a leading zero.
 _ORIGIN_TAG = re.compile(r"[PQ]|P[1-9][0-9]*")
+
+
+def _tag_code(tag: str) -> int:
+    """0 for Q, the source number for P1..Pm and 1 for P, -1 for an unknown tag."""
+    return -1 if not _ORIGIN_TAG.fullmatch(tag) else 0 if tag == "Q" else int(tag[1:] or 1)
 
 
 def read_labeled_csv(path):
@@ -150,72 +193,51 @@ def read_labeled_csv(path):
     {P, Q} tags one source, contiguous P1..Pm tags (plus optional Q) m
     sources, so a P1-only file is the same dataset as a P/Q file. Format
     violations raise CsvFormatError citing the 1-based line number of the
-    first faulty row.
+    first faulty row. Fields are checked column by column; within a row the
+    checks keep the order field count, coordinates, label, origin tag.
     """
     path = str(path)
-    coords: list[float] = []
-    labels: list[bool] = []
-    tags: list[str] = []
     with open(path, newline="") as fh:
         header, rows = _data_rows(fh, path)
         d, has_origin = _parse_header(header, path)
-        ncols = d + 1 + (1 if has_origin else 0)
-        for lineno, row in rows:
-            if len(row) != ncols:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {ncols} fields, got {len(row)}")
-            coords += _coords(path, lineno, row, d)
-            ystr = row[d].strip()
-            if ystr not in ("0", "1"):
-                raise CsvFormatError(f"{path}: line {lineno}: label must be 0 or 1, got {ystr!r}")
-            labels.append(ystr == "1")
-            if has_origin:
-                tag = row[d + 1].strip()
-                if not _ORIGIN_TAG.fullmatch(tag):
-                    raise CsvFormatError(f"{path}: line {lineno}: unknown origin tag {tag!r}")
-                tags.append(tag)
-
-    pts = np.array(coords, dtype=np.float64).reshape(-1, d)
-    labs = np.array(labels, dtype=np.int64)
+        cols, lines, faults = _columns(rows, d + 1 + has_origin, exact=True)
+    pts = _float_columns(cols[:d], faults)
+    labs = _code_column(cols[d], lambda y: {"0": 0, "1": 1}.get(y, -1), 3,
+                        "label must be 0 or 1, got {!r}", faults)
+    if has_origin:
+        tag_of = _code_column(cols[d + 1], _tag_code, 4, "unknown origin tag {!r}", faults)
+    _raise_first(path, lines, faults)
     if not has_origin:
         return SampleSet(pts, labs)
-    tag_of = np.array(tags, dtype=str)
-
-    def rows_tagged(tag: str) -> SampleSet:
-        mask = tag_of == tag
-        return SampleSet(pts[mask], labs[mask])
-
-    numbered = set(tags) - {"P", "Q"}
+    tags = {v.strip() for v in set(cols[d + 1])}
+    rows_tagged = lambda code: SampleSet(pts[tag_of == code], labs[tag_of == code])
+    numbered = tags - {"P", "Q"}
     if not numbered:
-        return TransferDataset((rows_tagged("P"),), rows_tagged("Q"))
+        return TransferDataset((rows_tagged(1),), rows_tagged(0))
     if "P" in tags:
         raise CsvFormatError(f"{path}: cannot mix origin 'P' with numbered sources")
     ids = sorted(int(t[1:]) for t in numbered)
     if ids != list(range(1, len(ids) + 1)):
         raise CsvFormatError(
             f"{path}: source tags must be contiguous P1..Pm, got {sorted(numbered)}")
-    return TransferDataset(tuple(rows_tagged(f"P{i}") for i in ids), rows_tagged("Q"))
+    return TransferDataset(tuple(rows_tagged(i) for i in ids), rows_tagged(0))
 
 
 def read_points_csv(path) -> np.ndarray:
     """Read query points: header x0..x{d-1} with optional extra columns ignored."""
     path = str(path)
-    coords: list[float] = []
     with open(path, newline="") as fh:
         header, rows = _data_rows(fh, path)
         cols = [c.strip() for c in header]
-        d = 0
-        while d < len(cols) and cols[d] == f"x{d}":
-            d += 1
+        d = next((i for i, c in enumerate(cols) if c != f"x{i}"), len(cols))
         if d == 0:
             raise CsvFormatError(f"{path}: line 1: expected feature columns x0..x{{d-1}}")
-        for lineno, row in rows:
-            if len(row) < d:
-                raise CsvFormatError(f"{path}: line {lineno}: expected >= {d} fields")
-            coords += _coords(path, lineno, row, d)
-    if not coords:
+        cols, lines, faults = _columns(rows, d, exact=False)
+    pts = _float_columns(cols, faults)
+    _raise_first(path, lines, faults)
+    if not len(pts):
         raise CsvFormatError(f"{path}: no data rows")
-    return np.array(coords, dtype=np.float64).reshape(-1, d)
+    return pts
 
 
 _RECORD_COLS = ["experiment", "method", "seed", "replication", "p_max", "gamma",

@@ -1,11 +1,11 @@
 """Exact nearest-neighbor search with deterministic tie-breaking.
 
-All queries use the Euclidean norm and are exact, and a query with a
-non-finite coordinate is rejected. Every ``NeighborIndex`` query returns
-plain (distances, indices) arrays. Neighbor order is canonical: ascending
-distance, ties broken by ascending sample index. Merged queries over several
-sample sets additionally break cross-set distance ties by set priority
-(target set first, then source order).
+All queries use the Euclidean norm, summed in coordinate order by one kernel
+(``_squared_distances``), and are exact; a query with a non-finite coordinate
+is rejected. Every ``NeighborIndex`` query returns plain (distances, indices)
+arrays. Neighbor order is canonical: ascending distance, ties broken by
+ascending sample index. Merged queries over several sample sets additionally
+break cross-set distance ties by set priority (target first, then sources).
 
 Ties are exact float equality. Every ordering path (``sorted_order``, the
 boundary of ``query`` and ``merged_order``) sorts one distance vector with
@@ -44,13 +44,12 @@ _TIE_RTOL = 1e-9
 
 def _sort_ties(d: np.ndarray, key: np.ndarray) -> np.ndarray:
     """key, a permutation of 0..n-1, sorted within each run of equal values of the
-    ascending d: one sort of the unique integer run * n + key (exact for n < 3e9)."""
+    ascending d: np.sort(run * n + key) - run * n, as runs keep their places (n < 3e9)."""
     tie = d[1:] == d[:-1]
     if not tie.any():
         return key
-    n = d.shape[0]
-    run = np.concatenate(([0], np.cumsum(~tie)))
-    return np.sort(run * n + key) % n
+    offset = np.concatenate(([0], np.cumsum(~tie))) * d.shape[0]
+    return np.sort(offset + key) - offset
 
 
 def _canonical_argsort(dist: np.ndarray) -> np.ndarray:
@@ -67,9 +66,16 @@ def _require_finite(x: np.ndarray):
         raise ValueError(f"query {bad.tolist()} has a non-finite coordinate")
 
 
+def _squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances over the last axis, summed in coordinate order."""
+    total = (points[..., 0] - x[..., 0]) ** 2
+    for j in range(1, points.shape[-1]):
+        total += (points[..., j] - x[..., j]) ** 2
+    return total
+
+
 def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    diff = points - x
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return np.sqrt(_squared_distances(points, x))
 
 
 class NeighborIndex:

@@ -88,7 +88,7 @@ class DriftModel:
 
     def eta_q(self, x):
         x = np.asarray(x, dtype=np.float64)
-        dist = np.sqrt(((x - self.x_c) ** 2).sum(axis=-1))
+        dist = neighbors._distances(x, self.x_c)
         val = np.maximum(self.p_max - dist, 0.5)
         return float(val) if x.ndim == 1 else val
 
@@ -185,7 +185,7 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
     while have < n:
         batch = max(64, 2 * (n - have))
         cand = center + radius * (2.0 * gen.random((batch, d)) - 1.0)
-        keep = cand[((cand - center) ** 2).sum(axis=1) <= radius * radius]
+        keep = cand[neighbors._squared_distances(cand, center) <= radius * radius]
         take = min(len(keep), n - have)
         out[have:have + take] = keep[:take]
         have += take
@@ -567,8 +567,8 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     The default signal level is 0.60 rather than the accuracy experiments'
     0.55: at 0.55 the k-NN neighborhood radius exceeds the signal ball for
     every size on the default grid, so the measured risk curve is flat and
-    no slope is identifiable at desk scale. At 0.60 the finite-sample
-    slope sits near the asymptotic exponent.
+    no slope is identifiable at desk scale. 0.60 is still pre-asymptotic: its
+    intervals exclude -0.5, the cone model's tight rate at d = 2 (alpha = 1).
 
     For each size n in the grid, draws ``reps`` independent datasets
     (target-only for sweep="q", source-only for sweep="p"), estimates each

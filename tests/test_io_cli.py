@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import driftknn
 from driftknn.classifiers import (
@@ -26,6 +27,8 @@ from driftknn.classifiers import (
 from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.io_cli import (
     CsvFormatError,
+    _data_rows,
+    _parse_header,
     manifest_argv,
     read_labeled_csv,
     read_points_csv,
@@ -280,6 +283,156 @@ def test_read_points_errors(tmp_path):
         read_points_csv(write_text(tmp_path / "v.csv", "x0\nzzz\n"))
     with pytest.raises(CsvFormatError, match="line 3: expected >= 2"):
         read_points_csv(write_text(tmp_path / "s.csv", "x0,x1\n0,1\n2\n"))
+
+
+# ---------------------------------------------------------------- readers vs oracle
+
+
+# The per-row readers that the column-wise ones replaced, kept as the oracle:
+# every row is checked in file order, each field as it comes.
+_ORACLE_TAG = re.compile(r"[PQ]|P[1-9][0-9]*")
+
+
+def _oracle_coords(path, lineno, row, d):
+    try:
+        x = [float(v) for v in row[:d]]
+    except ValueError:
+        raise CsvFormatError(f"{path}: line {lineno}: non-numeric coordinate")
+    if not all(map(math.isfinite, x)):
+        raise CsvFormatError(f"{path}: line {lineno}: non-finite coordinate")
+    return x
+
+
+def oracle_read_labeled_csv(path):
+    path = str(path)
+    coords, labels, tags = [], [], []
+    with open(path, newline="") as fh:
+        header, rows = _data_rows(fh, path)
+        d, has_origin = _parse_header(header, path)
+        ncols = d + 1 + (1 if has_origin else 0)
+        for lineno, row in rows:
+            if len(row) != ncols:
+                raise CsvFormatError(
+                    f"{path}: line {lineno}: expected {ncols} fields, got {len(row)}")
+            coords += _oracle_coords(path, lineno, row, d)
+            ystr = row[d].strip()
+            if ystr not in ("0", "1"):
+                raise CsvFormatError(f"{path}: line {lineno}: label must be 0 or 1, got {ystr!r}")
+            labels.append(ystr == "1")
+            if has_origin:
+                tag = row[d + 1].strip()
+                if not _ORACLE_TAG.fullmatch(tag):
+                    raise CsvFormatError(f"{path}: line {lineno}: unknown origin tag {tag!r}")
+                tags.append(tag)
+    pts = np.array(coords, dtype=np.float64).reshape(-1, d)
+    labs = np.array(labels, dtype=np.int64)
+    if not has_origin:
+        return SampleSet(pts, labs)
+    tag_of = np.array(tags, dtype=str)
+
+    def rows_tagged(tag):
+        mask = tag_of == tag
+        return SampleSet(pts[mask], labs[mask])
+
+    numbered = set(tags) - {"P", "Q"}
+    if not numbered:
+        return TransferDataset((rows_tagged("P"),), rows_tagged("Q"))
+    if "P" in tags:
+        raise CsvFormatError(f"{path}: cannot mix origin 'P' with numbered sources")
+    ids = sorted(int(t[1:]) for t in numbered)
+    if ids != list(range(1, len(ids) + 1)):
+        raise CsvFormatError(
+            f"{path}: source tags must be contiguous P1..Pm, got {sorted(numbered)}")
+    return TransferDataset(tuple(rows_tagged(f"P{i}") for i in ids), rows_tagged("Q"))
+
+
+def oracle_read_points_csv(path):
+    path = str(path)
+    coords = []
+    with open(path, newline="") as fh:
+        header, rows = _data_rows(fh, path)
+        cols = [c.strip() for c in header]
+        d = 0
+        while d < len(cols) and cols[d] == f"x{d}":
+            d += 1
+        if d == 0:
+            raise CsvFormatError(f"{path}: line 1: expected feature columns x0..x{{d-1}}")
+        for lineno, row in rows:
+            if len(row) < d:
+                raise CsvFormatError(f"{path}: line {lineno}: expected >= {d} fields")
+            coords += _oracle_coords(path, lineno, row, d)
+    if not coords:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.array(coords, dtype=np.float64).reshape(-1, d)
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: its CsvFormatError message, or the bits of
+    every array it returns, set by set."""
+    try:
+        data = read(path)
+    except CsvFormatError as e:
+        return str(e)
+    if isinstance(data, np.ndarray):
+        return [_bits(data)]
+    sets = [data] if isinstance(data, SampleSet) else [*data.sources, data.q_data]
+    return [type(data).__name__] + [(_bits(s.points), _bits(s.labels)) for s in sets]
+
+
+_COORD = st.one_of(
+    st.integers(0, 128).map(lambda k: repr(k / 128)),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.integers(-3, 3).map(lambda k: f" {k} "),
+)
+_FAULTS = {
+    "count": lambda row, d, pick: row[:-1] if pick % 2 else row + ["0"],
+    "abc": lambda row, d, pick: _set(row, pick % d, "abc"),
+    "inf": lambda row, d, pick: _set(row, pick % d, ("inf", " -inf")[pick % 2]),
+    "nan": lambda row, d, pick: _set(row, pick % d, "nan"),
+    "label": lambda row, d, pick: _set(row, d, ("2", "1.0")[pick % 2]),
+    "tag": lambda row, d, pick: _set(row, d + 1, ("P0", "P01", "P", "P4")[pick % 4])
+    if len(row) > d + 1 else row,
+}
+
+
+def _set(row, j, value):
+    return row[:j] + [value] + row[j + 1:]
+
+
+@st.composite
+def faulty_csv_text(draw):
+    """A labeled CSV with blank lines, padded fields and injected faults."""
+    d = draw(st.integers(1, 3))
+    origin = draw(st.sampled_from([None, "PQ", "numbered"]))
+    tags = {None: [], "PQ": ["P", "Q", " Q ", "P "], "numbered": ["P1", "P2", "Q", " P2 "]}[origin]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(_COORD) for _ in range(d)] + [draw(st.sampled_from(["0", "1", " 1 "]))]
+        rows.append(row + ([draw(st.sampled_from(tags))] if origin else []))
+    for fault in _FAULTS.values():
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2, 3])) if rows else 0):
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = fault(rows[i], d, draw(st.integers(0, 3)))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", " "])))
+    header = [f"x{j}" for j in range(d)] + ["y"] + (["origin"] if origin else [])
+    return "\n".join([",".join(header)] + lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=faulty_csv_text())
+def test_column_readers_match_the_per_row_oracle(tmp_path_factory, text):
+    # the same arrays bit for bit, or the same error message: the earliest
+    # faulty row, and within it field count, coordinates, label, tag
+    path = tmp_path_factory.mktemp("oracle") / "data.csv"
+    path.write_text(text)
+    assert read_outcome(read_labeled_csv, path) == read_outcome(oracle_read_labeled_csv, path)
+    assert read_outcome(read_points_csv, path) == read_outcome(oracle_read_points_csv, path)
 
 
 # ---------------------------------------------------------------- result files

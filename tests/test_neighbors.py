@@ -14,8 +14,10 @@ from driftknn.neighbors import (
     NeighborIndex,
     _canonical_argsort,
     _distances,
+    _squared_distances,
     merged_order,
 )
+from driftknn.simulation import make_drift_model, sample_test_points
 
 
 def brute_force_order(points, x):
@@ -404,3 +406,67 @@ def test_orders_keep_exact_float_ties_only():
     # every distance overflows: the k-d tree reports no neighbor at all
     far = make_set([[1e308, 0.0], [1e308, 1.0], [1e308, -1.0]], [0, 1, 0])
     assert_orders_match_lexsort([far, big], x)
+
+
+# ---------------------------------------------------------------- distance kernel
+
+
+def kernel_rows(d, lattice, seed=0, n=500):
+    gen = np.random.default_rng(seed)
+    points, x = gen.random((n, d)), gen.random(d)
+    if lattice:
+        points, x = np.round(points * 128) / 128, np.round(x * 128) / 128
+    return points, x
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_squared_distances_match_the_numpy_spellings(d, lattice):
+    # the coordinate-order sum equals a last-axis sum up to d = 7, and the
+    # einsum product at d <= 2 (einsum may pair lanes from d = 3 on)
+    points, x = kernel_rows(d, lattice, seed=d)
+    got = _squared_distances(points, x)
+    np.testing.assert_array_equal(got, ((points - x) ** 2).sum(axis=-1))
+    if d <= 2 or lattice:
+        diff = points - x
+        np.testing.assert_array_equal(got, np.einsum("ij,ij->i", diff, diff))
+    np.testing.assert_array_equal(np.sqrt(got), _distances(points, x))
+    # one point is the same number as its row of the batch
+    assert _squared_distances(points[7], x) == got[7]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_model_sampler_and_index_share_the_kernel(d):
+    model = make_drift_model(0.8, 0.3, d)
+    points, _ = kernel_rows(d, lattice=False, seed=10 + d)
+    np.testing.assert_array_equal(
+        model.eta_q(points), np.maximum(0.8 - _distances(points, model.x_c), 0.5))
+    assert model.eta_q(points[3]) == model.eta_q(points)[3]
+    # the ball test of the sampler: replay its rejection stream with the kernel
+    center, r, n = model.x_c, 0.3, 50
+    got = sample_test_points(center, r, n, RandomSource(5))
+    gen, want = RandomSource(5).generator(), []
+    while len(want) < n:
+        cand = center + r * (2.0 * gen.random((max(64, 2 * (n - len(want))), d)) - 1.0)
+        want += list(cand[_squared_distances(cand, center) <= r * r])[:n - len(want)]
+    np.testing.assert_array_equal(got, np.array(want))
+
+
+def test_merged_order_ties_on_a_d3_lattice_do_not_depend_on_summation_order():
+    # squares of k/128 add exactly in any order, so the einsum distances and
+    # the kernel's agree, and so does every tie of the merged order
+    gen = np.random.default_rng(3)
+    sets = [make_set(gen.integers(0, 9, size=(n, 3)) / 8, gen.integers(0, 2, n))
+            for n in (120, 80, 60)]
+    x = np.array([0.5, 0.25, 0.625])
+    diffs = [s.points - x for s in sets]
+    einsum = np.sqrt(np.concatenate([np.einsum("ij,ij->i", q, q) for q in diffs]))
+    np.testing.assert_array_equal(np.concatenate([_distances(s.points, x) for s in sets]), einsum)
+    group = np.concatenate([np.full(len(s), g) for g, s in enumerate(sets)])
+    within = np.concatenate([np.arange(len(s)) for s in sets])
+    ref = np.lexsort((within, group, einsum))
+    mo = merged_order(sets, x)
+    assert (np.diff(mo.distances) == 0).sum() > 150
+    np.testing.assert_array_equal(mo.distances, einsum[ref])
+    np.testing.assert_array_equal(mo.group, group[ref])
+    np.testing.assert_array_equal(mo.within_index, within[ref])
