@@ -6,10 +6,10 @@ optional ``Q``) an m-source one, both read as a ``TransferDataset``, and no
 origin column a plain sample set. Floats are printed with 17 significant
 digits so a write/read cycle reproduces every double bit-exactly.
 
-Every command writes a JSON-lines manifest next to its output capturing
-the exact argv, seed, package version, and timestamps; the argv alone
-reproduces the output file byte for byte. Exit codes: 0 success, 1
-runtime failure, 2 configuration error.
+Every command run with an output file writes a JSON-lines manifest next
+to it capturing the exact argv, every parsed argument, the seed, package
+version, and timestamps; the argv alone reproduces the output file byte for
+byte. Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .classifiers import LEPSKI_WIDTHS, default_knn_k
 from .simulation import (
     _EXPERIMENT_STREAM_IDS,
     EXPERIMENT_PRESETS,
-    _fit_knn,
-    _fit_lepski,
     classification_accuracy,
     excess_risk_mc,
     fit_method,
@@ -119,13 +117,21 @@ def write_labeled_csv(path, data) -> None:
 
 
 def _data_rows(fh, path: str):
-    """The header of an open CSV, then (line number, fields) of each non-blank row."""
+    """The header of an open CSV, then (line number, fields) of each non-blank row;
+    a row that csv cannot parse (a field over its size limit) raises CsvFormatError."""
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
+
+    def numbered():
+        try:
+            yield from enumerate(reader, start=1)
+        except csv.Error as e:
+            raise CsvFormatError(f"{path}: line {reader.line_num}: {e}") from None
+
+    rows = numbered()
+    _, header = next(rows, (1, None))
+    if header is None:
         raise CsvFormatError(f"{path}: line 1: empty file, expected a header row")
-    return header, filter(itemgetter(1), enumerate(reader, start=2))
+    return header, filter(itemgetter(1), rows)
 
 
 def _columns(rows, ncols: int, exact: bool):
@@ -278,13 +284,8 @@ def write_aggregate_csv(path, rows) -> None:
 def write_manifest(out_path, argv: list[str], seed: int, started: str, config: dict) -> Path:
     """Write the JSON-lines run manifest next to the output file."""
     manifest = Path(str(out_path) + ".manifest.jsonl")
-    entry = {
-        "config": dict(config, argv=list(argv)),
-        "seed": seed,
-        "version": __version__,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-    }
+    entry = {"config": dict(config, argv=list(argv)), "seed": seed, "version": __version__,
+             "started": started, "finished": _now()}
     with open(manifest, "w") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return manifest
@@ -395,9 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args, argv) -> int:
-    started = _now()
-    preset = EXPERIMENT_PRESETS[args.experiment]
+def _cmd_simulate(args) -> None:
     overrides: dict = {}
     if args.reps is not None:
         if args.reps < 1:
@@ -423,20 +422,13 @@ def _cmd_simulate(args, argv) -> int:
     records = run_preset(args.experiment, seed=args.seed, **overrides)
     rows = summarize_accuracy(records)
     write_aggregate_csv(args.out, rows)
-    config = dict(command="simulate", experiment=args.experiment, seed=args.seed,
-                  out=str(args.out), **{k: (list(v) if isinstance(v, tuple) else v)
-                                         for k, v in overrides.items()})
-    config.setdefault("reps", preset["reps"])
-    write_manifest(args.out, argv, args.seed, started, config)
     for r in rows:
         print(f"{r.experiment} {r.method:16s} p_max={r.p_max:<6g} n_p={r.n_p:<6d} "
               f"accuracy={r.accuracy_mean:.4f} (se {r.accuracy_se:.4f}, reps {r.reps})")
     print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_rate_check(args, argv) -> int:
-    started = _now()
+def _cmd_rate_check(args) -> None:
     sizes = _parse_ints(args.sizes)
     hp = _hyperparams(args, args.gamma)
     if not (0.5 < args.pmax <= 1.0):
@@ -458,13 +450,7 @@ def _cmd_rate_check(args, argv) -> int:
           f"beta={hp.beta:g}, alpha={hp.alpha:g}, gamma={hp.scalar_gamma():g}, d={hp.d})")
     if args.out:
         write_records_csv(args.out, result.records)
-        config = dict(command="rate-check", sizes=list(result.sizes), reps=args.reps,
-                      nmc=args.nmc, sweep=args.sweep, pmax=args.pmax, gamma=args.gamma,
-                      beta=args.beta, alpha=args.alpha, d=args.d, seed=args.seed,
-                      out=str(args.out))
-        write_manifest(args.out, argv, args.seed, started, config)
         print(f"wrote {args.out}")
-    return 0
 
 
 def _read_train(path) -> tuple[TransferDataset, bool]:
@@ -488,13 +474,14 @@ def _gammas(args, m: int) -> float | tuple[float, ...]:
     return tuple(gammas)
 
 
-def _fit_for(args, train: TransferDataset, tagged: bool):
-    """Translate the predict method and its switches into one fit.
+# predict's one-set spellings (--method, --pool) as registry names
+_SPELLINGS = {("knn", False): "qonly", ("knn", True): "combined",
+              ("lepski", False): "lepski-q", ("lepski", True): "lepski-combined"}
 
-    weighted, adaptive and combined are the registry's fits of the whole
-    dataset; knn and lepski run on one sample set: the target rows, or
-    every row pooled (source rows, then Q rows) with --pool.
-    """
+
+def _fit_for(args, train: TransferDataset, tagged: bool):
+    """Check the predict method and its switches, then fit it by its registry name;
+    knn takes --k, or else default_knn_k of the one set it reads (Q, or pooled)."""
     method = args.method
     if args.k is not None and method != "knn":
         raise UsageError("--k applies only to knn")
@@ -506,20 +493,20 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
         raise UsageError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
     if method in ("weighted", "combined") and gamma is None:
         raise UsageError(f"{method} needs --gamma (one value, or one per source)")
-    if method in SIM_METHODS:
-        return fit_method(method, train, hp, args.lepski_width)
-    n = train.n_q + (train.n_p if args.pool else 0)
-    if n == 0:
-        raise UsageError(f"{method} has no training rows to use")
-    if method == "lepski":
-        return _fit_lepski(method, train, args.pool, args.lepski_width)
-    if args.k is not None and not (1 <= args.k <= n):
-        raise UsageError(f"--k must be in [1, {n}]")
-    return _fit_knn(method, train, args.pool, default_knn_k(n, hp) if args.k is None else args.k)
+    k = None
+    if method in ("knn", "lepski"):
+        n = train.n_q + (train.n_p if args.pool else 0)
+        if n == 0:
+            raise UsageError(f"{method} has no training rows to use")
+        if args.k is not None and not (1 <= args.k <= n):
+            raise UsageError(f"--k must be in [1, {n}]")
+        if method == "knn":
+            k = default_knn_k(n, hp) if args.k is None else args.k
+    return fit_method(_SPELLINGS.get((method, args.pool), method), train, hp,
+                      args.lepski_width, k=k)
 
 
-def _cmd_predict(args, argv) -> int:
-    started = _now()
+def _cmd_predict(args) -> None:
     train, tagged = _read_train(args.train)
     if args.d is not None and train.d != args.d:
         raise UsageError(f"--d {args.d} but training data has d={train.d}")
@@ -535,17 +522,10 @@ def _cmd_predict(args, argv) -> int:
         w.writerow(_feature_header(train.d) + ["y_pred"])
         for x, y in zip(pts, labels):
             w.writerow([_fmt(v) for v in x] + [str(y)])
-    config = dict(command="predict", method=args.method, train=str(args.train),
-                  test=str(args.test), out=str(args.out), gamma=args.gamma,
-                  beta=args.beta, alpha=args.alpha, k=args.k, pool=args.pool,
-                  lepski_width=args.lepski_width)
-    write_manifest(args.out, argv, 0, started, config)
     print(f"wrote {args.out} ({len(labels)} predictions)")
-    return 0
 
 
-def _cmd_eval(args, argv) -> int:
-    started = _now()
+def _cmd_eval(args) -> None:
     if args.pmax is None:
         raise UsageError("eval needs --pmax to define the analytic model")
     if not (0.5 < args.pmax <= 1.0):
@@ -581,13 +561,7 @@ def _cmd_eval(args, argv) -> int:
                         repr(args.beta), repr(args.alpha), train.d,
                         train.n_p, train.n_q, args.n_test, repr(acc), repr(est.value),
                         repr(est.std_error), args.nmc, args.seed])
-        config = dict(command="eval", method=args.method, train=str(args.train),
-                      pmax=args.pmax, gamma_sim=gamma_sim, gamma=gamma,
-                      beta=args.beta, alpha=args.alpha, n_test=args.n_test,
-                      radius=args.radius, nmc=args.nmc, seed=args.seed, out=str(args.out))
-        write_manifest(args.out, argv, args.seed, started, config)
         print(f"wrote {args.out}")
-    return 0
 
 
 _COMMANDS = {
@@ -599,15 +573,19 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    """Parse and run one command; returns the process exit code."""
+    """Parse and run one command; returns the process exit code. A command that
+    succeeds with an --out file gets a manifest of its argv and parsed arguments."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    started = _now()
     try:
-        return _COMMANDS[args.command](args, argv)
+        _COMMANDS[args.command](args)
+        if args.out:
+            write_manifest(args.out, argv, getattr(args, "seed", 0), started, vars(args))
+        return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

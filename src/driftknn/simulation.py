@@ -280,32 +280,34 @@ def constant_classifier(label: int) -> Callable[[np.ndarray], np.ndarray]:
 class FittedMethod:
     """A fitted classifier: one label from a merged order, or labels of query rows."""
 
-    def __init__(self, name: str, order_fn: Callable, batch_fn: Callable | None = None,
-                 point_fn: Callable | None = None):
-        self.name, self._order, self._batch, self._point = name, order_fn, batch_fn, point_fn
+    def __init__(self, name: str, order_fn: Callable, batch_fn: Callable):
+        self.name, self._order, self._batch = name, order_fn, batch_fn
 
     def predict_order(self, mo: neighbors.MergedOrder) -> int:
         return int(self._order(mo))
 
     def predict_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        labels = self._batch(pts) if self._batch else [self._point(x) for x in pts]
-        return np.asarray(labels, dtype=np.int64)
+        return np.asarray(self._batch(np.asarray(pts, dtype=np.float64)), dtype=np.int64)
 
 
-def _one_set(ds: TransferDataset, pooled: bool):
-    """(size, MergedOrder view, SampleSet built on first use) of Q, or pooled of S_1..S_m, Q."""
-    if pooled:
-        return (ds.n_q + ds.n_p, neighbors.MergedOrder.pooled_labels,
-                functools.cache(lambda: pooled_sample_set(ds)))
-    return ds.n_q, lambda mo: mo.group_labels(0), lambda: ds.q_data
-
-
-def _fit_knn(name: str, ds: TransferDataset, pooled: bool, k: int) -> FittedMethod:
-    """Plain k-NN majority vote on one set of rows, k clamped to [1, n]."""
-    n, view, one_set = _one_set(ds, pooled)
+def _one_set(name: str, ds: TransferDataset, pooled: bool):
+    """(size, MergedOrder view, SampleSet built on first use) of Q, or pooled of S_1..S_m, Q;
+    raises ValueError when that set is empty."""
+    n = ds.n_q + (ds.n_p if pooled else 0)
     if n == 0:
         raise ValueError(f"method {name!r} has no samples to fit on")
+    if pooled:
+        return n, neighbors.MergedOrder.pooled_labels, functools.cache(lambda: pooled_sample_set(ds))
+    return n, lambda mo: mo.group_labels(0), lambda: ds.q_data
+
+
+def _fit_knn(name: str, ds: TransferDataset, pooled: bool, hp: HyperParams,
+             k: int | None = None) -> FittedMethod:
+    """Plain k-NN majority vote on one set of rows, k clamped to [1, n]; k defaults to
+    combined_budget_k on the pooled set and to default_knn_k on Q."""
+    n, view, one_set = _one_set(name, ds, pooled)
+    if k is None:
+        k = combined_budget_k(ds.source_sizes, ds.n_q, hp) if pooled else default_knn_k(n, hp)
     k = min(max(1, k), n)
     return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
                         lambda pts: knn_predict(one_set(), k, pts))
@@ -321,26 +323,25 @@ def _fit_weighted(ds: TransferDataset, hp: HyperParams) -> FittedMethod:
 
 
 def _fit_adaptive(ds: TransferDataset) -> FittedMethod:
-    """The adaptive scan over [Q, S_1..S_m]."""
+    """The adaptive scan over [Q, S_1..S_m]; a batch scans each row's own order."""
     return FittedMethod("adaptive", lambda mo: _adaptive_scan(mo, ds.d)[0],
-                        point_fn=lambda x: adaptive_predict(ds, x)[0])
+                        lambda pts: [adaptive_predict(ds, x)[0] for x in pts])
 
 
 def _fit_lepski(name: str, ds: TransferDataset, pooled: bool, width: str) -> FittedMethod:
-    """The Lepski interval scan on one set of rows."""
-    _, view, one_set = _one_set(ds, pooled)
+    """The Lepski interval scan on one set of rows; a batch scans row by row."""
+    _, view, one_set = _one_set(name, ds, pooled)
     return FittedMethod(name, lambda mo: _lepski_scan(view(mo), ds.d, width)[0],
-                        point_fn=lambda x: lepski_predict(one_set(), x, width=width)[0])
+                        lambda pts: [lepski_predict(one_set(), x, width=width)[0] for x in pts])
 
 
-# The named methods of simulate and eval: each maps (dataset, hyper-parameters,
-# Lepski width) to a fit. predict fits weighted, adaptive and combined by name
-# here, and its one-set knn and lepski from _fit_knn and _fit_lepski.
+# The named methods of simulate, eval and predict: each maps (dataset,
+# hyper-parameters, Lepski width) to a fit. predict's knn and lepski are
+# spellings of qonly, combined, lepski-q and lepski-combined.
 METHODS: dict[str, Callable[[TransferDataset, HyperParams, str], FittedMethod]] = {
     "weighted": lambda ds, hp, _w: _fit_weighted(ds, hp),
-    "combined": lambda ds, hp, _w: _fit_knn(
-        "combined", ds, True, combined_budget_k(ds.source_sizes, ds.n_q, hp)),
-    "qonly": lambda ds, hp, _w: _fit_knn("qonly", ds, False, default_knn_k(ds.n_q, hp)),
+    "combined": lambda ds, hp, _w: _fit_knn("combined", ds, True, hp),
+    "qonly": lambda ds, hp, _w: _fit_knn("qonly", ds, False, hp),
     "adaptive": lambda ds, _hp, _w: _fit_adaptive(ds),
     "lepski-combined": lambda ds, _hp, w: _fit_lepski("lepski-combined", ds, True, w),
     "lepski-q": lambda ds, _hp, w: _fit_lepski("lepski-q", ds, False, w),
@@ -350,13 +351,18 @@ ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
 
 
 def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
-               lepski_width: str = "algorithm3") -> FittedMethod:
-    """Fit a named method to a dataset with any number of sources."""
+               lepski_width: str = "algorithm3", k: int | None = None) -> FittedMethod:
+    """Fit a named method to a dataset with any number of sources; k, if given, is
+    the neighbour count of qonly or combined (clamped to [1, n]), and an error otherwise."""
     try:
         fitter = METHODS[name]
     except KeyError:
         raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
-    return fitter(ds, hp, lepski_width)
+    if k is None:
+        return fitter(ds, hp, lepski_width)
+    if name not in ("qonly", "combined"):
+        raise ValueError(f"k applies only to qonly and combined, not {name!r}")
+    return _fit_knn(name, ds, name == "combined", hp, k)
 
 
 @dataclass(frozen=True)

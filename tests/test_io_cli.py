@@ -285,6 +285,22 @@ def test_read_points_errors(tmp_path):
         read_points_csv(write_text(tmp_path / "s.csv", "x0,x1\n0,1\n2\n"))
 
 
+# A field over the csv module's size limit (131072 characters by default).
+HUGE = "1" * 200_000
+
+
+@pytest.mark.parametrize("read, text, line", [
+    (read_labeled_csv, f"x0,{HUGE}\n0.5,1\n", 1),
+    (read_labeled_csv, f"x0,y\n0.5,1\n0.{HUGE},1\n", 3),
+    (read_points_csv, f"x0,{HUGE}\n0.5,1\n", 1),
+    (read_points_csv, f"x0\n0.5\n0.{HUGE}\n", 3),
+])
+def test_readers_cite_the_line_of_an_oversize_field(tmp_path, read, text, line):
+    path = write_text(tmp_path / "huge.csv", text)
+    with pytest.raises(CsvFormatError, match=f"huge.csv: line {line}: field larger than"):
+        read(path)
+
+
 # ---------------------------------------------------------------- readers vs oracle
 
 
@@ -493,6 +509,51 @@ def test_manifest_round_trip(tmp_path):
 # ---------------------------------------------------------------- CLI
 
 
+def test_cli_writes_a_manifest_for_each_successful_command_with_out(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    train = transfer_csv(tmp_path)
+    test = tmp_path / "test.csv"
+    write_points(test, [[0.5, 0.5]])
+    predict = ["predict", "--train", str(train), "--test", str(test)]
+    rate = ["rate-check", "--sizes", "20,40,80,200", "--reps", "2", "--nmc", "1000",
+            "--pmax", "0.7", "--seed", "2"]
+    evaluate = ["eval", "--method", "qonly", "--train", str(train), "--pmax", "0.55",
+                "--n-test", "20", "--nmc", "500"]
+    # no --out, exit 2 and exit 1: no manifest
+    assert run_cli(rate) == 0 and run_cli(evaluate) == 0
+    assert run_cli(predict + ["--method", "weighted", "--out", "p2.csv"]) == 2
+    assert run_cli(["simulate", "fig5a", "--reps", "0", "--out", "s2.csv"]) == 2
+    assert run_cli(["predict", "--method", "knn", "--train", "no.csv", "--test", str(test),
+                    "--out", "p1.csv"]) == 1
+    assert not list(tmp_path.glob("*.manifest.jsonl"))
+    # every command with --out: the argv and every parsed argument, after the command ran
+    runs = [
+        (["simulate", "fig5a", "--np", "30", "--nq", "25", "--pmax", "0.55", "--reps", "2",
+          "--out", "sim.csv"], dict(experiment="fig5a", n_p="30", n_q=25, reps=2, seed=0)),
+        (["simulate", "fig4a", "--np", "30", "--nq", "25", "--pmax", "0.55", "--seed", "4",
+          "--out", "sim4.csv"], dict(reps=None, gamma=0.3, seed=4)),
+        (rate + ["--out", "rate.csv"], dict(sizes="20,40,80,200", sweep="q", nmc=1000, seed=2)),
+        (predict + ["--method", "knn", "--pool", "--out", "pred.csv"],
+         dict(method="knn", pool=True, k=None, d=2, gamma=None)),
+        (evaluate + ["--out", "eval.csv"], dict(method="qonly", pmax=0.55, d=2, seed=0)),
+    ]
+    for argv, parsed in runs:
+        out = argv[argv.index("--out") + 1]
+        assert run_cli(argv) == 0, argv
+        entry = json.loads((tmp_path / f"{out}.manifest.jsonl").read_text())
+        config = entry["config"]
+        assert (config["command"], config["argv"], config["out"]) == (argv[0], argv, out)
+        assert {key: config[key] for key in parsed} == parsed, argv
+        assert entry["seed"] == parsed.get("seed", 0)
+        assert manifest_argv(tmp_path / f"{out}.manifest.jsonl") == argv
+    # a manifest that cannot be written is a runtime error, not a traceback
+    (tmp_path / "blocked.csv.manifest.jsonl").mkdir()
+    capsys.readouterr()
+    assert run_cli(predict + ["--method", "knn", "--out", "blocked.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def transfer_csv(tmp_path, name="train.csv"):
     # two tight clusters with opposite labels, in both samples
     p_pts = [[0.1, 0.1], [0.12, 0.1], [0.9, 0.9], [0.88, 0.9]]
@@ -611,6 +672,23 @@ def test_cli_predict_matches_library_labels(tmp_path):
     ]
     for path, extra, library in cases:
         assert cli_labels(tmp_path, path, test, extra) == [library(x) for x in queries], extra
+    # each one-set spelling is its registry fit, knn with --k or default_knn_k of its set
+    for path, data in ((train, ds), (multi, mds)):
+        n_q, n_pooled = data.n_q, data.n_q + data.n_p
+        spellings = [
+            (["knn"], "qonly", default_knn_k(n_q, hp)),
+            (["knn", "--k", "7"], "qonly", 7),
+            (["knn", "--pool"], "combined", default_knn_k(n_pooled, hp)),
+            (["knn", "--pool", "--k", "9"], "combined", 9),
+            (["lepski"], "lepski-q", None),
+            (["lepski", "--pool"], "lepski-combined", None),
+            (["lepski", "--pool", "--lepski-width", "lemma5"], "lepski-combined", None),
+        ]
+        for extra, name, k in spellings:
+            width = "lemma5" if "lemma5" in extra else "algorithm3"
+            fitted = fit_method(name, data, hp, width, k=k)
+            assert cli_labels(tmp_path, path, test, ["--method", *extra]) == \
+                fitted.predict_batch(queries).tolist(), (path.name, extra)
 
 
 def test_cli_predict_combined_takes_the_m_source_budget(tmp_path):
@@ -704,6 +782,18 @@ def test_cli_predict_runtime_errors(tmp_path):
     code = run_cli(["predict", "--method", "knn", "--train", str(train),
                     "--test", str(test1d), "--out", str(out)])
     assert code == 1
+
+
+def test_cli_predict_oversize_field_is_a_format_error(tmp_path, capsys):
+    train = transfer_csv(tmp_path)
+    huge = write_text(tmp_path / "huge.csv", train.read_text() + f"0.{HUGE},0.5,1,Q\n")
+    test = tmp_path / "test.csv"
+    write_points(test, [[0.5, 0.5]])
+    for train_path, test_path in ((huge, test), (train, huge)):
+        assert run_cli(["predict", "--method", "knn", "--train", str(train_path),
+                        "--test", str(test_path), "--out", str(tmp_path / "pred.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {huge}: line 10: field larger than field limit (131072)\n"
 
 
 def test_cli_predict_plain_csv_needs_tags_for_adaptive(tmp_path):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftknn.classifiers import adaptive_predict, minimax_plan, weighted_knn_predict
-from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset
+from driftknn.classifiers import adaptive_predict, knn_predict, minimax_plan, weighted_knn_predict
+from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.neighbors import merged_order
 from driftknn.simulation import (
     _EXPERIMENT_STREAM_IDS,
@@ -21,7 +21,6 @@ from driftknn.simulation import (
     EXPERIMENT_PRESETS,
     METHODS,
     NONADAPTIVE_METHODS,
-    FittedMethod,
     classification_accuracy,
     constant_classifier,
     excess_risk_mc,
@@ -284,23 +283,6 @@ def test_excess_risk_validation():
         constant_classifier(2)
 
 
-def test_fitted_method_point_fallback():
-    calls = []
-
-    def point(x):
-        calls.append(1)
-        return 1
-
-    fm = FittedMethod("stub", lambda mo: 0, point_fn=point)
-    assert fm.predict_order(None) == 0
-    out = fm.predict_batch(np.zeros((3, 1)))
-    assert out.tolist() == [1, 1, 1]
-    assert len(calls) == 3  # one fallback call per row
-    fm2 = FittedMethod("stub2", lambda mo: 0, lambda pts: np.zeros(len(pts)), point)
-    assert fm2.predict_batch(np.zeros((3, 1))).tolist() == [0, 0, 0]
-    assert len(calls) == 3  # a batch function replaces the fallback
-
-
 def test_fit_method_all_names_predict():
     m = make_drift_model(0.55)
     ds = sample_dataset(m, 60, 80, RandomSource(51))
@@ -312,6 +294,36 @@ def test_fit_method_all_names_predict():
         assert fm.predict_batch(np.vstack([x, x])).shape == (2,)
     with pytest.raises(ValueError, match="unknown method"):
         fit_method("nope", ds, HP_MAIN)
+
+
+def test_fit_method_k_overrides_the_neighbour_count_of_knn_fits():
+    m = make_drift_model(0.55)
+    ds = sample_dataset(m, 60, 80, RandomSource(52))
+    pts = sample_test_points(m.x_c, 0.2, 25, RandomSource(53))
+    sets = {"qonly": ds.q_data, "combined": pooled_sample_set(ds)}
+    for name, one_set in sets.items():
+        for k in (1, 7, len(one_set)):
+            fm = fit_method(name, ds, HP_MAIN, k=k)
+            assert fm.name == name
+            np.testing.assert_array_equal(fm.predict_batch(pts), knn_predict(one_set, k, pts))
+            mo = merged_order([ds.q_data, *ds.sources], pts[0])
+            assert fm.predict_order(mo) == knn_predict(one_set, k, pts[0])
+    for name in set(METHODS) - set(sets):
+        with pytest.raises(ValueError, match="k applies only to qonly and combined"):
+            fit_method(name, ds, HP_MAIN, k=3)
+
+
+@pytest.mark.parametrize("name", ["qonly", "combined", "lepski-q", "lepski-combined"])
+def test_one_set_fits_refuse_an_empty_set_when_fitted(name):
+    rows = SampleSet(np.full((3, 2), 0.5), np.array([0, 1, 1]))
+    q_only = TransferDataset((SampleSet.empty(2),), rows)
+    empty_q = TransferDataset((rows,), SampleSet.empty(2))
+    empty = TransferDataset((SampleSet.empty(2),), SampleSet.empty(2))
+    # the target-only fits need Q rows; the pooled ones any rows
+    for ds in ((empty, empty_q) if name in ("qonly", "lepski-q") else (empty,)):
+        with pytest.raises(ValueError, match=f"method '{name}' has no samples to fit on"):
+            fit_method(name, ds, HP_MAIN)
+    fit_method(name, q_only, HP_MAIN).predict_batch(np.zeros((1, 2)))
 
 
 def lattice_points(gen, n, grid, d=2):
