@@ -9,7 +9,9 @@ digits so a write/read cycle reproduces every double bit-exactly.
 Every command run with an output file writes a JSON-lines manifest next
 to it capturing the exact argv, every parsed argument, the seed, package
 version, and timestamps; the argv alone reproduces the output file byte for
-byte. Exit codes: 0 success, 1 runtime failure, 2 configuration error.
+byte. Exit codes: 0 success; 2 for an argparse error or any other ValueError,
+which is how the library refuses a setting; 1 for a CsvFormatError (a faulty
+data file), an OSError or a RuntimeError.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .simulation import (
 
 __all__ = [
     "CsvFormatError",
-    "UsageError",
     "read_labeled_csv",
     "write_labeled_csv",
     "read_points_csv",
@@ -61,10 +62,6 @@ _FLOAT_FMT = ".17g"
 
 class CsvFormatError(ValueError):
     """A data file violates the CSV format; the message cites the line."""
-
-
-class UsageError(Exception):
-    """Bad command-line configuration; maps to exit code 2."""
 
 
 def _fmt(v: float) -> str:
@@ -118,7 +115,8 @@ def write_labeled_csv(path, data) -> None:
 
 def _data_rows(fh, path: str):
     """The header of an open CSV, then (line number, fields) of each non-blank row;
-    a row that csv cannot parse (a field over its size limit) raises CsvFormatError."""
+    a row that csv cannot parse (a field over its size limit) or bytes that are not
+    UTF-8 raise CsvFormatError."""
     reader = csv.reader(fh)
 
     def numbered():
@@ -126,6 +124,8 @@ def _data_rows(fh, path: str):
             yield from enumerate(reader, start=1)
         except csv.Error as e:
             raise CsvFormatError(f"{path}: line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:  # decoded a block at a time: no exact line
+            raise CsvFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
 
     rows = numbered()
     _, header = next(rows, (1, None))
@@ -183,8 +183,9 @@ def _raise_first(path: str, lines: list[int], faults) -> None:
         raise CsvFormatError(f"{path}: line {lines[row]}: {message}")
 
 
-# P, Q, or P followed by a source number in ASCII digits without a leading zero.
-_ORIGIN_TAG = re.compile(r"[PQ]|P[1-9][0-9]*")
+# P, Q, or P followed by a source number of at most 18 ASCII digits without a
+# leading zero, so that every source number fits an int64 code.
+_ORIGIN_TAG = re.compile(r"[PQ]|P[1-9][0-9]{0,17}")
 
 
 def _tag_code(tag: str) -> int:
@@ -203,7 +204,7 @@ def read_labeled_csv(path):
     checks keep the order field count, coordinates, label, origin tag.
     """
     path = str(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header, rows = _data_rows(fh, path)
         d, has_origin = _parse_header(header, path)
         cols, lines, faults = _columns(rows, d + 1 + has_origin, exact=True)
@@ -232,7 +233,7 @@ def read_labeled_csv(path):
 def read_points_csv(path) -> np.ndarray:
     """Read query points: header x0..x{d-1} with optional extra columns ignored."""
     path = str(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header, rows = _data_rows(fh, path)
         cols = [c.strip() for c in header]
         d = next((i for i, c in enumerate(cols) if c != f"x{i}"), len(cols))
@@ -304,25 +305,13 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type = float) -> list:
+    """The nonblank entries of a comma list, each converted by kind (float or int)."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"expected a comma-separated list of numbers, got {text!r}")
-
-
-def _parse_ints(text: str) -> list[int]:
-    vals = [v.strip() for v in text.split(",") if v.strip()]
-    if not all(v.lstrip("-").isdigit() for v in vals):
-        raise UsageError(f"expected a comma-separated list of integers, got {text!r}")
-    return [int(v) for v in vals]
-
-
-def _hyperparams(args, gamma) -> HyperParams:
-    try:
-        return HyperParams(alpha=args.alpha, beta=args.beta, gamma=gamma, d=args.d)
-    except ValueError as e:
-        raise UsageError(str(e))
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"expected a comma-separated list of {noun}, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -380,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a method against an analytic model")
     ev.add_argument("--method", required=True, choices=sorted(SIM_METHODS))
     ev.add_argument("--train", required=True)
-    ev.add_argument("--pmax", type=float, default=None,
-                    help="analytic model signal level (required)")
+    ev.add_argument("--pmax", type=float, required=True,
+                    help="analytic model signal level")
     ev.add_argument("--gamma-sim", type=float, default=None,
                     help="model drift exponent (defaults to --gamma)")
     ev.add_argument("--gamma", default="0.3", help="relative signal exponent(s), comma list")
@@ -399,24 +388,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> None:
     overrides: dict = {}
     if args.reps is not None:
-        if args.reps < 1:
-            raise UsageError("--reps must be >= 1")
         overrides["reps"] = args.reps
     if args.n_p is not None:
-        vals = _parse_ints(args.n_p)
-        if not vals or any(v < 0 for v in vals):
-            raise UsageError("--np must list nonnegative integers")
-        overrides["n_p_values"] = tuple(vals)
+        overrides["n_p_values"] = tuple(_parse_list(args.n_p, int))
     if args.n_q is not None:
-        if args.n_q < 0:
-            raise UsageError("--nq must be >= 0")
         overrides["n_q"] = args.n_q
     if args.pmax is not None:
-        vals = _parse_floats(args.pmax)
-        if not vals or any(not (0.5 < v <= 1.0) for v in vals):
-            raise UsageError("--pmax values must lie in (0.5, 1]")
-        overrides["p_max_values"] = tuple(vals)
-    _hyperparams(args, args.gamma)  # validate ranges up front
+        overrides["p_max_values"] = tuple(_parse_list(args.pmax))
     overrides.update(gamma=args.gamma, beta=args.beta, alpha=args.alpha, d=args.d,
                      lepski_width=args.lepski_width, accuracy_target=args.accuracy_target)
     records = run_preset(args.experiment, seed=args.seed, **overrides)
@@ -429,19 +407,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_rate_check(args) -> None:
-    sizes = _parse_ints(args.sizes)
-    hp = _hyperparams(args, args.gamma)
-    if not (0.5 < args.pmax <= 1.0):
-        raise UsageError("--pmax must lie in (0.5, 1]")
-    if args.reps < 2:
-        raise UsageError("--reps must be >= 2")
-    if args.nmc < 2:
-        raise UsageError("--nmc must be >= 2")
-    try:
-        result = rate_exponent_check(hp, sizes, args.reps, RandomSource(args.seed),
-                                     sweep=args.sweep, p_max=args.pmax, n_mc=args.nmc)
-    except ValueError as e:
-        raise UsageError(str(e))
+    sizes = _parse_list(args.sizes, int)
+    hp = HyperParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, d=args.d)
+    result = rate_exponent_check(hp, sizes, args.reps, RandomSource(args.seed),
+                                 sweep=args.sweep, p_max=args.pmax, n_mc=args.nmc)
     for n, risk in zip(result.sizes, result.mean_risks):
         print(f"n={n:<7d} mean excess risk = {risk:.6e}")
     print(f"fitted slope     = {result.slope:+.4f}")
@@ -466,11 +435,11 @@ def _read_train(path) -> tuple[TransferDataset, bool]:
 
 def _gammas(args, m: int) -> float | tuple[float, ...]:
     """--gamma as a HyperParams gamma: a single value for every source, or m values."""
-    gammas = _parse_floats(args.gamma)
+    gammas = _parse_list(args.gamma)
     if len(gammas) == 1:
         return gammas[0]
     if len(gammas) != m:
-        raise UsageError(f"gamma vector has {len(gammas)} entries, need {m}")
+        raise ValueError(f"gamma vector has {len(gammas)} entries, need {m}")
     return tuple(gammas)
 
 
@@ -484,24 +453,22 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
     knn takes --k, or else default_knn_k of the one set it reads (Q, or pooled)."""
     method = args.method
     if args.k is not None and method != "knn":
-        raise UsageError("--k applies only to knn")
+        raise ValueError("--k applies only to knn")
     if args.pool and method not in ("knn", "lepski"):
-        raise UsageError("--pool applies only to knn and lepski")
+        raise ValueError("--pool applies only to knn and lepski")
     gamma = None if args.gamma is None else _gammas(args, train.m)
-    hp = _hyperparams(args, 1.0 if gamma is None else gamma)
+    hp = HyperParams(alpha=args.alpha, beta=args.beta, gamma=1.0 if gamma is None else gamma,
+                     d=args.d)
     if method in ("weighted", "adaptive") and not tagged:
-        raise UsageError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
+        raise ValueError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
     if method in ("weighted", "combined") and gamma is None:
-        raise UsageError(f"{method} needs --gamma (one value, or one per source)")
+        raise ValueError(f"{method} needs --gamma (one value, or one per source)")
     k = None
-    if method in ("knn", "lepski"):
+    if method == "knn":
         n = train.n_q + (train.n_p if args.pool else 0)
-        if n == 0:
-            raise UsageError(f"{method} has no training rows to use")
-        if args.k is not None and not (1 <= args.k <= n):
-            raise UsageError(f"--k must be in [1, {n}]")
-        if method == "knn":
-            k = default_knn_k(n, hp) if args.k is None else args.k
+        if args.k is not None and n and not (1 <= args.k <= n):  # the fit refuses n = 0
+            raise ValueError(f"--k must be in [1, {n}]")
+        k = default_knn_k(n, hp) if args.k is None else args.k
     return fit_method(_SPELLINGS.get((method, args.pool), method), train, hp,
                       args.lepski_width, k=k)
 
@@ -509,7 +476,7 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
 def _cmd_predict(args) -> None:
     train, tagged = _read_train(args.train)
     if args.d is not None and train.d != args.d:
-        raise UsageError(f"--d {args.d} but training data has d={train.d}")
+        raise ValueError(f"--d {args.d} but training data has d={train.d}")
     args.d = train.d
     fitted = _fit_for(args, train, tagged)
     pts = read_points_csv(args.test)
@@ -526,20 +493,12 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    if args.pmax is None:
-        raise UsageError("eval needs --pmax to define the analytic model")
-    if not (0.5 < args.pmax <= 1.0):
-        raise UsageError("--pmax must lie in (0.5, 1]")
-    if args.n_test < 1:
-        raise UsageError("--n-test must be >= 1")
-    if args.nmc < 2:
-        raise UsageError("--nmc must be >= 2")
     train, _ = _read_train(args.train)
     args.d = train.d
     gamma = _gammas(args, train.m)
     if isinstance(gamma, tuple) and args.gamma_sim is None:
-        raise UsageError("a per-source --gamma needs --gamma-sim (the model has one exponent)")
-    hp = _hyperparams(args, gamma)
+        raise ValueError("a per-source --gamma needs --gamma-sim (the model has one exponent)")
+    hp = HyperParams(alpha=args.alpha, beta=args.beta, gamma=gamma, d=args.d)
     gamma_sim = args.gamma_sim if args.gamma_sim is not None else gamma
     model = make_drift_model(args.pmax, gamma_sim, train.d)
     fitted = fit_method(args.method, train, hp, args.lepski_width)
@@ -586,12 +545,12 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.out:
             write_manifest(args.out, argv, getattr(args, "seed", 0), started, vars(args))
         return 0
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (CsvFormatError, OSError, ValueError, RuntimeError) as e:
+    except (CsvFormatError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -146,17 +146,23 @@ def sample_dataset(model: DriftModel, n_p: int, n_q: int, rng: RandomSource) -> 
     return sample_multisource_dataset(model, (n_p,), n_q, rng)
 
 
+def _checked_sizes(source_sizes: Sequence[int], n_q: int) -> list[int]:
+    """The source sizes as ints, if there is at least one and every size is >= 0."""
+    sizes = [int(n) for n in source_sizes]
+    if len(sizes) < 1:
+        raise ValueError("need at least one source size")
+    if any(n < 0 for n in sizes) or n_q < 0:
+        raise ValueError(f"sample sizes must be >= 0, got sources {sizes}, target {n_q}")
+    return sizes
+
+
 def sample_multisource_dataset(model: DriftModel, source_sizes: Sequence[int], n_q: int,
                                rng: RandomSource) -> TransferDataset:
     """Draw m source samples (all from the model's P) plus a target sample.
 
     The target uses substream 0 and source i (1-based) substream i.
     """
-    sizes = [int(n) for n in source_sizes]
-    if len(sizes) < 1:
-        raise ValueError("need at least one source size")
-    if any(n < 0 for n in sizes) or n_q < 0:
-        raise ValueError(f"sample sizes must be >= 0, got sources {sizes}, target {n_q}")
+    sizes = _checked_sizes(source_sizes, n_q)
 
     def draw(n: int, which: str, stream: int) -> SampleSet:
         if n == 0:
@@ -421,21 +427,27 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     used both to generate the source data and in the weighted plan.
     Replication streams are keyed by (experiment, grid index, replication),
     so results are independent of method order and reproducible per seed.
+    Every grid point's model and sizes are checked before the first
+    replication runs.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
+    if accuracy_target not in ("bayes", "noisy"):
+        raise ValueError(f"unknown accuracy target {accuracy_target!r}")
     hp = HyperParams(alpha=alpha, beta=beta, gamma=gamma, d=d)
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
-    grid = [(pm, n_p) for pm in p_max_values for n_p in n_p_values]
+    grid = [(pm, make_drift_model(pm, gamma, d), n_p)
+            for pm in p_max_values for n_p in n_p_values]
     if not grid:
         raise ValueError("empty grid")
+    for n_p in n_p_values:
+        _checked_sizes((n_p,), n_q)
     records: list[ExperimentRecord] = []
-    for gi, (p_max, n_p) in enumerate(grid):
-        model = make_drift_model(p_max, gamma, d)
+    for gi, (p_max, model, n_p) in enumerate(grid):
         grid_rs = root.substream(gi)
         for rep in range(reps):
             rs = grid_rs.substream(rep)
@@ -443,10 +455,8 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
             x = sample_test_points(model.x_c, test_radius, 1, rs.substream(1))[0]
             if accuracy_target == "bayes":
                 truth = model.bayes(x)
-            elif accuracy_target == "noisy":
-                truth = int(model.sample_labels(x[None, :], "Q", rs.substream(2).generator())[0])
             else:
-                raise ValueError(f"unknown accuracy target {accuracy_target!r}")
+                truth = int(model.sample_labels(x[None, :], "Q", rs.substream(2).generator())[0])
             # one order for every method, looked up on the module as in adaptive_predict
             mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
             for name in methods:
@@ -594,9 +604,13 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise ValueError(f"reps must be >= 2, got {reps}")
     if sweep not in ("q", "p"):
         raise ValueError(f"sweep must be 'q' or 'p', got {sweep!r}")
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     model = make_drift_model(p_max, hp.scalar_gamma(), hp.d)
-    # Only draws in the signal ball B(x_c, p_max - 1/2) can carry risk.
-    in_ball = n_mc * math.pi ** (hp.d / 2) * (p_max - 0.5) ** hp.d / math.gamma(hp.d / 2 + 1)
+    # Only draws in the signal ball B(x_c, p_max - 1/2) can carry risk. The unit
+    # ball's volume is taken in logs: pi^(d/2) and gamma(d/2 + 1) overflow a float.
+    log_unit_ball = hp.d / 2 * math.log(math.pi) - math.lgamma(hp.d / 2 + 1)
+    in_ball = n_mc * math.exp(log_unit_ball) * (p_max - 0.5) ** hp.d
     ball_note = (f"d = {hp.d}, p_max = {p_max}, n_mc = {n_mc}: about {in_ball:.3g} Monte Carlo "
                  f"draws per replication are expected in the signal ball")
     if in_ball < 1:

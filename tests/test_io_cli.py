@@ -197,10 +197,16 @@ def test_read_origin_tag_errors(tmp_path):
         read_labeled_csv(p)
 
 
-@pytest.mark.parametrize("tag", ["P01", "P0", "P\u0661", "P\u00b2", "p1", "P+1"])
+@pytest.mark.parametrize("tag", [
+    "P01", "P0", "P\u0661", "P\u00b2", "p1", "P+1",
+    pytest.param("P" + "9" * 19, id="P-19-digits"),
+    pytest.param("P" + "9" * 5000, id="P-5000-digits"),
+])
 def test_origin_tag_grammar_is_ascii_without_leading_zero(tmp_path, tag, capsys):
-    # tags are exactly P, Q and P[1-9][0-9]*: P01 and P\u0661 must not
-    # alias P1, and P\u00b2 is a digit to str.isdigit but not to int()
+    # tags are exactly P, Q and P[1-9][0-9]{0,17}: P01 and P\u0661 must not
+    # alias P1, P\u00b2 is a digit to str.isdigit but not to int(), and a
+    # number of 19 digits would overflow an int64 code (5000 would pass the
+    # 4300-digit limit of int())
     p = write_text(tmp_path / "t.csv", f"x0,y,origin\n0.1,0,{tag}\n0.2,1,Q\n")
     with pytest.raises(CsvFormatError, match=re.escape(f"line 2: unknown origin tag {tag!r}")):
         read_labeled_csv(p)
@@ -301,12 +307,23 @@ def test_readers_cite_the_line_of_an_oversize_field(tmp_path, read, text, line):
         read(path)
 
 
+@pytest.mark.parametrize("read", [read_labeled_csv, read_points_csv])
+@pytest.mark.parametrize("rows", [1, 20_000])
+def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, read, rows):
+    # the text is decoded a block at a time, so a fault past the first block
+    # surfaces mid-file; either way the message names the file
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x0,y\n" + b"0.5,1\n" * rows + b"0.25,0\xe9\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"{path}: not UTF-8 text (")):
+        read(path)
+
+
 # ---------------------------------------------------------------- readers vs oracle
 
 
 # The per-row readers that the column-wise ones replaced, kept as the oracle:
 # every row is checked in file order, each field as it comes.
-_ORACLE_TAG = re.compile(r"[PQ]|P[1-9][0-9]*")
+_ORACLE_TAG = re.compile(r"[PQ]|P[1-9][0-9]{0,17}")
 
 
 def _oracle_coords(path, lineno, row, d):
@@ -830,19 +847,6 @@ def test_cli_simulate_and_manifest_reproduces(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
-def test_cli_simulate_usage_errors(tmp_path):
-    out = str(tmp_path / "agg.csv")
-    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "0"]) == 2
-    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "1",
-                    "--pmax", "0.4"]) == 2
-    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "1",
-                    "--np", "-5"]) == 2
-    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "1",
-                    "--np", "x"]) == 2
-    # argparse rejects unknown experiment names with its own exit code 2
-    assert run_cli(["simulate", "no-such-sweep", "--out", out]) == 2
-
-
 # SHA-256 of the aggregate CSVs at --seed 7, written when every method still
 # ordered its own sample (merged, pooled and target orders computed apart).
 PRESET_CSV_SHA256 = {
@@ -895,17 +899,6 @@ def test_cli_rate_check(tmp_path, capsys):
     assert (tmp_path / "rate.csv.manifest.jsonl").exists()
 
 
-def test_cli_rate_check_usage_errors():
-    assert run_cli(["rate-check", "--sizes", "10,20,30"]) == 2  # too few sizes
-    assert run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "1"]) == 2
-    assert run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "2",
-                    "--pmax", "0.3"]) == 2
-    assert run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "2",
-                    "--nmc", "1"]) == 2
-    # about 0.517 of the 100000 default draws are expected in the d = 6 signal ball
-    assert run_cli(["rate-check", "--d", "6"]) == 2
-
-
 def test_module_form_exits_like_the_console_script():
     src = str(Path(driftknn.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-m", "driftknn.io_cli", "rate-check", "--d", "6"],
@@ -930,15 +923,6 @@ def test_cli_eval(tmp_path, capsys):
     assert rows[0]["method"] == "qonly"
     assert 0.0 <= float(rows[0]["accuracy"]) <= 1.0
     assert float(rows[0]["excess_risk"]) >= 0.0
-
-
-def test_cli_eval_usage_errors(tmp_path):
-    train = transfer_csv(tmp_path)
-    assert run_cli(["eval", "--method", "qonly", "--train", str(train)]) == 2
-    assert run_cli(["eval", "--method", "qonly", "--train", str(train),
-                    "--pmax", "0.55", "--n-test", "0"]) == 2
-    assert run_cli(["eval", "--method", "qonly", "--train", str(train),
-                    "--pmax", "0.55", "--nmc", "1"]) == 2
 
 
 def test_cli_eval_per_source_gamma(tmp_path, capsys):
@@ -982,3 +966,79 @@ def test_cli_eval_per_source_gamma(tmp_path, capsys):
 def test_cli_argparse_failures():
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
+
+
+def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
+    # A setting the library or the parser refuses exits 2 with that refusal's
+    # message; a faulty data file, an OS error or a runtime failure exits 1.
+    # No case writes its output file or a manifest.
+    monkeypatch.chdir(tmp_path)
+    train = transfer_csv(tmp_path)
+    write_points(tmp_path / "test.csv", [[0.5, 0.5]])
+    write_text(tmp_path / "ponly.csv", "x0,x1,y,origin\n0.25,0.5,1,P\n")
+    write_text(tmp_path / "tag.csv", "x0,x1,y,origin\n0.25,0.5,1,P\n0.5,0.5,0,R\n")
+    (tmp_path / "latin.csv").write_bytes(train.read_bytes() + b"0.5,0.5,1,Q\xe9\n")
+    sim = ["--out", "out.csv", "--reps", "1", "--np", "30", "--nq", "25", "--pmax", "0.55"]
+    rate = ["rate-check", "--out", "out.csv", "--sizes", "20,50,100,200", "--reps", "2",
+            "--nmc", "2000", "--pmax", "0.7"]
+    pred = ["predict", "--out", "out.csv", "--train", str(train), "--test", "test.csv"]
+    ev = ["eval", "--out", "out.csv", "--method", "qonly", "--train", str(train),
+          "--n-test", "20", "--nmc", "500"]
+    cases = [
+        (["simulate", "fig4a", *sim, "--reps", "0"], 2, "reps must be >= 1, got 0"),
+        (["simulate", "fig4a", *sim, "--np", "30,-1"], 2,
+         "sample sizes must be >= 0, got sources [-1], target 25"),
+        (["simulate", "fig4a", *sim, "--nq", "-1"], 2,
+         "sample sizes must be >= 0, got sources [30], target -1"),
+        (["simulate", "fig4a", *sim, "--np", "x"], 2,
+         "expected a comma-separated list of integers, got 'x'"),
+        (["simulate", "fig4a", *sim, "--pmax", "0.55,0.4"], 2,
+         "p_max must be in (0.5, 1], got 0.4"),
+        (["simulate", "fig4a", *sim, "--gamma", "0"], 2, "gamma must be > 0, got 0.0"),
+        (["simulate", "fig4a", *sim, "--beta", "2"], 2, "beta must be in (0, 1], got 2.0"),
+        (["simulate", "fig5a", *sim, "--nq", "0"], 2,
+         "method 'lepski-q' has no samples to fit on"),
+        (["simulate", "fig4a", *sim, "--np", "0", "--nq", "0"], 2,
+         "need at least one sample across all sets"),
+        (["simulate", "fig6", *sim], 2, "invalid choice: 'fig6'"),
+        ([*rate, "--sizes", "10,20,30"], 2, "degenerate grid: need >= 4 sizes, got 3"),
+        ([*rate, "--reps", "1"], 2, "reps must be >= 2, got 1"),
+        ([*rate, "--pmax", "0.3"], 2, "p_max must be in (0.5, 1], got 0.3"),
+        ([*rate, "--nmc", "1"], 2, "too few draws to fit a slope (d = 2, p_max = 0.7, n_mc = 1"),
+        ([*rate, "--alpha", "-1"], 2, "alpha must be >= 0, got -1.0"),
+        # about 0.517 of the 100000 default draws are expected in the d = 6 signal ball
+        (["rate-check", "--d", "6"], 2, "too few draws to fit a slope (d = 6, p_max = 0.6"),
+        # pi^(d/2) and gamma(d/2 + 1) of the ball volume overflow a float here
+        (["rate-check", "--d", "2000"], 2, "too few draws to fit a slope (d = 2000,"),
+        ([*pred, "--method", "combined"], 2, "combined needs --gamma"),
+        ([*pred, "--method", "lepski", "--k", "3"], 2, "--k applies only to knn"),
+        ([*pred, "--method", "knn", "--k", "9"], 2, "--k must be in [1, 4]"),
+        ([*pred, "--method", "knn", "--d", "3"], 2, "--d 3 but training data has d=2"),
+        ([*pred, "--method", "weighted", "--gamma", "abc"], 2,
+         "expected a comma-separated list of numbers, got 'abc'"),
+        ([*pred, "--method", "lepski", "--train", "ponly.csv"], 2,
+         "method 'lepski-q' has no samples to fit on"),
+        ([*pred, "--method", "knn", "--k", "1", "--train", "ponly.csv"], 2,
+         "method 'qonly' has no samples to fit on"),
+        (ev, 2, "the following arguments are required: --pmax"),
+        ([*ev, "--pmax", "0.4"], 2, "p_max must be in (0.5, 1], got 0.4"),
+        ([*ev, "--pmax", "0.55", "--radius", "0"], 2, "radius must be > 0, got 0.0"),
+        ([*ev, "--pmax", "0.55", "--gamma-sim", "-1"], 2, "gamma_sim must be > 0, got -1.0"),
+        ([*ev, "--pmax", "0.55", "--n-test", "0"], 2, "test_points must be a nonempty"),
+        ([*ev, "--pmax", "0.55", "--nmc", "1"], 2, "n_mc must be >= 2, got 1"),
+        ([*ev, "--pmax", "0.55", "--gamma", "0.3,0.5"], 2, "gamma vector has 2 entries, need 1"),
+        ([*pred, "--method", "knn", "--train", "tag.csv"], 1,
+         "error: tag.csv: line 3: unknown origin tag 'R'"),
+        ([*pred, "--method", "knn", "--train", "no.csv"], 1, "No such file or directory"),
+        ([*pred, "--method", "knn", "--train", "latin.csv"], 1,
+         "error: latin.csv: not UTF-8 text ("),
+        ([*ev, "--pmax", "0.55", "--train", "latin.csv"], 1, "error: latin.csv: not UTF-8 text ("),
+        ([*rate, "--pmax", "0.51", "--nmc", "4000", "--seed", "0"], 1,
+         "error: mean excess risk is zero at size 20"),
+    ]
+    capsys.readouterr()
+    for argv, code, message in cases:
+        assert run_cli(argv) == code, argv
+        err = capsys.readouterr().err
+        assert message in err, (argv, err)
+        assert not list(tmp_path.glob("out.csv*")), argv

@@ -527,6 +527,33 @@ def test_run_accuracy_experiment_validation():
                                 n_p_values=(0,), n_q=10, reps=1, seed=1)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(p_max_values=(0.55, 0.4)), r"p_max must be in \(0.5, 1\], got 0.4"),
+    (dict(n_p_values=(30, -1)), r"sample sizes must be >= 0, got sources \[-1\], target 20"),
+    (dict(n_q=-1), r"sample sizes must be >= 0, got sources \[30\], target -1"),
+    (dict(accuracy_target="oracle"), "unknown accuracy target 'oracle'"),
+])
+def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
+        monkeypatch, bad, message):
+    from driftknn import simulation
+
+    calls = []
+    real = simulation.sample_dataset
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "sample_dataset", counting)
+    kwargs = dict(methods=("qonly",), p_max_values=(0.55, 0.6), n_p_values=(30, 40), n_q=20,
+                  reps=2, seed=1)
+    assert len(run_accuracy_experiment("fig4a", **kwargs)) == len(calls) == 2 * 2 * 2
+    calls.clear()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_accuracy_experiment("fig4a", **dict(kwargs, **bad))
+    assert calls == []
+
+
 def test_summarize_accuracy():
     records = run_accuracy_experiment(
         "fig4a", methods=("qonly", "combined"), p_max_values=(0.55, 0.6),
@@ -567,6 +594,19 @@ def test_rate_check_grid_validation():
         rate_exponent_check(hp, (10, 20, 50, 100), 1, rs)
     with pytest.raises(ValueError, match="sweep"):
         rate_exponent_check(hp, (10, 20, 50, 100), 2, rs, sweep="pq")
+
+
+@pytest.mark.parametrize("n_bootstrap", [0, -1])
+def test_rate_check_refuses_a_bad_n_bootstrap_before_sampling(monkeypatch, n_bootstrap):
+    from driftknn import simulation
+
+    def refuse(*_args):
+        raise AssertionError("sampled before checking n_bootstrap")
+
+    monkeypatch.setattr(simulation, "sample_dataset", refuse)
+    with pytest.raises(ValueError, match=f"^n_bootstrap must be >= 1, got {n_bootstrap}$"):
+        rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
+                            p_max=0.7, n_mc=2000, n_bootstrap=n_bootstrap)
 
 
 def test_rate_check_smoke():
