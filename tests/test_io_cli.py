@@ -847,6 +847,19 @@ def test_cli_simulate_and_manifest_reproduces(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_cli_simulate_usage_errors(tmp_path):
+    out = str(tmp_path / "agg.csv")
+    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "0"]) == 2
+    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "1",
+                    "--pmax", "0.4"]) == 2
+    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "1",
+                    "--np", "-5"]) == 2
+    assert run_cli(["simulate", "fig4a", "--out", out, "--reps", "1",
+                    "--np", "x"]) == 2
+    # argparse rejects unknown experiment names with its own exit code 2
+    assert run_cli(["simulate", "no-such-sweep", "--out", out]) == 2
+
+
 # SHA-256 of the aggregate CSVs at --seed 7, written when every method still
 # ordered its own sample (merged, pooled and target orders computed apart).
 PRESET_CSV_SHA256 = {
@@ -899,6 +912,17 @@ def test_cli_rate_check(tmp_path, capsys):
     assert (tmp_path / "rate.csv.manifest.jsonl").exists()
 
 
+def test_cli_rate_check_usage_errors():
+    assert run_cli(["rate-check", "--sizes", "10,20,30"]) == 2  # too few sizes
+    assert run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "1"]) == 2
+    assert run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "2",
+                    "--pmax", "0.3"]) == 2
+    assert run_cli(["rate-check", "--sizes", "20,40,80,200", "--reps", "2",
+                    "--nmc", "1"]) == 2
+    # about 0.517 of the 100000 default draws are expected in the d = 6 signal ball
+    assert run_cli(["rate-check", "--d", "6"]) == 2
+
+
 def test_module_form_exits_like_the_console_script():
     src = str(Path(driftknn.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-m", "driftknn.io_cli", "rate-check", "--d", "6"],
@@ -923,6 +947,15 @@ def test_cli_eval(tmp_path, capsys):
     assert rows[0]["method"] == "qonly"
     assert 0.0 <= float(rows[0]["accuracy"]) <= 1.0
     assert float(rows[0]["excess_risk"]) >= 0.0
+
+
+def test_cli_eval_usage_errors(tmp_path):
+    train = transfer_csv(tmp_path)
+    assert run_cli(["eval", "--method", "qonly", "--train", str(train)]) == 2
+    assert run_cli(["eval", "--method", "qonly", "--train", str(train),
+                    "--pmax", "0.55", "--n-test", "0"]) == 2
+    assert run_cli(["eval", "--method", "qonly", "--train", str(train),
+                    "--pmax", "0.55", "--nmc", "1"]) == 2
 
 
 def test_cli_eval_per_source_gamma(tmp_path, capsys):
