@@ -141,27 +141,23 @@ class TransferDataset:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Problem hyper-parameters.
+    """The classifier inputs: what minimax_plan, default_knn_k and fit_method read.
 
-    alpha:  margin exponent, >= 0.
     beta:   Holder smoothness of the regression functions, in (0, 1].
     gamma:  relative signal exponent of the source against the target
             (scalar, or one value per source for multi-source problems),
             every entry > 0.
     d:      covariate dimension, >= 1.
 
-    The margin and smoothness interact: alpha * beta <= d is required
-    (otherwise only trivial distributions satisfy both conditions).
+    The margin exponent sets no count or weight, so it is not held here; it
+    enters only the rate target, ``simulation.target_rate_exponent``.
     """
 
-    alpha: float
     beta: float
     gamma: float | tuple[float, ...]
     d: int
 
     def __post_init__(self):
-        if not (self.alpha >= 0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not (0 < self.beta <= 1):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         gamma = self.gamma
@@ -178,11 +174,6 @@ class HyperParams:
                     raise ValueError(f"gamma[{i}] must be > 0, got {g}")
         if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d}")
-        if self.alpha * self.beta > self.d:
-            raise ValueError(
-                f"alpha * beta must be <= d, got {self.alpha} * {self.beta} > {self.d}"
-            )
-        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "d", int(self.d))

@@ -332,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--pmax", default=None, help="signal level(s), comma list")
     sim.add_argument("--gamma", type=float, default=0.3)
     sim.add_argument("--beta", type=float, default=1.0)
-    sim.add_argument("--alpha", type=float, default=0.0)
     sim.add_argument("--d", type=int, default=2)
     sim.add_argument("--lepski-width", choices=sorted(LEPSKI_WIDTHS), default="algorithm3")
     sim.add_argument("--accuracy-target", choices=["bayes", "noisy"], default="bayes")
@@ -359,8 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", required=True)
     pred.add_argument("--gamma", default=None, help="relative signal exponent(s), comma list")
     pred.add_argument("--beta", type=float, default=1.0)
-    pred.add_argument("--alpha", type=float, default=0.0)
-    pred.add_argument("--d", type=int, default=None, help="expected dimension (validated)")
     pred.add_argument("--k", type=int, default=None, help="neighbor count for knn")
     pred.add_argument("--lepski-width", choices=sorted(LEPSKI_WIDTHS), default="algorithm3")
     pred.add_argument("--pool", action="store_true",
@@ -375,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="model drift exponent (defaults to --gamma)")
     ev.add_argument("--gamma", default="0.3", help="relative signal exponent(s), comma list")
     ev.add_argument("--beta", type=float, default=1.0)
-    ev.add_argument("--alpha", type=float, default=0.0)
     ev.add_argument("--n-test", type=int, default=1000)
     ev.add_argument("--radius", type=float, default=0.05)
     ev.add_argument("--nmc", type=int, default=100_000)
@@ -395,7 +391,7 @@ def _cmd_simulate(args) -> None:
         overrides["n_q"] = args.n_q
     if args.pmax is not None:
         overrides["p_max_values"] = tuple(_parse_list(args.pmax))
-    overrides.update(gamma=args.gamma, beta=args.beta, alpha=args.alpha, d=args.d,
+    overrides.update(gamma=args.gamma, beta=args.beta, d=args.d,
                      lepski_width=args.lepski_width, accuracy_target=args.accuracy_target)
     records = run_preset(args.experiment, seed=args.seed, **overrides)
     rows = summarize_accuracy(records)
@@ -408,15 +404,16 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_rate_check(args) -> None:
     sizes = _parse_list(args.sizes, int)
-    hp = HyperParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, d=args.d)
+    hp = HyperParams(beta=args.beta, gamma=args.gamma, d=args.d)
     result = rate_exponent_check(hp, sizes, args.reps, RandomSource(args.seed),
-                                 sweep=args.sweep, p_max=args.pmax, n_mc=args.nmc)
+                                 sweep=args.sweep, p_max=args.pmax, n_mc=args.nmc,
+                                 alpha=args.alpha)
     for n, risk in zip(result.sizes, result.mean_risks):
         print(f"n={n:<7d} mean excess risk = {risk:.6e}")
     print(f"fitted slope     = {result.slope:+.4f}")
     print(f"bootstrap 95% CI = [{result.ci_low:+.4f}, {result.ci_high:+.4f}]")
     print(f"target slope     = {result.target_slope:+.4f}  (sweep {result.sweep}, "
-          f"beta={hp.beta:g}, alpha={hp.alpha:g}, gamma={hp.scalar_gamma():g}, d={hp.d})")
+          f"beta={hp.beta:g}, alpha={args.alpha:g}, gamma={hp.scalar_gamma():g}, d={hp.d})")
     if args.out:
         write_records_csv(args.out, result.records)
         print(f"wrote {args.out}")
@@ -457,8 +454,7 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
     if args.pool and method not in ("knn", "lepski"):
         raise ValueError("--pool applies only to knn and lepski")
     gamma = None if args.gamma is None else _gammas(args, train.m)
-    hp = HyperParams(alpha=args.alpha, beta=args.beta, gamma=1.0 if gamma is None else gamma,
-                     d=args.d)
+    hp = HyperParams(beta=args.beta, gamma=1.0 if gamma is None else gamma, d=train.d)
     if method in ("weighted", "adaptive") and not tagged:
         raise ValueError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
     if method in ("weighted", "combined") and gamma is None:
@@ -475,9 +471,6 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
 
 def _cmd_predict(args) -> None:
     train, tagged = _read_train(args.train)
-    if args.d is not None and train.d != args.d:
-        raise ValueError(f"--d {args.d} but training data has d={train.d}")
-    args.d = train.d
     fitted = _fit_for(args, train, tagged)
     pts = read_points_csv(args.test)
     if pts.shape[1] != train.d:
@@ -494,16 +487,15 @@ def _cmd_predict(args) -> None:
 
 def _cmd_eval(args) -> None:
     train, _ = _read_train(args.train)
-    args.d = train.d
     gamma = _gammas(args, train.m)
     if isinstance(gamma, tuple) and args.gamma_sim is None:
         raise ValueError("a per-source --gamma needs --gamma-sim (the model has one exponent)")
-    hp = HyperParams(alpha=args.alpha, beta=args.beta, gamma=gamma, d=args.d)
+    hp = HyperParams(beta=args.beta, gamma=gamma, d=train.d)
     gamma_sim = args.gamma_sim if args.gamma_sim is not None else gamma
     model = make_drift_model(args.pmax, gamma_sim, train.d)
-    fitted = fit_method(args.method, train, hp, args.lepski_width)
     rs = RandomSource(args.seed).substream(_EXPERIMENT_STREAM_IDS["eval"])
     test = sample_test_points(model.x_c, args.radius, args.n_test, rs.substream(0))
+    fitted = fit_method(args.method, train, hp, args.lepski_width)
     acc = classification_accuracy(fitted.predict_batch, model, test)
     est = excess_risk_mc(fitted.predict_batch, model, args.nmc, rs.substream(1))
     print(f"method={args.method} n_p={train.n_p} n_q={train.n_q} d={train.d}")
@@ -512,12 +504,12 @@ def _cmd_eval(args) -> None:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["method", "p_max", "gamma_sim", "gamma", "beta", "alpha", "d",
+            w.writerow(["method", "p_max", "gamma_sim", "gamma", "beta", "d",
                         "n_p", "n_q", "n_test", "accuracy", "excess_risk",
                         "excess_risk_se", "n_mc", "seed"])
             w.writerow([args.method, repr(args.pmax), repr(float(gamma_sim)),
                         ",".join(map(repr, gamma)) if isinstance(gamma, tuple) else repr(gamma),
-                        repr(args.beta), repr(args.alpha), train.d,
+                        repr(args.beta), train.d,
                         train.n_p, train.n_q, args.n_test, repr(acc), repr(est.value),
                         repr(est.std_error), args.nmc, args.seed])
         print(f"wrote {args.out}")

@@ -116,23 +116,15 @@ class DriftModel:
         return (gen.random(points.shape[0]) < eta).astype(np.int64)
 
 
-def make_drift_model(p_max: float, gamma_sim: float = 0.3, d: int = 2,
-                     x_c: Sequence[float] | None = None) -> DriftModel:
-    """Validated cone-signal model; x_c defaults to the cube center."""
+def make_drift_model(p_max: float, gamma_sim: float = 0.3, d: int = 2) -> DriftModel:
+    """Validated cone-signal model centred in the cube."""
     if not (0.5 < p_max <= 1.0):
         raise ValueError(f"p_max must be in (0.5, 1], got {p_max}")
     if not (gamma_sim > 0):
         raise ValueError(f"gamma_sim must be > 0, got {gamma_sim}")
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ValueError(f"d must be an integer >= 1, got {d}")
-    if x_c is None:
-        center = np.full(int(d), 0.5)
-    else:
-        center = np.asarray(x_c, dtype=np.float64)
-        if center.shape != (d,):
-            raise ValueError(f"x_c must have shape ({d},), got {center.shape}")
-        if not np.all((center >= 0) & (center <= 1)):
-            raise ValueError("x_c must lie in [0,1]^d")
+    center = np.full(int(d), 0.5)
     center.setflags(write=False)
     return DriftModel(p_max=float(p_max), gamma_sim=float(gamma_sim), d=int(d), x_c=center)
 
@@ -182,8 +174,8 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
         raise ValueError("x_c must be a vector")
     if not (radius > 0):
         raise ValueError(f"radius must be > 0, got {radius}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     d = center.shape[0]
     gen = rng.generator()
     out = np.empty((n, d))
@@ -199,26 +191,13 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
 
 
 def classification_accuracy(predict: Callable[[np.ndarray], np.ndarray], model: DriftModel,
-                            test_points: np.ndarray, target: str = "bayes",
-                            rng: RandomSource | None = None) -> float:
-    """Fraction of test points where the prediction matches the ground truth.
-
-    ``target="bayes"`` scores against the oracle labels; ``"noisy"`` draws
-    fresh labels from eta_Q (requires rng).
-    """
+                            test_points: np.ndarray) -> float:
+    """Fraction of test points where the prediction matches the oracle label."""
     pts = np.asarray(test_points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("test_points must be a nonempty (m, d) array")
     pred = np.asarray(predict(pts))
-    if target == "bayes":
-        truth = model.bayes(pts)
-    elif target == "noisy":
-        if rng is None:
-            raise ValueError("noisy accuracy target requires rng")
-        truth = model.sample_labels(pts, "Q", rng.generator())
-    else:
-        raise ValueError(f"unknown accuracy target {target!r}")
-    return float(np.mean(pred == truth))
+    return float(np.mean(pred == model.bayes(pts)))
 
 
 @dataclass(frozen=True)
@@ -359,11 +338,14 @@ ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
 def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
                lepski_width: str = "algorithm3", k: int | None = None) -> FittedMethod:
     """Fit a named method to a dataset with any number of sources; k, if given, is
-    the neighbour count of qonly or combined (clamped to [1, n]), and an error otherwise."""
+    the neighbour count of qonly or combined (clamped to [1, n]), and an error otherwise.
+    hp.d must be the dataset's dimension."""
     try:
         fitter = METHODS[name]
     except KeyError:
         raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
+    if hp.d != ds.d:
+        raise ValueError(f"hyper-parameters have d = {hp.d} but the dataset has d = {ds.d}")
     if k is None:
         return fitter(ds, hp, lepski_width)
     if name not in ("qonly", "combined"):
@@ -415,14 +397,13 @@ class AggregateRow:
 def run_accuracy_experiment(experiment: str, methods: Sequence[str],
                             p_max_values: Sequence[float], n_p_values: Sequence[int],
                             n_q: int, reps: int, seed: int, gamma: float = 0.3,
-                            beta: float = 1.0, alpha: float = 0.0, d: int = 2,
-                            test_radius: float = TEST_BALL_RADIUS,
+                            beta: float = 1.0, d: int = 2,
                             lepski_width: str = "algorithm3",
                             accuracy_target: str = "bayes") -> list[ExperimentRecord]:
     """Accuracy sweep over a (p_max x n_P) grid.
 
     Each replication draws a fresh dataset and a single test point from
-    B(x_c, test_radius), orders the dataset once around it and scores every
+    B(x_c, TEST_BALL_RADIUS), orders the dataset once around it and scores every
     method on that order (wall_time excludes the shared ordering). gamma is
     used both to generate the source data and in the weighted plan.
     Replication streams are keyed by (experiment, grid index, replication),
@@ -437,7 +418,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
             raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
     if accuracy_target not in ("bayes", "noisy"):
         raise ValueError(f"unknown accuracy target {accuracy_target!r}")
-    hp = HyperParams(alpha=alpha, beta=beta, gamma=gamma, d=d)
+    hp = HyperParams(beta=beta, gamma=gamma, d=d)
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
     grid = [(pm, make_drift_model(pm, gamma, d), n_p)
@@ -452,7 +433,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
         for rep in range(reps):
             rs = grid_rs.substream(rep)
             ds = sample_dataset(model, n_p, n_q, rs.substream(0))
-            x = sample_test_points(model.x_c, test_radius, 1, rs.substream(1))[0]
+            x = sample_test_points(model.x_c, TEST_BALL_RADIUS, 1, rs.substream(1))[0]
             if accuracy_target == "bayes":
                 truth = model.bayes(x)
             else:
@@ -527,13 +508,20 @@ def run_preset(name: str, seed: int, **overrides) -> list[ExperimentRecord]:
     return run_accuracy_experiment(name, seed=seed, **kwargs)
 
 
-def target_rate_exponent(hp: HyperParams, sweep: str = "q") -> float:
+def target_rate_exponent(hp: HyperParams, sweep: str = "q", alpha: float = 0.0) -> float:
     """Theoretical log-log slope of the excess risk for a size sweep.
 
     Target-only ("q"): -beta (1+alpha) / (2 beta + d).
     Source-only ("p"): -beta (1+alpha) / (2 gamma beta + d).
+    alpha is the margin exponent, >= 0. The margin and smoothness interact:
+    alpha * beta <= d is required (otherwise only trivial distributions
+    satisfy both conditions).
     """
-    b, a, d = hp.beta, hp.alpha, float(hp.d)
+    if not (alpha >= 0):
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if alpha * hp.beta > hp.d:
+        raise ValueError(f"alpha * beta must be <= d, got {alpha} * {hp.beta} > {hp.d}")
+    b, a, d = hp.beta, float(alpha), float(hp.d)
     if sweep == "q":
         return -b * (1 + a) / (2 * b + d)
     if sweep == "p":
@@ -577,7 +565,7 @@ def _bootstrap_ci(rep_risks: np.ndarray, log_sizes: np.ndarray, gen: np.random.G
 
 def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: RandomSource,
                         sweep: str = "q", p_max: float = 0.60, n_mc: int = 100_000,
-                        n_bootstrap: int = 1000) -> RateCheckResult:
+                        n_bootstrap: int = 1000, alpha: float = 0.0) -> RateCheckResult:
     """Empirical convergence slope of the weighted-plan classifier.
 
     The default signal level is 0.60 rather than the accuracy experiments'
@@ -591,8 +579,9 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     classifier's excess risk by Monte Carlo with n_mc draws, and regresses
     log(mean risk) on log(n). The confidence interval comes from a
     replication bootstrap. The grid must hold at least 4 sizes spanning at
-    least a decade.
+    least a decade. alpha, the margin exponent, moves only the target slope.
     """
+    target = target_rate_exponent(hp, sweep, alpha)
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 4:
         raise ValueError(f"degenerate grid: need >= 4 sizes, got {len(sizes)}")
@@ -602,8 +591,6 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise ValueError("degenerate grid: sizes must span at least a decade")
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
-    if sweep not in ("q", "p"):
-        raise ValueError(f"sweep must be 'q' or 'p', got {sweep!r}")
     if n_bootstrap < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     model = make_drift_model(p_max, hp.scalar_gamma(), hp.d)
@@ -616,7 +603,6 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     if in_ball < 1:
         raise ValueError(f"too few draws to fit a slope ({ball_note}; need at least 1)")
     experiment = f"rate-{sweep}"
-    target = target_rate_exponent(hp, sweep)
     root = rng.substream(_EXPERIMENT_STREAM_IDS[experiment])
     rep_risks = np.empty((len(sizes), reps))
     records: list[ExperimentRecord] = []

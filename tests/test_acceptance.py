@@ -131,7 +131,7 @@ def test_criterion_4_rate_exponent(capsys):
     # the -0.25 limit rate. Signal level 0.60 keeps the finite-size curve
     # in its converging regime (at 0.55 the neighborhoods out-span the
     # signal ball at these sizes and the curve is flat).
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=2)
     result = rate_exponent_check(
         hp, (500, 1000, 2000, 4000, 8000, 16000), reps=24,
         rng=RandomSource(SEED), sweep="q", p_max=0.60, n_mc=100_000)
@@ -213,7 +213,7 @@ def _check_adaptive_invariants(rng):
 
 
 def _check_reductions(rng):
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=2)
     gen = rng.generator()
     model = make_drift_model(0.55, 0.3, 2)
     # n_P = 0: the weighted rule degenerates to plain target-only k-NN,
@@ -245,7 +245,7 @@ def _check_reductions(rng):
 
 
 def _check_rescaling(rng):
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=2)
     model = make_drift_model(0.55, 0.3, 2)
     ds = sample_dataset(model, 200, 300, rng.substream(0))
     plan = minimax_plan((200,), 300, hp)
@@ -318,8 +318,8 @@ def test_criterion_7_merged_sources_match_single(capsys):
     # treated as one source: identical exponents make the plans agree, so
     # the two classifiers' accuracies must sit within 2 pooled SEs
     model = make_drift_model(0.55, 0.3, 2)
-    hp2 = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.3), d=2)
-    hp1 = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    hp2 = HyperParams(beta=1.0, gamma=(0.3, 0.3), d=2)
+    hp1 = HyperParams(beta=1.0, gamma=0.3, d=2)
     plan2 = minimax_plan((1000, 1000), 5000, hp2)
     plan1 = minimax_plan((2000,), 5000, hp1)
     root = RandomSource(SEED).substream(8)

@@ -24,7 +24,7 @@ from driftknn.classifiers import (
     weighted_knn_predict,
 )
 
-HP_MAIN = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+HP_MAIN = HyperParams(beta=1.0, gamma=0.3, d=2)
 
 
 def make_set(points, labels):
@@ -59,7 +59,7 @@ def snr_index(k_p: int, eta_p: float, k_q: int, eta_q: float) -> float:
 
 
 def test_default_knn_k_frozen():
-    hp1 = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=1)
+    hp1 = HyperParams(beta=1.0, gamma=0.3, d=1)
     assert default_knn_k(100, hp1) == 21  # floor(100^(2/3))
     assert default_knn_k(8, hp1) == 4  # 8^(2/3) is exactly 4; the float power falls short
     assert default_knn_k(5000, HP_MAIN) == 70  # floor(5000^(1/2))
@@ -78,7 +78,7 @@ def test_minimax_plan_frozen_main():
 
 
 def test_minimax_plan_target_only_matches_single_sample_rule():
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=1)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=1)
     plan = minimax_plan((0,), 100, hp)
     assert plan.k_sources == (0,)
     assert plan.k_q == 21
@@ -90,7 +90,7 @@ def test_minimax_plan_target_only_matches_single_sample_rule():
 
 
 def test_minimax_plan_clamps_small_side():
-    hp = HyperParams(alpha=0.0, beta=0.8, gamma=0.5, d=3)
+    hp = HyperParams(beta=0.8, gamma=0.5, d=3)
     plan = minimax_plan((300,), 40, hp)
     assert plan.k_sources == (3,)
     assert plan.k_q == 1  # raw floor is 0; a nonempty set keeps one vote
@@ -130,7 +130,7 @@ def test_combined_budget_k_frozen():
 
 
 def test_combined_budget_k_is_the_m_source_plan_total():
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.8), d=2)
+    hp = HyperParams(beta=1.0, gamma=(0.3, 0.8), d=2)
     plan = minimax_plan((1000, 3000), 5000, hp)
     assert combined_budget_k((1000, 3000), 5000, hp) == plan.k_q + sum(plan.k_sources)
     with pytest.raises(ValueError, match="gamma vector has 2 entries, need 1"):
@@ -146,13 +146,13 @@ def test_combined_budget_k_collapses_without_source():
     sizes = sorted(set(range(1, 2001)) | powers)
     for beta in (1.0, 0.5, 0.25):
         for d in (1, 2, 3, 5):
-            hp = HyperParams(alpha=0.0, beta=beta, gamma=0.3, d=d)
+            hp = HyperParams(beta=beta, gamma=0.3, d=d)
             for n in sizes:
                 assert combined_budget_k((0,), n, hp) == default_knn_k(n, hp), (beta, d, n)
 
 
 def test_multisource_plan_frozen():
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.3), d=2)
+    hp = HyperParams(beta=1.0, gamma=(0.3, 0.3), d=2)
     plan = minimax_plan((1000, 1000), 5000, hp)
     assert plan.k_sources == (3, 3)
     assert plan.k_q == 16
@@ -161,7 +161,7 @@ def test_multisource_plan_frozen():
 
 
 def test_multisource_plan_weights_decrease_in_gamma():
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=(0.2, 0.5, 1.0), d=2)
+    hp = HyperParams(beta=1.0, gamma=(0.2, 0.5, 1.0), d=2)
     plan = minimax_plan((500, 500, 500), 1000, hp)
     assert plan.k_sources == (2, 2, 2)
     assert plan.k_q == 5
@@ -176,7 +176,7 @@ def test_multisource_plan_weights_decrease_in_gamma():
 def test_multisource_plan_single_source_reduces_to_two_sample():
     # an empty second source adds nothing to N, so the plan of the one
     # nonempty source is the two-sample plan, floats included
-    hp2 = HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.7), d=2)
+    hp2 = HyperParams(beta=1.0, gamma=(0.3, 0.7), d=2)
     two = minimax_plan((2000, 0), 5000, hp2)
     one = minimax_plan((2000,), 5000, HP_MAIN)
     assert two.k_sources == (*one.k_sources, 0)
@@ -191,7 +191,7 @@ def test_multisource_plan_validation():
     with pytest.raises(ValueError, match="at least one sample"):
         minimax_plan((0, 0), 0, HP_MAIN)
     with pytest.raises(ValueError, match="2 entries, need 3"):
-        minimax_plan((1, 1, 1), 1, HyperParams(0.0, 1.0, (0.3, 0.5), 2))
+        minimax_plan((1, 1, 1), 1, HyperParams(1.0, (0.3, 0.5), 2))
 
 
 # ---------------------------------------------------------------- weighted vote
@@ -254,7 +254,7 @@ def test_weighted_eta_validates_plan_against_sizes():
 def test_weighted_predict_without_source():
     q = make_set([[0.0], [0.2], [0.4]], [1, 1, 0])
     ds = TransferDataset((SampleSet.empty(1),), q)
-    plan = minimax_plan(ds.source_sizes, ds.n_q, HyperParams(0.0, 1.0, 0.3, 1))
+    plan = minimax_plan(ds.source_sizes, ds.n_q, HyperParams(1.0, 0.3, 1))
     assert plan.k_sources == (0,)
     assert weighted_knn_predict(ds, plan, [0.0]) == 1
 
@@ -313,7 +313,7 @@ def test_votes_take_a_batch_of_queries():
     ds = TransferDataset((p,), make_set(gen.integers(0, 5, (40, 2)) / 4, gen.integers(0, 2, 40)))
     mds = TransferDataset((p, p), ds.q_data)
     plan = minimax_plan(ds.source_sizes, ds.n_q, HP_MAIN)
-    mplan = minimax_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.5), 2))
+    mplan = minimax_plan(mds.source_sizes, mds.n_q, HyperParams(1.0, (0.3, 0.5), 2))
     xs = gen.integers(0, 5, (25, 2)) / 4
     cases = [lambda x: weighted_knn_eta(ds, plan, x),
              lambda x: weighted_knn_predict(ds, plan, x),

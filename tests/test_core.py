@@ -1,5 +1,7 @@
 """Container, hyper-parameter, and random-stream contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,29 +155,32 @@ def test_merge_sources_all_empty():
 
 
 def test_hyperparams_defaults_and_coercion():
-    hp = HyperParams(alpha=0, beta=1, gamma=0.3, d=2)
-    assert isinstance(hp.alpha, float)
+    hp = HyperParams(beta=1, gamma=0.3, d=2)
+    assert isinstance(hp.beta, float)
     assert isinstance(hp.gamma, float)
     assert hp.scalar_gamma() == 0.3
+    # the fields are the classifier inputs only; a margin exponent is not one of them
+    assert [f.name for f in dataclasses.fields(HyperParams)] == ["beta", "gamma", "d"]
+    # the old 4-positional form (alpha first) is refused, never read as (beta, gamma, d)
+    with pytest.raises(TypeError):
+        HyperParams(0.0, 1.0, 0.3, 2)
+    with pytest.raises(TypeError):
+        HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
 
 
 def test_hyperparams_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        HyperParams(alpha=-0.1, beta=1.0, gamma=0.3, d=2)
     with pytest.raises(ValueError, match="beta"):
-        HyperParams(alpha=0.0, beta=0.0, gamma=0.3, d=2)
+        HyperParams(beta=0.0, gamma=0.3, d=2)
     with pytest.raises(ValueError, match="beta"):
-        HyperParams(alpha=0.0, beta=1.2, gamma=0.3, d=2)
+        HyperParams(beta=1.2, gamma=0.3, d=2)
     with pytest.raises(ValueError, match="gamma"):
-        HyperParams(alpha=0.0, beta=1.0, gamma=0.0, d=2)
+        HyperParams(beta=1.0, gamma=0.0, d=2)
     with pytest.raises(ValueError, match="d must be"):
-        HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=0)
-    with pytest.raises(ValueError, match="alpha \\* beta"):
-        HyperParams(alpha=3.0, beta=1.0, gamma=0.3, d=2)
+        HyperParams(beta=1.0, gamma=0.3, d=0)
 
 
 def test_hyperparams_gamma_vector():
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=(0.2, 0.5), d=2)
+    hp = HyperParams(beta=1.0, gamma=(0.2, 0.5), d=2)
     assert hp.gamma == (0.2, 0.5)
     assert hp.gamma_vector(2) == (0.2, 0.5)
     with pytest.raises(ValueError, match="scalar gamma"):
@@ -183,17 +188,17 @@ def test_hyperparams_gamma_vector():
     with pytest.raises(ValueError, match="2 entries, need 3"):
         hp.gamma_vector(3)
     with pytest.raises(ValueError, match="gamma\\[1\\]"):
-        HyperParams(alpha=0.0, beta=1.0, gamma=(0.2, -0.5), d=2)
+        HyperParams(beta=1.0, gamma=(0.2, -0.5), d=2)
     with pytest.raises(ValueError, match="nonempty"):
-        HyperParams(alpha=0.0, beta=1.0, gamma=(), d=2)
+        HyperParams(beta=1.0, gamma=(), d=2)
     # a length-1 vector still answers scalar_gamma
-    hp1 = HyperParams(alpha=0.0, beta=1.0, gamma=(0.7,), d=2)
+    hp1 = HyperParams(beta=1.0, gamma=(0.7,), d=2)
     assert hp1.scalar_gamma() == 0.7
     assert hp1.gamma_vector(1) == (0.7,)
 
 
 def test_hyperparams_scalar_broadcast():
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.4, d=2)
+    hp = HyperParams(beta=1.0, gamma=0.4, d=2)
     assert hp.gamma_vector(3) == (0.4, 0.4, 0.4)
 
 

@@ -552,8 +552,8 @@ def test_cli_writes_a_manifest_for_each_successful_command_with_out(
           "--out", "sim4.csv"], dict(reps=None, gamma=0.3, seed=4)),
         (rate + ["--out", "rate.csv"], dict(sizes="20,40,80,200", sweep="q", nmc=1000, seed=2)),
         (predict + ["--method", "knn", "--pool", "--out", "pred.csv"],
-         dict(method="knn", pool=True, k=None, d=2, gamma=None)),
-        (evaluate + ["--out", "eval.csv"], dict(method="qonly", pmax=0.55, d=2, seed=0)),
+         dict(method="knn", pool=True, k=None, gamma=None)),
+        (evaluate + ["--out", "eval.csv"], dict(method="qonly", pmax=0.55, seed=0)),
     ]
     for argv, parsed in runs:
         out = argv[argv.index("--out") + 1]
@@ -564,6 +564,9 @@ def test_cli_writes_a_manifest_for_each_successful_command_with_out(
         assert {key: config[key] for key in parsed} == parsed, argv
         assert entry["seed"] == parsed.get("seed", 0)
         assert manifest_argv(tmp_path / f"{out}.manifest.jsonl") == argv
+        # the config is the parsed arguments as given: predict and eval take d from
+        # the training file and record none
+        assert ("d" in config) == (argv[0] in ("simulate", "rate-check")), argv
     # a manifest that cannot be written is a runtime error, not a traceback
     (tmp_path / "blocked.csv.manifest.jsonl").mkdir()
     capsys.readouterr()
@@ -663,10 +666,10 @@ def test_cli_predict_matches_library_labels(tmp_path):
     write_labeled_csv(multi, mds)
     write_labeled_csv(plain, ds.q_data)
     write_points(test, queries.tolist())
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=2)
     q, pooled, mpooled = ds.q_data, pooled_sample_set(ds), pooled_sample_set(mds)
     plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
-    mplan = minimax_plan(mds.source_sizes, mds.n_q, HyperParams(0.0, 1.0, (0.3, 0.3), 2))
+    mplan = minimax_plan(mds.source_sizes, mds.n_q, HyperParams(1.0, (0.3, 0.3), 2))
     cases = [
         (train, ["--method", "knn"], lambda x: knn_predict(q, default_knn_k(len(q), hp), x)),
         (train, ["--method", "knn", "--pool"],
@@ -718,7 +721,7 @@ def test_cli_predict_combined_takes_the_m_source_budget(tmp_path):
     write_points(test, queries.tolist())
     pooled = pooled_sample_set(mds)
     for gamma, hp_gamma in (("0.3", 0.3), ("0.3,0.5", (0.3, 0.5))):
-        hp = HyperParams(alpha=0.0, beta=1.0, gamma=hp_gamma, d=2)
+        hp = HyperParams(beta=1.0, gamma=hp_gamma, d=2)
         k = combined_budget_k(mds.source_sizes, mds.n_q, hp)
         assert k < default_knn_k(len(pooled), hp)
         labels = cli_labels(tmp_path, train, test, ["--method", "combined", "--gamma", gamma])
@@ -759,8 +762,6 @@ def test_cli_predict_usage_errors(tmp_path):
     assert run_cli(base + ["--method", "weighted"]) == 2
     # k out of range for the 4 target rows
     assert run_cli(base + ["--method", "knn", "--k", "9"]) == 2
-    # declared dimension disagrees with the file
-    assert run_cli(base + ["--method", "knn", "--d", "3"]) == 2
     # gamma must parse as numbers
     assert run_cli(base + ["--method", "weighted", "--gamma", "abc"]) == 2
 
@@ -942,7 +943,11 @@ def test_cli_eval(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "accuracy" in stdout and "excess risk" in stdout
     with open(out) as fh:
+        header = next(csv.reader(fh))
+        fh.seek(0)
         rows = list(csv.DictReader(fh))
+    assert header == ["method", "p_max", "gamma_sim", "gamma", "beta", "d", "n_p", "n_q",
+                      "n_test", "accuracy", "excess_risk", "excess_risk_se", "n_mc", "seed"]
     assert len(rows) == 1
     assert rows[0]["method"] == "qonly"
     assert 0.0 <= float(rows[0]["accuracy"]) <= 1.0
@@ -975,7 +980,7 @@ def test_cli_eval_per_source_gamma(tmp_path, capsys):
         with open(out) as fh:
             (row,) = csv.DictReader(fh)
         fitted = fit_method("weighted", read_labeled_csv(train),
-                            HyperParams(alpha=0.0, beta=1.0, gamma=hp_gamma, d=2))
+                            HyperParams(beta=1.0, gamma=hp_gamma, d=2))
         assert row["gamma"] == cell
         assert row["gamma_sim"] == "0.3"
         assert float(row["accuracy"]) == classification_accuracy(
@@ -992,7 +997,7 @@ def test_cli_eval_per_source_gamma(tmp_path, capsys):
                            "--gamma-sim", "0.3"]) == 0
     with open(out) as fh:
         (row,) = csv.DictReader(fh)
-    fitted = fit_method("combined", mds, HyperParams(alpha=0.0, beta=1.0, gamma=(0.3, 0.5), d=2))
+    fitted = fit_method("combined", mds, HyperParams(beta=1.0, gamma=(0.3, 0.5), d=2))
     assert float(row["accuracy"]) == classification_accuracy(fitted.predict_batch, model, test)
 
 
@@ -1046,7 +1051,11 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
         ([*pred, "--method", "combined"], 2, "combined needs --gamma"),
         ([*pred, "--method", "lepski", "--k", "3"], 2, "--k applies only to knn"),
         ([*pred, "--method", "knn", "--k", "9"], 2, "--k must be in [1, 4]"),
-        ([*pred, "--method", "knn", "--d", "3"], 2, "--d 3 but training data has d=2"),
+        # the dimension comes from the file, and alpha only moves rate-check's target
+        ([*pred, "--method", "knn", "--d", "3"], 2, "unrecognized arguments: --d 3"),
+        ([*pred, "--method", "knn", "--alpha", "1"], 2, "unrecognized arguments: --alpha 1"),
+        (["simulate", "fig4a", *sim, "--alpha", "1"], 2, "unrecognized arguments: --alpha 1"),
+        ([*ev, "--pmax", "0.55", "--alpha", "1"], 2, "unrecognized arguments: --alpha 1"),
         ([*pred, "--method", "weighted", "--gamma", "abc"], 2,
          "expected a comma-separated list of numbers, got 'abc'"),
         ([*pred, "--method", "lepski", "--train", "ponly.csv"], 2,
@@ -1057,7 +1066,11 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
         ([*ev, "--pmax", "0.4"], 2, "p_max must be in (0.5, 1], got 0.4"),
         ([*ev, "--pmax", "0.55", "--radius", "0"], 2, "radius must be > 0, got 0.0"),
         ([*ev, "--pmax", "0.55", "--gamma-sim", "-1"], 2, "gamma_sim must be > 0, got -1.0"),
-        ([*ev, "--pmax", "0.55", "--n-test", "0"], 2, "test_points must be a nonempty"),
+        ([*ev, "--pmax", "0.55", "--n-test", "0"], 2, "n must be >= 1, got 0"),
+        ([*ev, "--pmax", "0.55", "--n-test", "-1"], 2, "n must be >= 1, got -1"),
+        # the test points are drawn before the fit, so --n-test is checked first
+        ([*ev, "--pmax", "0.55", "--n-test", "0", "--train", "ponly.csv"], 2,
+         "n must be >= 1, got 0"),
         ([*ev, "--pmax", "0.55", "--nmc", "1"], 2, "n_mc must be >= 2, got 1"),
         ([*ev, "--pmax", "0.55", "--gamma", "0.3,0.5"], 2, "gamma vector has 2 entries, need 1"),
         ([*pred, "--method", "knn", "--train", "tag.csv"], 1,

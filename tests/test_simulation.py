@@ -41,7 +41,7 @@ from driftknn.simulation import (
     target_rate_exponent,
 )
 
-HP_MAIN = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+HP_MAIN = HyperParams(beta=1.0, gamma=0.3, d=2)
 
 
 # ---------------------------------------------------------------- model
@@ -56,10 +56,6 @@ def test_model_validation():
         make_drift_model(0.55, gamma_sim=0.0)
     with pytest.raises(ValueError, match="d must be"):
         make_drift_model(0.55, d=0)
-    with pytest.raises(ValueError, match="shape"):
-        make_drift_model(0.55, d=2, x_c=[0.5])
-    with pytest.raises(ValueError, match="lie in"):
-        make_drift_model(0.55, d=2, x_c=[0.5, 1.5])
     m = make_drift_model(0.55)
     np.testing.assert_array_equal(m.x_c, [0.5, 0.5])
 
@@ -181,12 +177,12 @@ def test_sample_test_points_containment_and_radius():
 def test_sample_test_points_validation():
     with pytest.raises(ValueError, match="radius"):
         sample_test_points([0.5, 0.5], 0.0, 3, RandomSource(1))
-    with pytest.raises(ValueError, match="n must be"):
-        sample_test_points([0.5, 0.5], 0.1, -1, RandomSource(1))
+    # no caller asks for an empty sample: n = 0 is refused like a negative n
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            sample_test_points([0.5, 0.5], 0.1, n, RandomSource(1))
     with pytest.raises(ValueError, match="vector"):
         sample_test_points(0.5, 0.1, 3, RandomSource(1))
-    empty = sample_test_points([0.5, 0.5], 0.1, 0, RandomSource(1))
-    assert empty.shape == (0, 2)
 
 
 # ---------------------------------------------------------------- scoring
@@ -211,16 +207,8 @@ def test_classification_accuracy_extremes():
 
 def test_classification_accuracy_validation():
     m = make_drift_model(0.55)
-    pts = sample_test_points(m.x_c, 0.05, 5, RandomSource(32))
     with pytest.raises(ValueError, match="nonempty"):
         classification_accuracy(constant_classifier(1), m, np.empty((0, 2)))
-    with pytest.raises(ValueError, match="requires rng"):
-        classification_accuracy(constant_classifier(1), m, pts, target="noisy")
-    with pytest.raises(ValueError, match="unknown accuracy target"):
-        classification_accuracy(constant_classifier(1), m, pts, target="exact")
-    noisy = classification_accuracy(constant_classifier(1), m, pts, target="noisy",
-                                    rng=RandomSource(33))
-    assert 0.0 <= noisy <= 1.0
 
 
 def test_excess_risk_of_oracle_is_zero():
@@ -313,6 +301,20 @@ def test_fit_method_k_overrides_the_neighbour_count_of_knn_fits():
             fit_method(name, ds, HP_MAIN, k=3)
 
 
+def test_fit_method_refuses_hyperparams_of_another_dimension():
+    # a plan built for the wrong d would answer silently: every fit refuses it
+    m = make_drift_model(0.55, d=3)
+    ds = sample_dataset(m, 60, 80, RandomSource(54))
+    for name in METHODS:
+        fit_method(name, ds, HyperParams(beta=1.0, gamma=0.3, d=3))
+        for d in (1, 50):
+            with pytest.raises(ValueError, match=f"^hyper-parameters have d = {d} but the "
+                                                 f"dataset has d = 3$"):
+                fit_method(name, ds, HyperParams(beta=1.0, gamma=0.3, d=d))
+    with pytest.raises(ValueError, match="d = 2 but the dataset has d = 3"):
+        fit_method("qonly", ds, HP_MAIN, k=3)
+
+
 @pytest.mark.parametrize("name", ["qonly", "combined", "lepski-q", "lepski-combined"])
 def test_one_set_fits_refuse_an_empty_set_when_fitted(name):
     rows = SampleSet(np.full((3, 2), 0.5), np.array([0, 1, 1]))
@@ -366,7 +368,7 @@ def test_multisource_fits_batch_agree_with_point(sizes, n_q, seed, grid):
     gen = np.random.default_rng(seed)
     mds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
                           lattice_set(gen, n_q, grid))
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=2)
     plan = minimax_plan(mds.source_sizes, mds.n_q, hp)
     pts = lattice_points(gen, 10, grid)
     assert_batch_agrees_with_order(mds, pts)
@@ -571,14 +573,49 @@ def test_summarize_accuracy():
 
 
 def test_target_rate_exponent_values():
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=2)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=2)
     assert target_rate_exponent(hp, "q") == -0.25
     assert target_rate_exponent(hp, "p") == pytest.approx(-1.0 / 2.6, rel=1e-15)
-    hp1 = HyperParams(alpha=0.0, beta=1.0, gamma=1.0, d=2)
+    hp1 = HyperParams(beta=1.0, gamma=1.0, d=2)
     # a gamma = 1 source converges exactly like the target
     assert target_rate_exponent(hp1, "p") == target_rate_exponent(hp1, "q") == -0.25
     with pytest.raises(ValueError, match="sweep"):
         target_rate_exponent(hp, "both")
+
+
+def test_target_rate_exponent_takes_the_margin_exponent():
+    hp = HP_MAIN
+    assert target_rate_exponent(hp, "q", alpha=1.0) == -0.5
+    assert target_rate_exponent(hp, "p", alpha=1.0) == pytest.approx(-2.0 / 2.6, rel=1e-15)
+    # alpha * beta = d is allowed, just past it is not
+    assert target_rate_exponent(HyperParams(beta=0.5, gamma=0.3, d=1), "q", alpha=2.0) == -0.75
+    with pytest.raises(ValueError, match=r"^alpha must be >= 0, got -0.1$"):
+        target_rate_exponent(hp, "q", alpha=-0.1)
+    with pytest.raises(ValueError, match=r"^alpha must be >= 0, got nan$"):
+        target_rate_exponent(hp, "q", alpha=float("nan"))
+    with pytest.raises(ValueError, match=r"^alpha \* beta must be <= d, got 3.0 \* 1.0 > 2$"):
+        target_rate_exponent(hp, "q", alpha=3.0)
+
+
+def test_rate_check_forwards_alpha_to_the_target_only(monkeypatch):
+    base = rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
+                               p_max=0.7, n_mc=2000)
+    tight = rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
+                                p_max=0.7, n_mc=2000, alpha=1.0)
+    assert (base.target_slope, tight.target_slope) == (-0.25, -0.5)
+    np.testing.assert_array_equal(tight.rep_risks, base.rep_risks)
+    assert (tight.slope, tight.ci_low, tight.ci_high) == (base.slope, base.ci_low, base.ci_high)
+    # a bad alpha is refused before any sampling
+    from driftknn import simulation
+
+    def refuse(*_args):
+        raise AssertionError("sampled before checking alpha")
+
+    monkeypatch.setattr(simulation, "sample_dataset", refuse)
+    for alpha, message in ((-1.0, "alpha must be >= 0"), (3.0, "alpha \\* beta must be <= d")):
+        with pytest.raises(ValueError, match=message):
+            rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
+                                p_max=0.7, n_mc=2000, alpha=alpha)
 
 
 def test_rate_check_grid_validation():
@@ -632,7 +669,7 @@ def test_rate_check_smoke():
 def test_rate_check_refuses_fewer_than_one_expected_ball_draw():
     # at d = 6 the signal ball B(x_c, 0.1) holds 2000 * pi^3 * 0.1^6 / 3! = 0.0103
     # of the 2000 Monte Carlo draws in expectation: refused before any sampling
-    hp = HyperParams(alpha=0.0, beta=1.0, gamma=0.3, d=6)
+    hp = HyperParams(beta=1.0, gamma=0.3, d=6)
     with pytest.raises(ValueError, match=r"^too few draws to fit a slope \(d = 6, p_max = 0.6, "
                        r"n_mc = 2000: about 0.0103 Monte Carlo draws .*; need at least 1\)$"):
         rate_exponent_check(hp, (20, 50, 100, 200), reps=2, rng=RandomSource(6), n_mc=2000)
