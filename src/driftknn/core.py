@@ -150,7 +150,7 @@ class HyperParams:
     d:      covariate dimension, >= 1.
 
     The margin exponent sets no count or weight, so it is not held here; it
-    enters only the rate target, ``simulation.target_rate_exponent``.
+    is the model's, ``simulation.DriftModel.MARGIN_EXPONENT``.
     """
 
     beta: float
@@ -161,7 +161,7 @@ class HyperParams:
         if not (0 < self.beta <= 1):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         gamma = self.gamma
-        if isinstance(gamma, (int, float)):
+        if np.ndim(gamma) == 0:
             if not (gamma > 0):
                 raise ValueError(f"gamma must be > 0, got {gamma}")
             gamma = float(gamma)

@@ -33,6 +33,8 @@ from .classifiers import LEPSKI_WIDTHS, default_knn_k
 from .simulation import (
     _EXPERIMENT_STREAM_IDS,
     EXPERIMENT_PRESETS,
+    TEST_BALL_RADIUS,
+    DriftModel,
     classification_accuracy,
     excess_risk_mc,
     fit_method,
@@ -334,7 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta", type=float, default=1.0)
     sim.add_argument("--d", type=int, default=2)
     sim.add_argument("--lepski-width", choices=sorted(LEPSKI_WIDTHS), default="algorithm3")
-    sim.add_argument("--accuracy-target", choices=["bayes", "noisy"], default="bayes")
 
     rate = sub.add_parser("rate-check", help="fit the excess-risk convergence slope")
     rate.add_argument("--out", default=None, help="optional per-replication CSV path")
@@ -347,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="model signal level (0.60 keeps the slope identifiable)")
     rate.add_argument("--gamma", type=float, default=0.3)
     rate.add_argument("--beta", type=float, default=1.0)
-    rate.add_argument("--alpha", type=float, default=0.0)
     rate.add_argument("--d", type=int, default=2)
 
     pred = sub.add_parser("predict", help="label query points from a training CSV")
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gamma", default="0.3", help="relative signal exponent(s), comma list")
     ev.add_argument("--beta", type=float, default=1.0)
     ev.add_argument("--n-test", type=int, default=1000)
-    ev.add_argument("--radius", type=float, default=0.05)
+    ev.add_argument("--radius", type=float, default=TEST_BALL_RADIUS)
     ev.add_argument("--nmc", type=int, default=100_000)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", default=None)
@@ -392,7 +392,7 @@ def _cmd_simulate(args) -> None:
     if args.pmax is not None:
         overrides["p_max_values"] = tuple(_parse_list(args.pmax))
     overrides.update(gamma=args.gamma, beta=args.beta, d=args.d,
-                     lepski_width=args.lepski_width, accuracy_target=args.accuracy_target)
+                     lepski_width=args.lepski_width)
     records = run_preset(args.experiment, seed=args.seed, **overrides)
     rows = summarize_accuracy(records)
     write_aggregate_csv(args.out, rows)
@@ -406,14 +406,14 @@ def _cmd_rate_check(args) -> None:
     sizes = _parse_list(args.sizes, int)
     hp = HyperParams(beta=args.beta, gamma=args.gamma, d=args.d)
     result = rate_exponent_check(hp, sizes, args.reps, RandomSource(args.seed),
-                                 sweep=args.sweep, p_max=args.pmax, n_mc=args.nmc,
-                                 alpha=args.alpha)
+                                 sweep=args.sweep, p_max=args.pmax, n_mc=args.nmc)
     for n, risk in zip(result.sizes, result.mean_risks):
         print(f"n={n:<7d} mean excess risk = {risk:.6e}")
     print(f"fitted slope     = {result.slope:+.4f}")
     print(f"bootstrap 95% CI = [{result.ci_low:+.4f}, {result.ci_high:+.4f}]")
     print(f"target slope     = {result.target_slope:+.4f}  (sweep {result.sweep}, "
-          f"beta={hp.beta:g}, alpha={args.alpha:g}, gamma={hp.scalar_gamma():g}, d={hp.d})")
+          f"beta={hp.beta:g}, alpha={DriftModel.MARGIN_EXPONENT:g}, "
+          f"gamma={hp.scalar_gamma():g}, d={hp.d})")
     if args.out:
         write_records_csv(args.out, result.records)
         print(f"wrote {args.out}")
@@ -459,12 +459,9 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
         raise ValueError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
     if method in ("weighted", "combined") and gamma is None:
         raise ValueError(f"{method} needs --gamma (one value, or one per source)")
-    k = None
-    if method == "knn":
-        n = train.n_q + (train.n_p if args.pool else 0)
-        if args.k is not None and n and not (1 <= args.k <= n):  # the fit refuses n = 0
-            raise ValueError(f"--k must be in [1, {n}]")
-        k = default_knn_k(n, hp) if args.k is None else args.k
+    k = args.k
+    if method == "knn" and k is None:
+        k = default_knn_k(train.n_q + (train.n_p if args.pool else 0), hp)
     return fit_method(_SPELLINGS.get((method, args.pool), method), train, hp,
                       args.lepski_width, k=k)
 

@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 TEST_BALL_RADIUS = 0.05
+N_BOOTSTRAP = 1000  # resamples behind rate_exponent_check's slope interval
+_MC_CHUNK = 1 << 20  # Monte Carlo draws per chunk of excess_risk_mc
 
 # Stream-id offsets so different experiment kinds never share streams.
 _EXPERIMENT_STREAM_IDS = {
@@ -80,6 +82,11 @@ class DriftModel:
     eta_P(x) = 1/2 + (eta_Q(x) - 1/2)^gamma_sim.
     Covariates are uniform on [0,1]^d under both P and Q.
     """
+
+    # |eta_Q - 1/2| = max(p_max - 1/2 - ||x - x_c||, 0) is the distance to the edge of
+    # the signal ball, so P(0 < |eta_Q - 1/2| <= t) grows linearly in t: the margin
+    # exponent of Audibert & Tsybakov (2007) is 1 for every p_max, gamma_sim and d.
+    MARGIN_EXPONENT = 1.0
 
     p_max: float
     gamma_sim: float
@@ -210,7 +217,7 @@ class McEstimate:
 
 
 def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftModel,
-                   n_mc: int, rng: RandomSource, chunk_size: int = 1 << 20) -> McEstimate:
+                   n_mc: int, rng: RandomSource) -> McEstimate:
     """Monte Carlo excess risk of a classifier against the oracle.
 
     Estimates 2 E[|eta_Q(X) - 1/2| 1{predict(X) != bayes(X)}] with X
@@ -218,7 +225,7 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
     exactly zero, so the classifier is only evaluated where the weight is
     positive; the estimate and standard error equal the full evaluation's.
     The variance merges per-chunk moments (no E[x^2] - mean^2 cancellation).
-    The draw sequence depends only on rng, not on chunk_size.
+    The draw sequence depends only on rng, not on the chunk size.
     """
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2, got {n_mc}")
@@ -227,7 +234,7 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
     moments = (0, 0.0, 0.0)  # count, mean, sum of squared deviations
     done = 0
     while done < n_mc:
-        m = min(chunk_size, n_mc - done)
+        m = min(_MC_CHUNK, n_mc - done)
         pts = gen.random((m, model.d))
         eta = model.eta_q(pts)
         weight = 2.0 * np.abs(eta - 0.5)
@@ -288,12 +295,13 @@ def _one_set(name: str, ds: TransferDataset, pooled: bool):
 
 def _fit_knn(name: str, ds: TransferDataset, pooled: bool, hp: HyperParams,
              k: int | None = None) -> FittedMethod:
-    """Plain k-NN majority vote on one set of rows, k clamped to [1, n]; k defaults to
+    """Plain k-NN majority vote on one set of n rows, k in [1, n]; k defaults to
     combined_budget_k on the pooled set and to default_knn_k on Q."""
     n, view, one_set = _one_set(name, ds, pooled)
     if k is None:
         k = combined_budget_k(ds.source_sizes, ds.n_q, hp) if pooled else default_knn_k(n, hp)
-    k = min(max(1, k), n)
+    if not (1 <= k <= n):
+        raise ValueError(f"k must be in [1, {n}], got {k}")
     return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
                         lambda pts: knn_predict(one_set(), k, pts))
 
@@ -338,7 +346,7 @@ ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
 def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
                lepski_width: str = "algorithm3", k: int | None = None) -> FittedMethod:
     """Fit a named method to a dataset with any number of sources; k, if given, is
-    the neighbour count of qonly or combined (clamped to [1, n]), and an error otherwise.
+    the neighbour count of qonly or combined (in [1, n]), and an error otherwise.
     hp.d must be the dataset's dimension."""
     try:
         fitter = METHODS[name]
@@ -398,8 +406,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
                             p_max_values: Sequence[float], n_p_values: Sequence[int],
                             n_q: int, reps: int, seed: int, gamma: float = 0.3,
                             beta: float = 1.0, d: int = 2,
-                            lepski_width: str = "algorithm3",
-                            accuracy_target: str = "bayes") -> list[ExperimentRecord]:
+                            lepski_width: str = "algorithm3") -> list[ExperimentRecord]:
     """Accuracy sweep over a (p_max x n_P) grid.
 
     Each replication draws a fresh dataset and a single test point from
@@ -416,8 +423,6 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
-    if accuracy_target not in ("bayes", "noisy"):
-        raise ValueError(f"unknown accuracy target {accuracy_target!r}")
     hp = HyperParams(beta=beta, gamma=gamma, d=d)
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
@@ -434,10 +439,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
             rs = grid_rs.substream(rep)
             ds = sample_dataset(model, n_p, n_q, rs.substream(0))
             x = sample_test_points(model.x_c, TEST_BALL_RADIUS, 1, rs.substream(1))[0]
-            if accuracy_target == "bayes":
-                truth = model.bayes(x)
-            else:
-                truth = int(model.sample_labels(x[None, :], "Q", rs.substream(2).generator())[0])
+            truth = model.bayes(x)
             # one order for every method, looked up on the module as in adaptive_predict
             mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
             for name in methods:
@@ -508,20 +510,14 @@ def run_preset(name: str, seed: int, **overrides) -> list[ExperimentRecord]:
     return run_accuracy_experiment(name, seed=seed, **kwargs)
 
 
-def target_rate_exponent(hp: HyperParams, sweep: str = "q", alpha: float = 0.0) -> float:
-    """Theoretical log-log slope of the excess risk for a size sweep.
+def target_rate_exponent(hp: HyperParams, sweep: str = "q") -> float:
+    """Theoretical log-log slope of the excess risk for a size sweep of the cone model.
 
     Target-only ("q"): -beta (1+alpha) / (2 beta + d).
     Source-only ("p"): -beta (1+alpha) / (2 gamma beta + d).
-    alpha is the margin exponent, >= 0. The margin and smoothness interact:
-    alpha * beta <= d is required (otherwise only trivial distributions
-    satisfy both conditions).
+    alpha is the cone's margin exponent, DriftModel.MARGIN_EXPONENT = 1.
     """
-    if not (alpha >= 0):
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha * hp.beta > hp.d:
-        raise ValueError(f"alpha * beta must be <= d, got {alpha} * {hp.beta} > {hp.d}")
-    b, a, d = hp.beta, float(alpha), float(hp.d)
+    b, a, d = hp.beta, DriftModel.MARGIN_EXPONENT, float(hp.d)
     if sweep == "q":
         return -b * (1 + a) / (2 * b + d)
     if sweep == "p":
@@ -564,8 +560,8 @@ def _bootstrap_ci(rep_risks: np.ndarray, log_sizes: np.ndarray, gen: np.random.G
 
 
 def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: RandomSource,
-                        sweep: str = "q", p_max: float = 0.60, n_mc: int = 100_000,
-                        n_bootstrap: int = 1000, alpha: float = 0.0) -> RateCheckResult:
+                        sweep: str = "q", p_max: float = 0.60,
+                        n_mc: int = 100_000) -> RateCheckResult:
     """Empirical convergence slope of the weighted-plan classifier.
 
     The default signal level is 0.60 rather than the accuracy experiments'
@@ -578,10 +574,11 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     (target-only for sweep="q", source-only for sweep="p"), estimates each
     classifier's excess risk by Monte Carlo with n_mc draws, and regresses
     log(mean risk) on log(n). The confidence interval comes from a
-    replication bootstrap. The grid must hold at least 4 sizes spanning at
-    least a decade. alpha, the margin exponent, moves only the target slope.
+    replication bootstrap of N_BOOTSTRAP resamples. The grid must hold at
+    least 4 sizes spanning at least a decade. The target slope is
+    target_rate_exponent at the cone's margin exponent, alpha = 1.
     """
-    target = target_rate_exponent(hp, sweep, alpha)
+    target = target_rate_exponent(hp, sweep)
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 4:
         raise ValueError(f"degenerate grid: need >= 4 sizes, got {len(sizes)}")
@@ -591,8 +588,6 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise ValueError("degenerate grid: sizes must span at least a decade")
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
-    if n_bootstrap < 1:
-        raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     model = make_drift_model(p_max, hp.scalar_gamma(), hp.d)
     # Only draws in the signal ball B(x_c, p_max - 1/2) can carry risk. The unit
     # ball's volume is taken in logs: pi^(d/2) and gamma(d/2 + 1) overflow a float.
@@ -628,7 +623,7 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise RuntimeError(
             f"mean excess risk is zero at size {bad}; cannot fit a log-log slope ({ball_note})")
     log_sizes = np.log(np.asarray(sizes, dtype=np.float64))
-    lo, hi = _bootstrap_ci(rep_risks, log_sizes, root.substream(0).generator(), n_bootstrap)
+    lo, hi = _bootstrap_ci(rep_risks, log_sizes, root.substream(0).generator(), N_BOOTSTRAP)
     return RateCheckResult(
         sweep=sweep, sizes=sizes, mean_risks=tuple(float(v) for v in means),
         rep_risks=rep_risks, slope=float(_fit_slope(log_sizes, means)), ci_low=lo, ci_high=hi,

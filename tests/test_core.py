@@ -159,6 +159,12 @@ def test_hyperparams_defaults_and_coercion():
     assert isinstance(hp.beta, float)
     assert isinstance(hp.gamma, float)
     assert hp.scalar_gamma() == 0.3
+    # a numpy scalar gamma is a scalar, as a numpy integer d is an integer
+    for gamma in (np.float32(0.3), np.int64(1)):
+        hp_np = HyperParams(beta=1, gamma=gamma, d=np.int64(2))
+        assert (type(hp_np.gamma), hp_np.gamma, hp_np.d) == (float, float(gamma), 2)
+    with pytest.raises(ValueError, match="^gamma must be > 0, got 0.0$"):
+        HyperParams(beta=1, gamma=np.float64(0.0), d=2)
     # the fields are the classifier inputs only; a margin exponent is not one of them
     assert [f.name for f in dataclasses.fields(HyperParams)] == ["beta", "gamma", "d"]
     # the old 4-positional form (alpha first) is refused, never read as (beta, gamma, d)

@@ -881,8 +881,11 @@ def test_cli_simulate_presets_are_frozen(tmp_path, preset):
 
 # SHA-256 of rate-check --seed 7 --reps 4 --nmc 25000 --out rate.csv, written
 # when the bootstrap drew and fitted one resample at a time; stdout holds the CI.
+# stdout was re-pinned when the target slope took the cone's margin exponent 1:
+# its target line reads -0.5000 and alpha=1 (was -0.2500 and alpha=0); the CSV
+# and every other stdout line are unchanged.
 RATE_CHECK_SHA256 = {
-    "stdout": "2905b7583d3a4f90a62fa3dc20529c21cae548c3d66538d3dca63cce0d89cb8d",
+    "stdout": "cab663235450a9467a200bd14022e63327171871d672764be91ac957f934d185",
     "csv": "d89614a03cf314ef8a54b65af45ac028b22931957bc3c646c725166b09296996",
 }
 
@@ -1043,15 +1046,18 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
         ([*rate, "--reps", "1"], 2, "reps must be >= 2, got 1"),
         ([*rate, "--pmax", "0.3"], 2, "p_max must be in (0.5, 1], got 0.3"),
         ([*rate, "--nmc", "1"], 2, "too few draws to fit a slope (d = 2, p_max = 0.7, n_mc = 1"),
-        ([*rate, "--alpha", "-1"], 2, "alpha must be >= 0, got -1.0"),
+        # the margin exponent is the cone's, and the accuracy target is the oracle label
+        ([*rate, "--alpha", "1"], 2, "unrecognized arguments: --alpha 1"),
+        (["simulate", "fig4a", *sim, "--accuracy-target", "noisy"], 2,
+         "unrecognized arguments: --accuracy-target noisy"),
         # about 0.517 of the 100000 default draws are expected in the d = 6 signal ball
         (["rate-check", "--d", "6"], 2, "too few draws to fit a slope (d = 6, p_max = 0.6"),
         # pi^(d/2) and gamma(d/2 + 1) of the ball volume overflow a float here
         (["rate-check", "--d", "2000"], 2, "too few draws to fit a slope (d = 2000,"),
         ([*pred, "--method", "combined"], 2, "combined needs --gamma"),
         ([*pred, "--method", "lepski", "--k", "3"], 2, "--k applies only to knn"),
-        ([*pred, "--method", "knn", "--k", "9"], 2, "--k must be in [1, 4]"),
-        # the dimension comes from the file, and alpha only moves rate-check's target
+        ([*pred, "--method", "knn", "--k", "9"], 2, "k must be in [1, 4], got 9"),
+        # the dimension comes from the file, and the margin exponent from the model
         ([*pred, "--method", "knn", "--d", "3"], 2, "unrecognized arguments: --d 3"),
         ([*pred, "--method", "knn", "--alpha", "1"], 2, "unrecognized arguments: --alpha 1"),
         (["simulate", "fig4a", *sim, "--alpha", "1"], 2, "unrecognized arguments: --alpha 1"),

@@ -235,10 +235,13 @@ def test_excess_risk_constant_zero_matches_closed_form():
     assert abs(est.value - truth) < 3 * est.std_error
 
 
-def test_excess_risk_chunk_size_invariance():
+def test_excess_risk_chunk_size_invariance(monkeypatch):
+    from driftknn import simulation
+
     m = make_drift_model(0.6)
     a = excess_risk_mc(constant_classifier(0), m, 50_000, RandomSource(44))
-    b = excess_risk_mc(constant_classifier(0), m, 50_000, RandomSource(44), chunk_size=999)
+    monkeypatch.setattr(simulation, "_MC_CHUNK", 999)
+    b = excess_risk_mc(constant_classifier(0), m, 50_000, RandomSource(44))
     assert a.value == pytest.approx(b.value, rel=1e-12)
     assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
 
@@ -296,6 +299,11 @@ def test_fit_method_k_overrides_the_neighbour_count_of_knn_fits():
             np.testing.assert_array_equal(fm.predict_batch(pts), knn_predict(one_set, k, pts))
             mo = merged_order([ds.q_data, *ds.sources], pts[0])
             assert fm.predict_order(mo) == knn_predict(one_set, k, pts[0])
+        # an explicit k outside [1, n] is refused as knn_predict refuses it, never clamped
+        n = len(one_set)
+        for k in (0, -5, n + 1, 10**6):
+            with pytest.raises(ValueError, match=rf"^k must be in \[1, {n}\], got {k}$"):
+                fit_method(name, ds, HP_MAIN, k=k)
     for name in set(METHODS) - set(sets):
         with pytest.raises(ValueError, match="k applies only to qonly and combined"):
             fit_method(name, ds, HP_MAIN, k=3)
@@ -533,7 +541,6 @@ def test_run_accuracy_experiment_validation():
     (dict(p_max_values=(0.55, 0.4)), r"p_max must be in \(0.5, 1\], got 0.4"),
     (dict(n_p_values=(30, -1)), r"sample sizes must be >= 0, got sources \[-1\], target 20"),
     (dict(n_q=-1), r"sample sizes must be >= 0, got sources \[30\], target -1"),
-    (dict(accuracy_target="oracle"), "unknown accuracy target 'oracle'"),
 ])
 def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
         monkeypatch, bad, message):
@@ -573,49 +580,15 @@ def test_summarize_accuracy():
 
 
 def test_target_rate_exponent_values():
+    # the cone's margin exponent is 1: -beta (1 + 1) / (2 beta + d) and its source twin
     hp = HyperParams(beta=1.0, gamma=0.3, d=2)
-    assert target_rate_exponent(hp, "q") == -0.25
-    assert target_rate_exponent(hp, "p") == pytest.approx(-1.0 / 2.6, rel=1e-15)
+    assert target_rate_exponent(hp, "q") == -0.5
+    assert target_rate_exponent(hp, "p") == pytest.approx(-2.0 / 2.6, rel=1e-15)
     hp1 = HyperParams(beta=1.0, gamma=1.0, d=2)
     # a gamma = 1 source converges exactly like the target
-    assert target_rate_exponent(hp1, "p") == target_rate_exponent(hp1, "q") == -0.25
+    assert target_rate_exponent(hp1, "p") == target_rate_exponent(hp1, "q") == -0.5
     with pytest.raises(ValueError, match="sweep"):
         target_rate_exponent(hp, "both")
-
-
-def test_target_rate_exponent_takes_the_margin_exponent():
-    hp = HP_MAIN
-    assert target_rate_exponent(hp, "q", alpha=1.0) == -0.5
-    assert target_rate_exponent(hp, "p", alpha=1.0) == pytest.approx(-2.0 / 2.6, rel=1e-15)
-    # alpha * beta = d is allowed, just past it is not
-    assert target_rate_exponent(HyperParams(beta=0.5, gamma=0.3, d=1), "q", alpha=2.0) == -0.75
-    with pytest.raises(ValueError, match=r"^alpha must be >= 0, got -0.1$"):
-        target_rate_exponent(hp, "q", alpha=-0.1)
-    with pytest.raises(ValueError, match=r"^alpha must be >= 0, got nan$"):
-        target_rate_exponent(hp, "q", alpha=float("nan"))
-    with pytest.raises(ValueError, match=r"^alpha \* beta must be <= d, got 3.0 \* 1.0 > 2$"):
-        target_rate_exponent(hp, "q", alpha=3.0)
-
-
-def test_rate_check_forwards_alpha_to_the_target_only(monkeypatch):
-    base = rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
-                               p_max=0.7, n_mc=2000)
-    tight = rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
-                                p_max=0.7, n_mc=2000, alpha=1.0)
-    assert (base.target_slope, tight.target_slope) == (-0.25, -0.5)
-    np.testing.assert_array_equal(tight.rep_risks, base.rep_risks)
-    assert (tight.slope, tight.ci_low, tight.ci_high) == (base.slope, base.ci_low, base.ci_high)
-    # a bad alpha is refused before any sampling
-    from driftknn import simulation
-
-    def refuse(*_args):
-        raise AssertionError("sampled before checking alpha")
-
-    monkeypatch.setattr(simulation, "sample_dataset", refuse)
-    for alpha, message in ((-1.0, "alpha must be >= 0"), (3.0, "alpha \\* beta must be <= d")):
-        with pytest.raises(ValueError, match=message):
-            rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
-                                p_max=0.7, n_mc=2000, alpha=alpha)
 
 
 def test_rate_check_grid_validation():
@@ -633,19 +606,6 @@ def test_rate_check_grid_validation():
         rate_exponent_check(hp, (10, 20, 50, 100), 2, rs, sweep="pq")
 
 
-@pytest.mark.parametrize("n_bootstrap", [0, -1])
-def test_rate_check_refuses_a_bad_n_bootstrap_before_sampling(monkeypatch, n_bootstrap):
-    from driftknn import simulation
-
-    def refuse(*_args):
-        raise AssertionError("sampled before checking n_bootstrap")
-
-    monkeypatch.setattr(simulation, "sample_dataset", refuse)
-    with pytest.raises(ValueError, match=f"^n_bootstrap must be >= 1, got {n_bootstrap}$"):
-        rate_exponent_check(HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
-                            p_max=0.7, n_mc=2000, n_bootstrap=n_bootstrap)
-
-
 def test_rate_check_smoke():
     result = rate_exponent_check(
         HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(6),
@@ -656,7 +616,7 @@ def test_rate_check_smoke():
     assert all(v > 0 for v in result.mean_risks)
     assert math.isfinite(result.slope)
     assert result.ci_low <= result.ci_high
-    assert result.target_slope == -0.25
+    assert result.target_slope == -0.5
     assert len(result.records) == 8
     assert all(r.experiment == "rate-q" and r.accuracy is None for r in result.records)
     # deterministic under the same random source
@@ -751,7 +711,7 @@ def test_rate_check_source_sweep_runs():
         HP_MAIN, (20, 50, 100, 200), reps=2, rng=RandomSource(7),
         sweep="p", p_max=0.7, n_mc=2000)
     assert result.sweep == "p"
-    assert result.target_slope == pytest.approx(-1.0 / 2.6)
+    assert result.target_slope == pytest.approx(-2.0 / 2.6)
     assert all(r.n_q == 0 for r in result.records)
 
 
