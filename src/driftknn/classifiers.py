@@ -17,7 +17,8 @@ the case m = 1 with S_1 = P.
   else takes the argmax k.
 * ``lepski_predict``: a classical adaptive baseline that intersects
   confidence intervals for eta(x) over increasing k and stops when the
-  intersection separates from 1/2.
+  intersection separates from 1/2, which is at the first k whose own
+  interval lies strictly above or below 1/2.
 
 The scan keeps two label rules and picks one by m: Alg. 3's sign of
 sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) at m = 1, and
@@ -27,6 +28,7 @@ but rounding can split them at exact ties.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -291,46 +293,70 @@ LEPSKI_WIDTHS = {
 
 @dataclass(frozen=True)
 class LepskiTrace:
-    """Per-step record of the interval-intersection scan."""
+    """Per-step record of the interval-intersection scan.
+
+    ``eta`` and ``width`` are indexed by step (k = index + 1); ``width`` is
+    a read-only array shared by every scan of the same (n, d, width). The
+    running bounds ``lower`` (max of eta_j - w_j over j <= k) and ``upper``
+    (min of eta_j + w_j) are computed on access; the scan itself never
+    needs them.
+    """
 
     eta: np.ndarray
     width: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
     stop_step: int | None
     label: int
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.maximum.accumulate(self.eta - self.width)
+
+    @property
+    def upper(self) -> np.ndarray:
+        return np.minimum.accumulate(self.eta + self.width)
 
 
 def lepski_predict(s: SampleSet, x, width: str = "algorithm3") -> tuple[int, LepskiTrace]:
     """Interval-intersection adaptive k-NN label on a single sample.
 
     For k = 1..n the running intersection of the confidence intervals
-    [eta_k - w_k, eta_k + w_k] around the k-NN label mean is tracked; the
-    scan stops as soon as the intersection lies strictly above or below
-    1/2 and labels 1{eta_k >= 1/2} at that k. If the intersection never
-    separates, the label comes from eta_n. ``width`` picks the convention
-    from LEPSKI_WIDTHS. Returns (label, trace), like ``adaptive_predict``.
+    [eta_k - w_k, eta_k + w_k] around the k-NN label mean is tracked; it
+    separates from 1/2 at the first k whose own interval lies strictly
+    above or below 1/2, where the scan stops and labels 1{eta_k >= 1/2}.
+    If no interval separates, the label comes from eta_n. ``width`` picks
+    the convention from LEPSKI_WIDTHS. Returns (label, trace), like
+    ``adaptive_predict``.
     """
     _, order = NeighborIndex(s).sorted_order(x)
     return _lepski_scan(s.labels[order], s.d, width)
 
 
+@functools.lru_cache(maxsize=16)
+def _lepski_steps(n: int, d: int, width: str) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only steps k = 1..n (float64) and their widths, one pair per (n, d, width)."""
+    k = np.arange(1, n + 1, dtype=np.float64)
+    w = LEPSKI_WIDTHS[width](n, d, k)
+    k.setflags(write=False)
+    w.setflags(write=False)
+    return k, w
+
+
 def _lepski_scan(labels: np.ndarray, d: int, width: str) -> tuple[int, LepskiTrace]:
-    """The scan of ``lepski_predict`` over one sample's labels, nearest first."""
+    """The scan of ``lepski_predict`` over one sample's labels, nearest first.
+
+    The intersection's lower end max_{j <= k}(eta_j - w_j) first exceeds
+    1/2 at the first k with eta_k - w_k > 1/2 (likewise the upper end), so
+    the stop is the first step whose own interval excludes 1/2.
+    """
     n = len(labels)
     if n == 0:
         raise ValueError("sample set is empty")
-    try:
-        width_fn = LEPSKI_WIDTHS[width]
-    except KeyError:
+    if width not in LEPSKI_WIDTHS:
         raise ValueError(f"unknown width variant {width!r}; options: {sorted(LEPSKI_WIDTHS)}")
-    k = np.arange(1, n + 1, dtype=np.float64)
+    k, w = _lepski_steps(n, d, width)
     eta = np.cumsum(labels) / k
-    w = width_fn(n, d, k)
-    lower = np.maximum.accumulate(eta - w)
-    upper = np.minimum.accumulate(eta + w)
-    split = (lower > 0.5) | (upper < 0.5)
-    stop = int(np.argmax(split)) if split.any() else None
-    label = int(eta[-1 if stop is None else stop] >= 0.5)
-    return label, LepskiTrace(eta=eta, width=w, lower=lower, upper=upper,
-                              stop_step=None if stop is None else stop + 1, label=label)
+    split = (eta - w > 0.5) | (eta + w < 0.5)
+    i = int(np.argmax(split))
+    stop = i + 1 if split[i] else None
+    label = int(eta[i if stop else -1] >= 0.5)
+    return label, LepskiTrace(eta=eta, width=w, stop_step=stop, label=label)

@@ -184,6 +184,8 @@ class MergedOrder:
     ``group`` holds the origin of each position: 0 for the target (Q) set,
     1..m for source sets in order. Ties resolve by (distance, group, index
     within set). ``within_index`` is each point's index inside its own set.
+    ``merged_order`` makes the four arrays read-only, so the views below
+    (``pooled_labels`` may return ``labels`` itself) cannot alter the order.
     """
 
     distances: np.ndarray
@@ -200,7 +202,13 @@ class MergedOrder:
         return self.labels[self.group == g]
 
     def pooled_labels(self) -> np.ndarray:
-        """The labels in the (distance, index) order of the pooled set S_1..S_m, Q."""
+        """The labels in the (distance, index) order of the pooled set S_1..S_m, Q.
+
+        With no two distances equal that order is this one, and ``labels``
+        itself is returned.
+        """
+        if not (self.distances[1:] == self.distances[:-1]).any():
+            return self.labels
         sizes = np.bincount(self.group, minlength=self.n_groups)
         start = np.cumsum(sizes) - sizes  # of each set in [Q, S_1..S_m]
         start[0] = len(self)              # Q moves behind the sources
@@ -229,4 +237,7 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     group = np.repeat(np.arange(len(sets)), sizes)[order]
     within = order - (np.cumsum(sizes) - sizes)[group]
     labels = np.concatenate([s.labels for s in sets])[order]
-    return MergedOrder(dist[order], group, within, labels, len(sets))
+    arrays = (dist[order], group, within, labels)
+    for a in arrays:
+        a.setflags(write=False)
+    return MergedOrder(*arrays, len(sets))

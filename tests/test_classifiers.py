@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftknn.core import HyperParams, KnnPlan, RandomSource, SampleSet, TransferDataset
 from driftknn.classifiers import (
     LEPSKI_WIDTHS,
+    _lepski_scan,
     LepskiTrace,
     adaptive_predict,
     combined_budget_k,
@@ -535,6 +537,42 @@ def test_lepski_trace_invariants():
             i = tr.stop_step - 1
             assert split[i] and not split[:i].any()
             assert label == int(tr.eta[i] >= 0.5)
+
+
+def lepski_reference(labels, d, width):
+    """The scan as the running intersection: max/min accumulates of the interval
+    ends, stopping at the first k where they lie strictly on one side of 1/2."""
+    n = len(labels)
+    k = np.arange(1, n + 1, dtype=np.float64)
+    eta = np.cumsum(labels) / k
+    w = LEPSKI_WIDTHS[width](n, d, k)
+    lower = np.maximum.accumulate(eta - w)
+    upper = np.minimum.accumulate(eta + w)
+    split = (lower > 0.5) | (upper < 0.5)
+    stop = int(np.argmax(split)) if split.any() else None
+    label = int(eta[-1 if stop is None else stop] >= 0.5)
+    return label, eta, w, lower, upper, None if stop is None else stop + 1
+
+
+# 0/1 label sequences built from runs, so eta settles on one side for long
+# stretches and the intervals separate at all depths
+label_runs = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 120)), min_size=1, max_size=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(runs=label_runs, n=st.integers(1, 400), d=st.integers(1, 6),
+       width=st.sampled_from(sorted(LEPSKI_WIDTHS)))
+def test_lepski_scan_matches_the_running_intersection(runs, n, d, width):
+    labels = np.concatenate([np.full(r, v, dtype=np.int64) for v, r in runs])
+    labels = np.resize(labels, n)
+    label, eta, w, lower, upper, stop = lepski_reference(labels, d, width)
+    got, tr = _lepski_scan(labels, d, width)
+    assert (got, tr.label, tr.stop_step) == (label, label, stop)
+    for a, b in ((tr.eta, eta), (tr.width, w), (tr.lower, lower), (tr.upper, upper)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the widths come from one read-only table per (n, d, width)
+    assert not tr.width.flags.writeable
+    assert _lepski_scan(labels[::-1].copy(), d, width)[1].width is tr.width
 
 
 def test_lepski_width_conventions_differ():

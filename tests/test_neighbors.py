@@ -408,6 +408,51 @@ def test_orders_keep_exact_float_ties_only():
     assert_orders_match_lexsort([far, big], x)
 
 
+def test_merged_order_arrays_are_read_only():
+    gen = np.random.default_rng(3)
+    mo = merged_order([make_set(gen.random((6, 2)), gen.integers(0, 2, 6)),
+                       make_set(gen.random((4, 2)), gen.integers(0, 2, 4))], [0.5, 0.5])
+    for a in (mo.distances, mo.group, mo.within_index, mo.labels, mo.pooled_labels()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
+
+
+def pooled_lexsort_labels(sets, x):
+    """Pooled labels by lexsort on (distance, pooled row) with S_1..S_m before Q."""
+    pooled = pooled_sample_set(TransferDataset(tuple(sets[1:]), sets[0]))
+    dist = _distances(pooled.points, np.asarray(x, dtype=np.float64))
+    return pooled.labels[np.lexsort((np.arange(len(pooled)), dist))]
+
+
+def test_pooled_labels_without_ties_are_the_merged_labels():
+    gen = np.random.default_rng(11)
+    sets = [make_set(gen.random((n, 2)), gen.integers(0, 2, n)) for n in (40, 25, 30)]
+    x = gen.random(2)
+    mo = merged_order(sets, x)
+    assert len(set(mo.distances.tolist())) == len(mo)
+    got = mo.pooled_labels()
+    assert got is mo.labels
+    np.testing.assert_array_equal(got, pooled_lexsort_labels(sets, x))
+
+
+def test_pooled_labels_regroup_a_single_exact_tie():
+    # Q row 0 and P row 0 lie at the same distance of the query: the merged
+    # order puts Q first, the pooled one P (S_1..S_m before Q)
+    gen = np.random.default_rng(12)
+    q = make_set(np.vstack([[0.5, 0.75], 0.4 + 0.2 * gen.random((9, 2))]),
+                 np.r_[1, gen.integers(0, 2, 9)])
+    p = make_set(np.vstack([[0.75, 0.5], 0.4 + 0.2 * gen.random((7, 2))]),
+                 np.r_[0, gen.integers(0, 2, 7)])
+    x = [0.5, 0.5]
+    mo = merged_order([q, p], x)
+    assert len(set(mo.distances.tolist())) == len(mo) - 1
+    tie = np.flatnonzero(mo.distances[1:] == mo.distances[:-1])[0]
+    np.testing.assert_array_equal(mo.labels[tie:tie + 2], [1, 0])
+    got = mo.pooled_labels()
+    np.testing.assert_array_equal(got[tie:tie + 2], [0, 1])
+    np.testing.assert_array_equal(got, pooled_lexsort_labels([q, p], x))
+
+
 # ---------------------------------------------------------------- distance kernel
 
 
