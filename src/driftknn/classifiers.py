@@ -186,7 +186,7 @@ def knn_predict(s: SampleSet, k: int, x):
     return _label(_vote_eta((s,), (k,), (1.0,), x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptiveTrace:
     """Per-step record of the adaptive scan over the merged neighbor order.
 
@@ -291,7 +291,7 @@ LEPSKI_WIDTHS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LepskiTrace:
     """Per-step record of the interval-intersection scan.
 

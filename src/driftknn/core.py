@@ -48,7 +48,7 @@ def _as_labels(y) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """An ordered collection of labeled samples sharing one dimension.
 
@@ -91,7 +91,7 @@ class SampleSet:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferDataset:
     """m >= 1 source samples S1..Sm plus one target sample Q, sharing one dimension.
 

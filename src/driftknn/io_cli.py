@@ -6,6 +6,9 @@ optional ``Q``) an m-source one, both read as a ``TransferDataset``, and no
 origin column a plain sample set. Floats are printed with 17 significant
 digits so a write/read cycle reproduces every double bit-exactly.
 
+Every CSV the package writes goes through one writer, ``_write_csv``; the
+result tables take their columns from the fields of their record types.
+
 Every command run with an output file writes a JSON-lines manifest next
 to it capturing the exact argv, every parsed argument, the seed, package
 version, and timestamps; the argv alone reproduces the output file byte for
@@ -18,12 +21,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import sys
 from datetime import datetime, timezone
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,7 +39,9 @@ from .simulation import (
     _EXPERIMENT_STREAM_IDS,
     EXPERIMENT_PRESETS,
     TEST_BALL_RADIUS,
+    AggregateRow,
     DriftModel,
+    ExperimentRecord,
     classification_accuracy,
     excess_risk_mc,
     fit_method,
@@ -74,6 +81,14 @@ def _feature_header(d: int) -> list[str]:
     return [f"x{i}" for i in range(d)]
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write header, then each row of rows: every CSV the package writes goes through here."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _parse_header(header: list[str], path: str) -> tuple[int, bool]:
     """Validate the header row; returns (d, has_origin)."""
     cols = [c.strip() for c in header]
@@ -97,22 +112,16 @@ def write_labeled_csv(path, data) -> None:
     """
     columns = ["y"]
     if isinstance(data, SampleSet):
-        parts = [(None, data)]
+        parts = [([], data)]
     elif not hasattr(data, "sources"):
         raise TypeError(f"not a dataset type: {type(data).__name__}")
     else:
         columns.append("origin")
         tags = ["P"] if data.m == 1 else [f"P{i}" for i in range(1, data.m + 1)]
-        parts = [*zip(tags, data.sources), ("Q", data.q_data)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_feature_header(data.d) + columns)
-        for tag, s in parts:
-            for i in range(len(s)):
-                row = [_fmt(v) for v in s.points[i]] + [str(int(s.labels[i]))]
-                if tag is not None:
-                    row.append(tag)
-                w.writerow(row)
+        parts = [([t], s) for t, s in zip([*tags, "Q"], [*data.sources, data.q_data])]
+    rows = ([_fmt(v) for v in x] + [str(int(y))] + tag
+            for tag, s in parts for x, y in zip(s.points, s.labels))
+    _write_csv(path, _feature_header(data.d) + columns, rows)
 
 
 def _data_rows(fh, path: str):
@@ -249,39 +258,29 @@ def read_points_csv(path) -> np.ndarray:
     return pts
 
 
-_RECORD_COLS = ["experiment", "method", "seed", "replication", "p_max", "gamma",
-                "d", "n_p", "n_q", "accuracy", "excess_risk"]
-_AGGREGATE_COLS = ["experiment", "method", "seed", "p_max", "gamma", "d", "n_p",
-                   "n_q", "reps", "accuracy_mean", "accuracy_se"]
-
-
 def _repr(v) -> str:
     """A float field as the shortest repr that round-trips, also for numpy scalars."""
     return "" if v is None else repr(float(v))
 
 
+def _write_rows(path, rows, row_type, skip=()) -> None:
+    """One row per dataclass instance; the columns are row_type's fields less skip, in
+    order. A field annotated float or float | None is written with _repr, any other as is."""
+    cols = [f.name for f in dataclasses.fields(row_type) if f.name not in skip]
+    hints = get_type_hints(row_type)
+    floats = [hints[c] in (float, float | None) for c in cols]
+    get = attrgetter(*cols)
+    _write_csv(path, cols, ([_repr(v) if f else v for f, v in zip(floats, get(r))] for r in rows))
+
+
 def write_records_csv(path, records) -> None:
     """One row per replication record (wall time excluded: output is rerun-stable)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_RECORD_COLS)
-        for r in records:
-            w.writerow([
-                r.experiment, r.method, r.seed, r.replication, _repr(r.p_max),
-                _repr(r.gamma), r.d, r.n_p, r.n_q, _repr(r.accuracy), _repr(r.excess_risk),
-            ])
+    _write_rows(path, records, ExperimentRecord, skip=("wall_time",))
 
 
 def write_aggregate_csv(path, rows) -> None:
     """One row per method x grid point with mean accuracy and standard error."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_AGGREGATE_COLS)
-        for r in rows:
-            w.writerow([
-                r.experiment, r.method, r.seed, _repr(r.p_max), _repr(r.gamma), r.d,
-                r.n_p, r.n_q, r.reps, _repr(r.accuracy_mean), _repr(r.accuracy_se),
-            ])
+    _write_rows(path, rows, AggregateRow)
 
 
 def write_manifest(out_path, argv: list[str], seed: int, started: str, config: dict) -> Path:
@@ -474,11 +473,8 @@ def _cmd_predict(args) -> None:
         raise CsvFormatError(
             f"{args.test}: test dimension {pts.shape[1]} != training dimension {train.d}")
     labels = fitted.predict_batch(pts)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_feature_header(train.d) + ["y_pred"])
-        for x, y in zip(pts, labels):
-            w.writerow([_fmt(v) for v in x] + [str(y)])
+    _write_csv(args.out, _feature_header(train.d) + ["y_pred"],
+               ([_fmt(v) for v in x] + [str(y)] for x, y in zip(pts, labels)))
     print(f"wrote {args.out} ({len(labels)} predictions)")
 
 
@@ -499,16 +495,14 @@ def _cmd_eval(args) -> None:
     print(f"accuracy (vs oracle, {args.n_test} ball test points) = {acc:.4f}")
     print(f"excess risk (MC, n={args.nmc}) = {est.value:.6e} +- {est.std_error:.2e}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["method", "p_max", "gamma_sim", "gamma", "beta", "d",
-                        "n_p", "n_q", "n_test", "accuracy", "excess_risk",
-                        "excess_risk_se", "n_mc", "seed"])
-            w.writerow([args.method, repr(args.pmax), repr(float(gamma_sim)),
-                        ",".join(map(repr, gamma)) if isinstance(gamma, tuple) else repr(gamma),
-                        repr(args.beta), train.d,
-                        train.n_p, train.n_q, args.n_test, repr(acc), repr(est.value),
-                        repr(est.std_error), args.nmc, args.seed])
+        _write_csv(args.out, ["method", "p_max", "gamma_sim", "gamma", "beta", "d",
+                              "n_p", "n_q", "n_test", "accuracy", "excess_risk",
+                              "excess_risk_se", "n_mc", "seed"],
+                   [[args.method, repr(args.pmax), repr(float(gamma_sim)),
+                     ",".join(map(repr, gamma)) if isinstance(gamma, tuple) else repr(gamma),
+                     repr(args.beta), train.d,
+                     train.n_p, train.n_q, args.n_test, repr(acc), repr(est.value),
+                     repr(est.std_error), args.nmc, args.seed]])
         print(f"wrote {args.out}")
 
 

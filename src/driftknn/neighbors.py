@@ -7,15 +7,16 @@ arrays. Neighbor order is canonical: ascending distance, ties broken by
 ascending sample index. Merged queries over several sample sets additionally
 break cross-set distance ties by set priority (target first, then sources).
 
-Ties are exact float equality. Every ordering path (``sorted_order``, the
-boundary of ``query`` and ``merged_order``) sorts one distance vector with
-one primitive, ``_canonical_argsort``: a default argsort, then one integer
-sort of the runs of equal distances by position (``_sort_ties``). Batch
-queries go through a k-d tree for speed; any row where a distance tie is
-detected near the cut is rerouted through the canonical path, so results
-never depend on the tree's internal ordering. The tie tolerance is relative
-to each row's own k-th distance, and rows whose distances overflow are
-rerouted without a floating-point warning.
+Ties are exact float equality. Every ordering path (the boundary of
+``query``, whose k = n case is ``sorted_order``, and ``merged_order``)
+sorts one distance vector with one primitive, ``_canonical_argsort``: a
+default argsort, then one integer sort of the runs of equal distances by
+position (``_sort_ties``). Batch queries go through a k-d tree for speed;
+any row where a distance tie is detected near the cut is rerouted through
+the canonical path, so results never depend on the tree's internal
+ordering. The tie tolerance is relative to each row's own k-th distance,
+and rows whose distances overflow are rerouted without a floating-point
+warning.
 
 One ``MergedOrder`` serves every method scored on its query: filtered to one
 set it is that set's order, and with each run of equal distances regrouped by
@@ -98,13 +99,7 @@ class NeighborIndex:
 
         Returns (distances, indices), both length n, distances ascending.
         """
-        x = np.asarray(x, dtype=np.float64)
-        self._require_dim(x)
-        if self.n == 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        dist = _distances(self.points, x)
-        order = _canonical_argsort(dist)
-        return dist[order], order
+        return self.query(x, self.n)
 
     def query(self, x, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest samples to x in canonical order.
@@ -141,9 +136,9 @@ class NeighborIndex:
         path when two adjacent ones of its k + 1 tree distances lie within
         _TIE_RTOL times its own k-th distance (or 1, if larger), or when its
         distances overflow; one far query does not widen the tolerance of
-        the other rows. Distances along a row ascend, but within-row tie
-        order follows the canonical rule only on rerouted rows; callers
-        needing guaranteed order should use query().
+        the other rows. Every row is in canonical order, the order ``query()``
+        gives: a row that is not rerouted has no two of its k + 1 distances
+        within the tolerance, so its ascending distances fix its order.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
@@ -177,7 +172,7 @@ class NeighborIndex:
         return out_d, out_i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergedOrder:
     """All points of several sample sets sorted by distance to one query.
 

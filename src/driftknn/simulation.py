@@ -74,7 +74,7 @@ _EXPERIMENT_STREAM_IDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftModel:
     """Cone-signal distribution pair with a power-link posterior drift.
 
@@ -464,17 +464,15 @@ def summarize_accuracy(records: Sequence[ExperimentRecord]) -> list[AggregateRow
     for r in records:
         if r.accuracy is None:
             raise ValueError("record without accuracy cannot be aggregated")
+        # the first eight fields of AggregateRow, in order
         key = (r.experiment, r.method, r.seed, r.p_max, r.gamma, r.d, r.n_p, r.n_q)
         groups.setdefault(key, []).append(r)
     rows = []
     for key, recs in groups.items():
         acc = np.array([r.accuracy for r in recs])
         se = float(acc.std(ddof=1) / math.sqrt(len(acc))) if len(acc) > 1 else 0.0
-        rows.append(AggregateRow(
-            experiment=key[0], method=key[1], seed=key[2], p_max=key[3], gamma=key[4],
-            d=key[5], n_p=key[6], n_q=key[7], reps=len(recs),
-            accuracy_mean=float(acc.mean()), accuracy_se=se,
-        ))
+        rows.append(AggregateRow(*key, reps=len(recs), accuracy_mean=float(acc.mean()),
+                                 accuracy_se=se))
     return rows
 
 
@@ -525,7 +523,7 @@ def target_rate_exponent(hp: HyperParams, sweep: str = "q") -> float:
     raise ValueError(f"sweep must be 'q' or 'p', got {sweep!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateCheckResult:
     """Fitted convergence slope of the excess risk over a size grid."""
 

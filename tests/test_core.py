@@ -274,3 +274,28 @@ def test_random_source_rejects_negative_keys():
         RandomSource(-1)
     with pytest.raises(ValueError):
         RandomSource(0, stream=-2)
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    from driftknn.classifiers import adaptive_predict, lepski_predict
+    from driftknn.neighbors import merged_order
+    from driftknn.simulation import RateCheckResult, make_drift_model
+
+    s = make_set([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], [0, 1, 1])
+    x = np.array([0.25, 0.25])
+    makers = {
+        "SampleSet": lambda: make_set([[0.1, 0.2]], [1]),
+        "TransferDataset": lambda: TransferDataset((s,), s),
+        "DriftModel": lambda: make_drift_model(0.55, 0.3, 2),
+        "MergedOrder": lambda: merged_order([s, s], x),
+        "AdaptiveTrace": lambda: adaptive_predict(TransferDataset((s,), s), x)[1],
+        "LepskiTrace": lambda: lepski_predict(s, x)[1],
+        "RateCheckResult": lambda: RateCheckResult(
+            "q", (1, 2), (0.1, 0.2), np.ones((2, 2)), -0.5, -0.6, -0.4, -0.5, 10, 2, 0),
+    }
+    for name, make in makers.items():
+        a, b = make(), make()
+        assert type(a).__name__ == name
+        assert (a == a) is True and (a != a) is False, name
+        assert (a == b) is False and (a != b) is True, name
+        assert {a, b} == {b, a} and len({a, a, b}) == 2, name

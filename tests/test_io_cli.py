@@ -1,6 +1,7 @@
 """CSV exchange formats, run manifests, and the command-line interface."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -40,6 +41,8 @@ from driftknn.io_cli import (
 )
 from driftknn.simulation import (
     _EXPERIMENT_STREAM_IDS,
+    AggregateRow,
+    ExperimentRecord,
     classification_accuracy,
     fit_method,
     make_drift_model,
@@ -506,6 +509,73 @@ def test_result_csvs_write_numpy_scalars_as_plain_floats(tmp_path):
         with open(tmp_path / name) as fh:
             row = next(csv.DictReader(fh))
         assert (row["p_max"], row["gamma"]) == ("0.55", "0.3"), name
+
+
+def test_result_csv_columns_are_the_record_fields(tmp_path):
+    records = run_accuracy_experiment(
+        "fig4a", methods=("qonly",), p_max_values=(0.55,), n_p_values=(10,),
+        n_q=20, reps=2, seed=5)
+    write_records_csv(tmp_path / "records.csv", records)
+    write_aggregate_csv(tmp_path / "agg.csv", summarize_accuracy(records))
+    record_cols = [f.name for f in dataclasses.fields(ExperimentRecord) if f.name != "wall_time"]
+    aggregate_cols = [f.name for f in dataclasses.fields(AggregateRow)]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for name, cols in (("records.csv", record_cols), ("agg.csv", aggregate_cols)):
+        with open(tmp_path / name, newline="") as fh:
+            assert next(csv.reader(fh)) == cols, name
+        assert f"`{','.join(cols)}`" in readme, name
+
+
+def test_result_csvs_write_int_floats_as_floats(tmp_path):
+    # every float and float | None field prints as a float, every int field as an int
+    rec = ExperimentRecord("fig4a", "qonly", seed=0, replication=0, p_max=1, gamma=1, d=2,
+                           n_p=10, n_q=20, accuracy=1, excess_risk=None, wall_time=0.5)
+    write_records_csv(tmp_path / "records.csv", [rec, rec])
+    write_aggregate_csv(tmp_path / "agg.csv", summarize_accuracy([rec, rec]))
+    assert (tmp_path / "records.csv").read_bytes().splitlines()[1] == \
+        b"fig4a,qonly,0,0,1.0,1.0,2,10,20,1.0,"
+    assert (tmp_path / "agg.csv").read_bytes().splitlines()[1] == \
+        b"fig4a,qonly,0,1.0,1.0,2,10,20,2,1.0,0.0"
+    # the library passes int grid values through to the records
+    records = run_accuracy_experiment(
+        "fig4a", methods=("qonly",), p_max_values=(1,), n_p_values=(10,),
+        n_q=20, reps=2, seed=5, gamma=1)
+    write_records_csv(tmp_path / "records.csv", records)
+    with open(tmp_path / "records.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert (row["p_max"], row["gamma"], row["d"]) == ("1.0", "1.0", "2")
+
+
+def _crlf(*rows):
+    return "".join(line + "\r\n" for line in rows).encode()
+
+
+def test_data_csvs_keep_their_format(tmp_path):
+    # reference bytes in the .17g format, header first, csv's \r\n line ends
+    p = make_set([[math.pi, -0.1], [1e-17, 1.0 / 3.0]], [1, 0])
+    q = make_set([[6.02214076e23, 0.5]], [1])
+    p_rows = ["3.1415926535897931,-0.10000000000000001,1",
+              "1.0000000000000001e-17,0.33333333333333331,0"]
+    q_row = "6.0221407599999999e+23,0.5,1"
+    cases = {
+        "plain": (q, _crlf("x0,x1,y", q_row)),
+        "one": (TransferDataset((p,), q),
+                _crlf("x0,x1,y,origin", *(r + ",P" for r in p_rows), q_row + ",Q")),
+        "multi": (TransferDataset((p, q), q),
+                  _crlf("x0,x1,y,origin", *(r + ",P1" for r in p_rows), q_row + ",P2",
+                        q_row + ",Q")),
+    }
+    for name, (data, expected) in cases.items():
+        write_labeled_csv(tmp_path / f"{name}.csv", data)
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+    train = transfer_csv(tmp_path)
+    test = tmp_path / "test.csv"
+    write_points(test, [[0.1, 0.1], [0.9, 0.9]])
+    out = tmp_path / "pred.csv"
+    assert run_cli(["predict", "--method", "knn", "--k", "1", "--train", str(train),
+                    "--test", str(test), "--out", str(out)]) == 0
+    assert out.read_bytes() == _crlf("x0,x1,y_pred", "0.10000000000000001,0.10000000000000001,0",
+                                     "0.90000000000000002,0.90000000000000002,1")
 
 
 def test_manifest_round_trip(tmp_path):
