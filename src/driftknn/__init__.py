@@ -36,7 +36,6 @@ from .simulation import (
     RateCheckResult,
     classification_accuracy,
     excess_risk_mc,
-    make_drift_model,
     rate_exponent_check,
     run_accuracy_experiment,
     run_preset,
@@ -55,7 +54,7 @@ __all__ = [
     "default_knn_k", "knn_predict", "lepski_predict",
     "minimax_plan", "weighted_knn_eta", "weighted_knn_predict",
     "DriftModel", "ExperimentRecord", "McEstimate", "RateCheckResult",
-    "classification_accuracy", "excess_risk_mc", "make_drift_model",
+    "classification_accuracy", "excess_risk_mc",
     "rate_exponent_check", "run_accuracy_experiment", "run_preset",
     "sample_dataset", "sample_multisource_dataset", "sample_test_points",
     "summarize_accuracy", "target_rate_exponent",

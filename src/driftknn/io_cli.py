@@ -45,10 +45,8 @@ from .simulation import (
     classification_accuracy,
     excess_risk_mc,
     fit_method,
-    make_drift_model,
     rate_exponent_check,
     run_preset,
-    sample_test_points,
     summarize_accuracy,
     METHODS as SIM_METHODS,
 )
@@ -485,9 +483,9 @@ def _cmd_eval(args) -> None:
         raise ValueError("a per-source --gamma needs --gamma-sim (the model has one exponent)")
     hp = HyperParams(beta=args.beta, gamma=gamma, d=train.d)
     gamma_sim = args.gamma_sim if args.gamma_sim is not None else gamma
-    model = make_drift_model(args.pmax, gamma_sim, train.d)
+    model = DriftModel(args.pmax, gamma_sim, train.d, args.radius)
     rs = RandomSource(args.seed).substream(_EXPERIMENT_STREAM_IDS["eval"])
-    test = sample_test_points(model.x_c, args.radius, args.n_test, rs.substream(0))
+    test = model.sample_test_points(args.n_test, rs.substream(0))
     fitted = fit_method(args.method, train, hp, args.lepski_width)
     acc = classification_accuracy(fitted.predict_batch, model, test)
     est = excess_risk_mc(fitted.predict_batch, model, args.nmc, rs.substream(1))

@@ -1,10 +1,10 @@
 """Synthetic posterior-drift experiments and Monte Carlo risk estimation.
 
-The canned model: covariates uniform on [0,1]^d for both P and Q, target
-regression eta_Q(x) = max(p_max - ||x - x_c||, 1/2) (a cone of height
-p_max - 1/2 and radius p_max - 1/2 on a flat 1/2 plateau), and source
-regression eta_P = 1/2 + (eta_Q - 1/2)^gamma. Test points are drawn
-uniformly from the ball B(x_c, 0.05) where the signal lives.
+The canned model, ``DriftModel``: covariates uniform on [0,1]^d for P and Q,
+target regression eta_Q(x) = max(p_max - ||x - c||, 1/2), a cone around the
+middle c of the cube, and source regression eta_P = 1/2 + (eta_Q - 1/2)^gamma.
+The model owns its test ball B(c, 0.05), where test points are drawn, and its
+signal ball B(c, p_max - 1/2), the only place where eta_Q differs from 1/2.
 
 The experiment engine runs method-vs-grid accuracy sweeps (one fresh
 dataset and one test point per replication), and ``rate_exponent_check``
@@ -40,7 +40,6 @@ from .classifiers import (
 
 __all__ = [
     "DriftModel",
-    "make_drift_model",
     "sample_dataset",
     "sample_multisource_dataset",
     "sample_test_points",
@@ -74,28 +73,40 @@ _EXPERIMENT_STREAM_IDS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DriftModel:
     """Cone-signal distribution pair with a power-link posterior drift.
 
-    eta_Q(x) = max(p_max - ||x - x_c||, 1/2);
+    eta_Q(x) = max(p_max - ||x - c||, 1/2), with c the middle of the cube;
     eta_P(x) = 1/2 + (eta_Q(x) - 1/2)^gamma_sim.
-    Covariates are uniform on [0,1]^d under both P and Q.
+    Covariates are uniform on [0,1]^d under both P and Q. The model owns its test
+    ball B(c, test_radius) and its signal ball B(c, p_max - 1/2), where eta_Q != 1/2.
     """
 
-    # |eta_Q - 1/2| = max(p_max - 1/2 - ||x - x_c||, 0) is the distance to the edge of
+    # |eta_Q - 1/2| = max(p_max - 1/2 - ||x - c||, 0) is the distance to the edge of
     # the signal ball, so P(0 < |eta_Q - 1/2| <= t) grows linearly in t: the margin
     # exponent of Audibert & Tsybakov (2007) is 1 for every p_max, gamma_sim and d.
     MARGIN_EXPONENT = 1.0
 
     p_max: float
-    gamma_sim: float
-    d: int
-    x_c: np.ndarray
+    gamma_sim: float = 0.3
+    d: int = 2
+    test_radius: float = TEST_BALL_RADIUS
+
+    def __post_init__(self):
+        if not (0.5 < self.p_max <= 1.0):
+            raise ValueError(f"p_max must be in (0.5, 1], got {self.p_max}")
+        if not (self.gamma_sim > 0):
+            raise ValueError(f"gamma_sim must be > 0, got {self.gamma_sim}")
+        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
+            raise ValueError(f"d must be an integer >= 1, got {self.d}")
+        if not (self.test_radius > 0):
+            raise ValueError(f"radius must be > 0, got {self.test_radius}")
+        object.__setattr__(self, "_center", np.full(int(self.d), 0.5))  # the cone's apex
 
     def eta_q(self, x):
         x = np.asarray(x, dtype=np.float64)
-        dist = neighbors._distances(x, self.x_c)
+        dist = neighbors._distances(x, self._center)
         val = np.maximum(self.p_max - dist, 0.5)
         return float(val) if x.ndim == 1 else val
 
@@ -112,28 +123,16 @@ class DriftModel:
     def sample_covariates(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return gen.random((n, self.d))
 
-    def sample_labels(self, points: np.ndarray, which: str, gen: np.random.Generator) -> np.ndarray:
-        """Bernoulli labels at the given points under eta_P or eta_Q."""
-        if which == "P":
-            eta = self.eta_p(points)
-        elif which == "Q":
-            eta = self.eta_q(points)
-        else:
-            raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
-        return (gen.random(points.shape[0]) < eta).astype(np.int64)
+    def sample_test_points(self, n: int, rng: RandomSource) -> np.ndarray:
+        return sample_test_points(self._center, self.test_radius, n, rng)
+
+    def signal_volume(self) -> float:
+        return _ball_volume(self.d, self.p_max - 0.5)
 
 
-def make_drift_model(p_max: float, gamma_sim: float = 0.3, d: int = 2) -> DriftModel:
-    """Validated cone-signal model centred in the cube."""
-    if not (0.5 < p_max <= 1.0):
-        raise ValueError(f"p_max must be in (0.5, 1], got {p_max}")
-    if not (gamma_sim > 0):
-        raise ValueError(f"gamma_sim must be > 0, got {gamma_sim}")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"d must be an integer >= 1, got {d}")
-    center = np.full(int(d), 0.5)
-    center.setflags(write=False)
-    return DriftModel(p_max=float(p_max), gamma_sim=float(gamma_sim), d=int(d), x_c=center)
+def _ball_volume(d: int, r: float) -> float:
+    """V_d r^d, V_d taken in logs: pi^(d/2) and gamma(d/2 + 1) overflow a float."""
+    return math.exp(d / 2 * math.log(math.pi) - math.lgamma(d / 2 + 1)) * r ** d
 
 
 def sample_dataset(model: DriftModel, n_p: int, n_q: int, rng: RandomSource) -> TransferDataset:
@@ -163,19 +162,21 @@ def sample_multisource_dataset(model: DriftModel, source_sizes: Sequence[int], n
     """
     sizes = _checked_sizes(source_sizes, n_q)
 
-    def draw(n: int, which: str, stream: int) -> SampleSet:
+    def draw(n: int, eta: Callable, stream: int) -> SampleSet:
         if n == 0:
             return SampleSet.empty(model.d)
         gen = rng.substream(stream).generator()
         x = model.sample_covariates(n, gen)
-        return SampleSet(x, model.sample_labels(x, which, gen))
+        return SampleSet(x, gen.random(n) < eta(x))
 
-    q = draw(n_q, "Q", 0)
-    return TransferDataset(tuple(draw(n, "P", i) for i, n in enumerate(sizes, start=1)), q)
+    q = draw(n_q, model.eta_q, 0)
+    return TransferDataset(tuple(draw(n, model.eta_p, i) for i, n in enumerate(sizes, start=1)), q)
 
 
 def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomSource) -> np.ndarray:
-    """n points uniform on the ball B(x_c, radius), by rejection from the cube."""
+    """n points uniform on the ball B(x_c, radius): by rejection from the cube while the
+    ball fills at least 1% of it (d <= 8), else a Gaussian direction times radius U^(1/d)
+    (Muller 1959; Marsaglia 1972)."""
     center = np.asarray(x_c, dtype=np.float64)
     if center.ndim != 1:
         raise ValueError("x_c must be a vector")
@@ -185,6 +186,10 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
         raise ValueError(f"n must be >= 1, got {n}")
     d = center.shape[0]
     gen = rng.generator()
+    if _ball_volume(d, 0.5) < 0.01:
+        z = gen.standard_normal((n, d))
+        scale = radius * gen.random(n) ** (1.0 / d) / np.linalg.norm(z, axis=1)
+        return center + scale[:, None] * z
     out = np.empty((n, d))
     have = 0
     while have < n:
@@ -409,8 +414,8 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
                             lepski_width: str = "algorithm3") -> list[ExperimentRecord]:
     """Accuracy sweep over a (p_max x n_P) grid.
 
-    Each replication draws a fresh dataset and a single test point from
-    B(x_c, TEST_BALL_RADIUS), orders the dataset once around it and scores every
+    Each replication draws a fresh dataset and a single test point from the
+    model's test ball, orders the dataset once around it and scores every
     method on that order (wall_time excludes the shared ordering). gamma is
     used both to generate the source data and in the weighted plan.
     Replication streams are keyed by (experiment, grid index, replication),
@@ -426,7 +431,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     hp = HyperParams(beta=beta, gamma=gamma, d=d)
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
-    grid = [(pm, make_drift_model(pm, gamma, d), n_p)
+    grid = [(pm, DriftModel(pm, gamma, d), n_p)
             for pm in p_max_values for n_p in n_p_values]
     if not grid:
         raise ValueError("empty grid")
@@ -438,7 +443,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
         for rep in range(reps):
             rs = grid_rs.substream(rep)
             ds = sample_dataset(model, n_p, n_q, rs.substream(0))
-            x = sample_test_points(model.x_c, TEST_BALL_RADIUS, 1, rs.substream(1))[0]
+            x = model.sample_test_points(1, rs.substream(1))[0]
             truth = model.bayes(x)
             # one order for every method, looked up on the module as in adaptive_predict
             mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
@@ -586,11 +591,9 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise ValueError("degenerate grid: sizes must span at least a decade")
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
-    model = make_drift_model(p_max, hp.scalar_gamma(), hp.d)
-    # Only draws in the signal ball B(x_c, p_max - 1/2) can carry risk. The unit
-    # ball's volume is taken in logs: pi^(d/2) and gamma(d/2 + 1) overflow a float.
-    log_unit_ball = hp.d / 2 * math.log(math.pi) - math.lgamma(hp.d / 2 + 1)
-    in_ball = n_mc * math.exp(log_unit_ball) * (p_max - 0.5) ** hp.d
+    model = DriftModel(p_max, hp.scalar_gamma(), hp.d)
+    # Only draws in the model's signal ball can carry risk.
+    in_ball = n_mc * model.signal_volume()
     ball_note = (f"d = {hp.d}, p_max = {p_max}, n_mc = {n_mc}: about {in_ball:.3g} Monte Carlo "
                  f"draws per replication are expected in the signal ball")
     if in_ball < 1:

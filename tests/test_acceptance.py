@@ -23,15 +23,14 @@ from driftknn.classifiers import (
 )
 from driftknn.neighbors import NeighborIndex
 from driftknn.simulation import (
+    DriftModel,
     constant_classifier,
     excess_risk_mc,
-    make_drift_model,
     rate_exponent_check,
     run_accuracy_experiment,
     run_preset,
     sample_dataset,
     sample_multisource_dataset,
-    sample_test_points,
     summarize_accuracy,
 )
 from driftknn.io_cli import read_labeled_csv, write_labeled_csv
@@ -150,7 +149,7 @@ def test_criterion_5_excess_risk_oracle(capsys):
     # own standard errors at ten million draws
     truth = 2 * math.pi / 3 * 0.05 ** 3
     assert math.isclose(truth, 2.6179938779914946e-4, rel_tol=1e-15)
-    model = make_drift_model(0.55, 0.3, 2)
+    model = DriftModel(0.55, 0.3, 2)
     est = excess_risk_mc(constant_classifier(0), model, 10_000_000,
                          RandomSource(SEED).substream(9))
     dev = abs(est.value - truth)
@@ -217,7 +216,7 @@ def _check_adaptive_invariants(rng):
 def _check_reductions(rng):
     hp = HyperParams(beta=1.0, gamma=0.3, d=2)
     gen = rng.generator()
-    model = make_drift_model(0.55, 0.3, 2)
+    model = DriftModel(0.55, 0.3, 2)
     # n_P = 0: the weighted rule degenerates to plain target-only k-NN,
     # and the pooled baseline's budget matches the single-sample rule
     ds0 = sample_dataset(model, 0, 400, rng.substream(0))
@@ -248,7 +247,7 @@ def _check_reductions(rng):
 
 def _check_rescaling(rng):
     hp = HyperParams(beta=1.0, gamma=0.3, d=2)
-    model = make_drift_model(0.55, 0.3, 2)
+    model = DriftModel(0.55, 0.3, 2)
     ds = sample_dataset(model, 200, 300, rng.substream(0))
     plan = minimax_plan((200,), 300, hp)
     gen = rng.generator()
@@ -271,14 +270,14 @@ def _check_determinism():
     b = run_accuracy_experiment("fig4a", **kwargs)
     if [r.accuracy for r in a] != [r.accuracy for r in b]:
         return False
-    model = make_drift_model(0.6, 0.3, 2)
+    model = DriftModel(0.6, 0.3, 2)
     e1 = excess_risk_mc(constant_classifier(0), model, 20_000, RandomSource(SEED))
     e2 = excess_risk_mc(constant_classifier(0), model, 20_000, RandomSource(SEED))
     return e1.value == e2.value
 
 
 def _check_csv_round_trips(rng, tmp_path):
-    model = make_drift_model(0.55, 0.3, 2)
+    model = DriftModel(0.55, 0.3, 2)
     ds = sample_dataset(model, 40, 60, rng.substream(0))
     path = tmp_path / "transfer.csv"
     write_labeled_csv(path, ds)
@@ -319,7 +318,7 @@ def test_criterion_7_merged_sources_match_single(capsys):
     # two gamma=0.3 sources of 1000 points each vs the same 2000 points
     # treated as one source: identical exponents make the plans agree, so
     # the two classifiers' accuracies must sit within 2 pooled SEs
-    model = make_drift_model(0.55, 0.3, 2)
+    model = DriftModel(0.55, 0.3, 2)
     hp2 = HyperParams(beta=1.0, gamma=(0.3, 0.3), d=2)
     hp1 = HyperParams(beta=1.0, gamma=0.3, d=2)
     plan2 = minimax_plan((1000, 1000), 5000, hp2)
@@ -331,7 +330,7 @@ def test_criterion_7_merged_sources_match_single(capsys):
     for rep in range(reps):
         rs = root.substream(rep)
         mds = sample_multisource_dataset(model, (1000, 1000), 5000, rs.substream(0))
-        x = sample_test_points(model.x_c, 0.05, 1, rs.substream(1))[0]
+        x = model.sample_test_points(1, rs.substream(1))[0]
         truth = model.bayes(x)
         merged = SampleSet(np.concatenate([s.points for s in mds.sources]),
                            np.concatenate([s.labels for s in mds.sources]))

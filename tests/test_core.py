@@ -279,14 +279,13 @@ def test_random_source_rejects_negative_keys():
 def test_records_that_hold_arrays_compare_by_identity():
     from driftknn.classifiers import adaptive_predict, lepski_predict
     from driftknn.neighbors import merged_order
-    from driftknn.simulation import RateCheckResult, make_drift_model
+    from driftknn.simulation import RateCheckResult
 
     s = make_set([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], [0, 1, 1])
     x = np.array([0.25, 0.25])
     makers = {
         "SampleSet": lambda: make_set([[0.1, 0.2]], [1]),
         "TransferDataset": lambda: TransferDataset((s,), s),
-        "DriftModel": lambda: make_drift_model(0.55, 0.3, 2),
         "MergedOrder": lambda: merged_order([s, s], x),
         "AdaptiveTrace": lambda: adaptive_predict(TransferDataset((s,), s), x)[1],
         "LepskiTrace": lambda: lepski_predict(s, x)[1],

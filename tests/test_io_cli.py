@@ -42,13 +42,12 @@ from driftknn.io_cli import (
 from driftknn.simulation import (
     _EXPERIMENT_STREAM_IDS,
     AggregateRow,
+    DriftModel,
     ExperimentRecord,
     classification_accuracy,
     fit_method,
-    make_drift_model,
     run_accuracy_experiment,
     sample_multisource_dataset,
-    sample_test_points,
     summarize_accuracy,
 )
 
@@ -1037,14 +1036,14 @@ def test_cli_eval_usage_errors(tmp_path):
 
 
 def test_cli_eval_per_source_gamma(tmp_path, capsys):
-    model = make_drift_model(0.55, 0.3, 2)
+    model = DriftModel(0.55, 0.3, 2)
     mds = sample_multisource_dataset(model, (60, 80), 100, RandomSource(5))
     train, out = tmp_path / "multi.csv", tmp_path / "eval.csv"
     write_labeled_csv(train, mds)
     base = ["eval", "--train", str(train), "--pmax", "0.55", "--n-test", "50",
             "--nmc", "2000", "--seed", "1", "--out", str(out)]
     rs = RandomSource(1).substream(_EXPERIMENT_STREAM_IDS["eval"])
-    test = sample_test_points(model.x_c, 0.05, 50, rs.substream(0))
+    test = model.sample_test_points(50, rs.substream(0))
     # one value stays a scalar gamma, written as before; two give the vector
     for gamma, extra, cell, hp_gamma in (("0.30", [], "0.3", 0.3),
                                          ("0.3,0.5", ["--gamma-sim", "0.3"], "0.3,0.5",
@@ -1107,6 +1106,12 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
          "p_max must be in (0.5, 1], got 0.4"),
         (["simulate", "fig4a", *sim, "--gamma", "0"], 2, "gamma must be > 0, got 0.0"),
         (["simulate", "fig4a", *sim, "--beta", "2"], 2, "beta must be in (0, 1], got 2.0"),
+        # every command checks --beta, also where the chosen methods never read it
+        (["simulate", "fig5a", *sim, "--beta", "2"], 2, "beta must be in (0, 1], got 2.0"),
+        ([*pred, "--method", "adaptive", "--beta", "2"], 2, "beta must be in (0, 1], got 2.0"),
+        ([*pred, "--method", "adaptive", "--gamma", "-5"], 2, "gamma must be > 0, got -5.0"),
+        ([*ev, "--pmax", "0.55", "--method", "adaptive", "--beta", "2"], 2,
+         "beta must be in (0, 1], got 2.0"),
         (["simulate", "fig5a", *sim, "--nq", "0"], 2,
          "method 'lepski-q' has no samples to fit on"),
         (["simulate", "fig4a", *sim, "--np", "0", "--nq", "0"], 2,

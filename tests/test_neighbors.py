@@ -17,7 +17,7 @@ from driftknn.neighbors import (
     _squared_distances,
     merged_order,
 )
-from driftknn.simulation import make_drift_model, sample_test_points
+from driftknn.simulation import DriftModel
 
 
 def brute_force_order(points, x):
@@ -480,16 +480,17 @@ def test_squared_distances_match_the_numpy_spellings(d, lattice):
     assert _squared_distances(points[7], x) == got[7]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 def test_model_sampler_and_index_share_the_kernel(d):
-    model = make_drift_model(0.8, 0.3, d)
+    model, center = DriftModel(0.8, 0.3, d, test_radius=0.3), np.full(d, 0.5)
     points, _ = kernel_rows(d, lattice=False, seed=10 + d)
     np.testing.assert_array_equal(
-        model.eta_q(points), np.maximum(0.8 - _distances(points, model.x_c), 0.5))
+        model.eta_q(points), np.maximum(0.8 - _distances(points, center), 0.5))
     assert model.eta_q(points[3]) == model.eta_q(points)[3]
-    # the ball test of the sampler: replay its rejection stream with the kernel
-    center, r, n = model.x_c, 0.3, 50
-    got = sample_test_points(center, r, n, RandomSource(5))
+    # the ball test of the sampler: replay its rejection stream with the kernel; d = 8 is
+    # the last dimension where the ball fills 1% of its cube and rejection is used
+    r, n = model.test_radius, 50
+    got = model.sample_test_points(n, RandomSource(5))
     gen, want = RandomSource(5).generator(), []
     while len(want) < n:
         cand = center + r * (2.0 * gen.random((max(64, 2 * (n - len(want))), d)) - 1.0)

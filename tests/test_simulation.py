@@ -7,6 +7,7 @@ planar disc of radius r.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from driftknn.simulation import (
     EXPERIMENT_PRESETS,
     METHODS,
     NONADAPTIVE_METHODS,
+    DriftModel,
     classification_accuracy,
     constant_classifier,
     excess_risk_mc,
@@ -30,7 +32,6 @@ from driftknn.simulation import (
     _fit_slope,
     _fit_weighted,
     fit_method,
-    make_drift_model,
     rate_exponent_check,
     run_accuracy_experiment,
     run_preset,
@@ -42,30 +43,64 @@ from driftknn.simulation import (
 )
 
 HP_MAIN = HyperParams(beta=1.0, gamma=0.3, d=2)
+CENTER = np.array([0.5, 0.5])  # the middle of the square: the planar cone's apex
 
 
 # ---------------------------------------------------------------- model
 
 
 def test_model_validation():
-    with pytest.raises(ValueError, match="p_max"):
-        make_drift_model(0.5)
-    with pytest.raises(ValueError, match="p_max"):
-        make_drift_model(1.2)
-    with pytest.raises(ValueError, match="gamma_sim"):
-        make_drift_model(0.55, gamma_sim=0.0)
-    with pytest.raises(ValueError, match="d must be"):
-        make_drift_model(0.55, d=0)
-    m = make_drift_model(0.55)
-    np.testing.assert_array_equal(m.x_c, [0.5, 0.5])
+    for args, message in (((0.5,), "p_max must be in (0.5, 1], got 0.5"),
+                          ((1.2,), "p_max must be in (0.5, 1], got 1.2"),
+                          ((0.55, 0.0), "gamma_sim must be > 0, got 0.0"),
+                          ((0.55, 0.3, 0), "d must be an integer >= 1, got 0"),
+                          ((0.55, 0.3, 2.0), "d must be an integer >= 1, got 2.0"),
+                          ((0.55, 0.3, 2, 0.0), "radius must be > 0, got 0.0"),
+                          ((0.55, 0.3, 2, -0.1), "radius must be > 0, got -0.1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DriftModel(*args)
+
+
+def test_model_is_a_value():
+    # the defaults are the fields written out: equal fields compare and hash alike
+    a, b = DriftModel(0.55), DriftModel(0.55, 0.3, 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert b.test_radius == 0.05
+    for other in (DriftModel(0.56), DriftModel(0.55, 0.4), DriftModel(0.55, d=3),
+                  DriftModel(0.55, test_radius=0.1)):
+        assert other != a and len({a, other}) == 2
+
+
+def test_model_draws_test_points_from_its_own_ball():
+    # the module sampler around the middle of the cube, with the model's test radius
+    for d, radius in ((2, 0.05), (3, 0.2)):
+        m = DriftModel(0.6, d=d, test_radius=radius)
+        got = m.sample_test_points(40, RandomSource(8))
+        want = sample_test_points(np.full(d, 0.5), radius, 40, RandomSource(8))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_signal_volume():
+    # at d = 2 the signal ball is a disc of radius p_max - 1/2
+    for p_max in (0.51, 0.55, 0.8, 1.0):
+        assert DriftModel(p_max).signal_volume() == pytest.approx(math.pi * (p_max - 0.5) ** 2,
+                                                                  rel=1e-14)
+    # at d = 3 it is the share of cube draws where eta_Q differs from 1/2
+    m, n = DriftModel(0.8, d=3), 200_000
+    share = np.mean(m.eta_q(RandomSource(61).generator().random((n, 3))) != 0.5)
+    vol = m.signal_volume()
+    assert vol == pytest.approx(4 / 3 * math.pi * 0.3 ** 3, rel=1e-14)
+    assert abs(share - vol) < 3 * math.sqrt(vol * (1 - vol) / n)
+    # far past the float range of pi^(d/2) and gamma(d/2 + 1), the volume is 0, not an error
+    assert DriftModel(0.6, d=2000).signal_volume() == 0.0
 
 
 def test_eta_values_frozen():
-    m = make_drift_model(0.55, gamma_sim=0.3, d=2)
-    assert m.eta_q(m.x_c) == pytest.approx(0.55, abs=0)
+    m = DriftModel(0.55, gamma_sim=0.3, d=2)
+    assert m.eta_q(CENTER) == pytest.approx(0.55, abs=0)
     # 1/2 + 0.05^0.3 and 1/2 + 0.03^0.3, computed independently
-    assert m.eta_p(m.x_c) == pytest.approx(0.90709053153690444, rel=1e-15)
-    x = m.x_c + np.array([0.02, 0.0])
+    assert m.eta_p(CENTER) == pytest.approx(0.90709053153690444, rel=1e-15)
+    x = CENTER + np.array([0.02, 0.0])
     assert m.eta_q(x) == pytest.approx(0.53, rel=1e-12)
     assert m.eta_p(x) == pytest.approx(0.84924996914343953, rel=1e-13)
     far = np.array([0.0, 0.0])
@@ -74,7 +109,7 @@ def test_eta_values_frozen():
 
 
 def test_eta_vectorized():
-    m = make_drift_model(0.6, d=2)
+    m = DriftModel(0.6, d=2)
     pts = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.55]])
     eq = m.eta_q(pts)
     assert eq.shape == (3,)
@@ -83,36 +118,37 @@ def test_eta_vectorized():
 
 
 def test_bayes_region():
-    m = make_drift_model(0.55, d=2)
-    assert m.bayes(m.x_c) == 1
-    inside = m.x_c + np.array([0.03, 0.0])
+    m = DriftModel(0.55, d=2)
+    assert m.bayes(CENTER) == 1
+    inside = CENTER + np.array([0.03, 0.0])
     assert m.bayes(inside) == 1
     # outside the signal ball eta is exactly 1/2, and 1/2 is not > 1/2
-    plateau = m.x_c + np.array([0.2, 0.0])
+    plateau = CENTER + np.array([0.2, 0.0])
     assert m.eta_q(plateau) == 0.5
     assert m.bayes(plateau) == 0
     assert m.bayes([0.1, 0.1]) == 0
 
 
-def test_sample_labels_frequency():
-    m = make_drift_model(0.55, gamma_sim=0.3, d=2)
-    n = 100_000
-    pts = np.tile(m.x_c, (n, 1))
-    gen = RandomSource(71).generator()
-    for which, eta in (("Q", 0.55), ("P", 0.90709053153690444)):
-        labs = m.sample_labels(pts, which, gen)
-        freq = labs.mean()
-        tol = 3 * math.sqrt(eta * (1 - eta) / n)
-        assert abs(freq - eta) < tol
-    with pytest.raises(ValueError, match="'P' or 'Q'"):
-        m.sample_labels(pts[:1], "R", gen)
+def test_labels_are_the_links_drawn_after_the_covariates():
+    # replay: a set's labels are gen.random(n) < eta(x), drawn on the set's own substream
+    # right after its covariates; Q reads eta_q on substream 0, source i eta_p on i
+    m, rs = DriftModel(0.7, 0.3, 2), RandomSource(71)
+    ds = sample_dataset(m, 300, 400, rs)
+    mds = sample_multisource_dataset(m, (300, 200), 400, rs)
+    for s, eta, stream in ((ds.q_data, m.eta_q, 0), (ds.sources[0], m.eta_p, 1),
+                           (mds.sources[1], m.eta_p, 2)):
+        gen = rs.substream(stream).generator()
+        x = gen.random((len(s), 2))
+        np.testing.assert_array_equal(s.points, x)
+        np.testing.assert_array_equal(s.labels, gen.random(len(s)) < eta(x))
+        assert 0 < s.labels.mean() < 1
 
 
 # ---------------------------------------------------------------- samplers
 
 
 def test_sample_dataset_shapes_and_cube():
-    m = make_drift_model(0.55, d=3)
+    m = DriftModel(0.55, d=3)
     ds = sample_dataset(m, 40, 60, RandomSource(5))
     assert (ds.n_p, ds.n_q, ds.d) == (40, 60, 3)
     assert ds.m == 1
@@ -124,7 +160,7 @@ def test_sample_dataset_shapes_and_cube():
 
 
 def test_sample_dataset_q_independent_of_np():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     rs = RandomSource(9)
     q_only = sample_dataset(m, 0, 50, rs)
     with_p = sample_dataset(m, 200, 50, rs)
@@ -134,7 +170,7 @@ def test_sample_dataset_q_independent_of_np():
 
 
 def test_sample_dataset_deterministic():
-    m = make_drift_model(0.6)
+    m = DriftModel(0.6)
     a = sample_dataset(m, 10, 10, RandomSource(3))
     b = sample_dataset(m, 10, 10, RandomSource(3))
     np.testing.assert_array_equal(a.sources[0].points, b.sources[0].points)
@@ -144,7 +180,7 @@ def test_sample_dataset_deterministic():
 
 
 def test_sample_multisource_single_source_matches_two_sample():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     rs = RandomSource(12)
     mds = sample_multisource_dataset(m, (30,), 20, rs)
     ds = sample_dataset(m, 30, 20, rs)
@@ -155,7 +191,7 @@ def test_sample_multisource_single_source_matches_two_sample():
 
 
 def test_sample_multisource_shapes():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     mds = sample_multisource_dataset(m, (5, 0, 7), 4, RandomSource(13))
     assert mds.source_sizes == (5, 0, 7)
     assert mds.n_q == 4
@@ -174,6 +210,19 @@ def test_sample_test_points_containment_and_radius():
     assert abs(dist.mean() - 2 * r / 3) < 3 * se
 
 
+@pytest.mark.parametrize("d", [9, 16, 20])
+def test_sample_test_points_above_d8_are_uniform_on_the_ball(d):
+    # past d = 8 the ball fills under 1% of its cube, and the draw is direct: (|x - c| / r)^d
+    # of a uniform point is uniform on [0, 1], with mean 1/2 and standard error 0.009 here
+    center, r = np.full(d, 0.5), 0.05
+    pts = sample_test_points(center, r, 1000, RandomSource(d))
+    ratio = np.sqrt(((pts - center) ** 2).sum(axis=1)) / r
+    assert pts.shape == (1000, d) and (ratio <= 1 + 1e-12).all()
+    assert abs(np.mean(ratio ** d) - 0.5) < 0.05
+    # the same stream gives the same points
+    np.testing.assert_array_equal(pts, sample_test_points(center, r, 1000, RandomSource(d)))
+
+
 def test_sample_test_points_validation():
     with pytest.raises(ValueError, match="radius"):
         sample_test_points([0.5, 0.5], 0.0, 3, RandomSource(1))
@@ -189,8 +238,8 @@ def test_sample_test_points_validation():
 
 
 def test_classification_accuracy_extremes():
-    m = make_drift_model(0.55)
-    pts = sample_test_points(m.x_c, 0.05, 200, RandomSource(31))
+    m = DriftModel(0.55)
+    pts = m.sample_test_points(200, RandomSource(31))
 
     def oracle(xs):
         return m.bayes(xs)
@@ -206,13 +255,13 @@ def test_classification_accuracy_extremes():
 
 
 def test_classification_accuracy_validation():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     with pytest.raises(ValueError, match="nonempty"):
         classification_accuracy(constant_classifier(1), m, np.empty((0, 2)))
 
 
 def test_excess_risk_of_oracle_is_zero():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     est = excess_risk_mc(lambda xs: m.bayes(xs), m, 10_000, RandomSource(41))
     assert est.value == 0.0
     assert est.std_error == 0.0
@@ -222,13 +271,13 @@ def test_excess_risk_of_oracle_is_zero():
 def test_excess_risk_constant_one_is_zero():
     # predicting 1 everywhere only disagrees with the oracle where the
     # weight |eta - 1/2| vanishes, so the weighted risk is exactly zero
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     est = excess_risk_mc(constant_classifier(1), m, 10_000, RandomSource(42))
     assert est.value == 0.0
 
 
 def test_excess_risk_constant_zero_matches_closed_form():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     est = excess_risk_mc(constant_classifier(0), m, 200_000, RandomSource(43))
     truth = 2.6179938779914946e-4  # (2 pi / 3) * 0.05^3
     assert est.std_error > 0
@@ -238,7 +287,7 @@ def test_excess_risk_constant_zero_matches_closed_form():
 def test_excess_risk_chunk_size_invariance(monkeypatch):
     from driftknn import simulation
 
-    m = make_drift_model(0.6)
+    m = DriftModel(0.6)
     a = excess_risk_mc(constant_classifier(0), m, 50_000, RandomSource(44))
     monkeypatch.setattr(simulation, "_MC_CHUNK", 999)
     b = excess_risk_mc(constant_classifier(0), m, 50_000, RandomSource(44))
@@ -267,7 +316,7 @@ def test_chunk_merged_variance_is_exact_far_from_zero():
 
 
 def test_excess_risk_validation():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     with pytest.raises(ValueError, match="n_mc"):
         excess_risk_mc(constant_classifier(0), m, 1, RandomSource(1))
     with pytest.raises(ValueError, match="label"):
@@ -275,9 +324,9 @@ def test_excess_risk_validation():
 
 
 def test_fit_method_all_names_predict():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     ds = sample_dataset(m, 60, 80, RandomSource(51))
-    x = m.x_c
+    x = CENTER
     for name in METHODS:
         fm = fit_method(name, ds, HP_MAIN)
         assert fm.name == name
@@ -288,9 +337,9 @@ def test_fit_method_all_names_predict():
 
 
 def test_fit_method_k_overrides_the_neighbour_count_of_knn_fits():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     ds = sample_dataset(m, 60, 80, RandomSource(52))
-    pts = sample_test_points(m.x_c, 0.2, 25, RandomSource(53))
+    pts = sample_test_points(CENTER, 0.2, 25, RandomSource(53))
     sets = {"qonly": ds.q_data, "combined": pooled_sample_set(ds)}
     for name, one_set in sets.items():
         for k in (1, 7, len(one_set)):
@@ -311,7 +360,7 @@ def test_fit_method_k_overrides_the_neighbour_count_of_knn_fits():
 
 def test_fit_method_refuses_hyperparams_of_another_dimension():
     # a plan built for the wrong d would answer silently: every fit refuses it
-    m = make_drift_model(0.55, d=3)
+    m = DriftModel(0.55, d=3)
     ds = sample_dataset(m, 60, 80, RandomSource(54))
     for name in METHODS:
         fit_method(name, ds, HyperParams(beta=1.0, gamma=0.3, d=3))
@@ -439,9 +488,9 @@ def test_scan_evidence_matches_a_group_loop(sizes, n_q, seed, grid):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_queries_raise_on_every_path(bad):
-    m = make_drift_model(0.6)
+    m = DriftModel(0.6)
     x = np.array([bad, 0.5])
-    pts = np.vstack([m.x_c, x])
+    pts = np.vstack([CENTER, x])
     ds = sample_dataset(m, 30, 40, RandomSource(56))
     mds = sample_multisource_dataset(m, (20, 25), 30, RandomSource(57))
     fits = [fit_method(name, ds, HP_MAIN) for name in METHODS]
@@ -457,11 +506,11 @@ def test_non_finite_queries_raise_on_every_path(bad):
 
 
 def test_fit_method_lepski_width_passthrough():
-    m = make_drift_model(0.55)
+    m = DriftModel(0.55)
     ds = sample_dataset(m, 0, 40, RandomSource(54))
     a = fit_method("lepski-q", ds, HP_MAIN, "algorithm3")
     b = fit_method("lepski-q", ds, HP_MAIN, "lemma5")
-    pts = sample_test_points(m.x_c, 0.05, 10, RandomSource(55))
+    pts = m.sample_test_points(10, RandomSource(55))
     assert a.predict_batch(pts).shape == b.predict_batch(pts).shape
 
 
@@ -627,16 +676,22 @@ def test_rate_check_smoke():
 
 
 def test_rate_check_refuses_fewer_than_one_expected_ball_draw():
-    # at d = 6 the signal ball B(x_c, 0.1) holds 2000 * pi^3 * 0.1^6 / 3! = 0.0103
+    # at d = 6 the signal ball B(c, 0.1) holds 2000 * pi^3 * 0.1^6 / 3! = 0.0103
     # of the 2000 Monte Carlo draws in expectation: refused before any sampling
     hp = HyperParams(beta=1.0, gamma=0.3, d=6)
     with pytest.raises(ValueError, match=r"^too few draws to fit a slope \(d = 6, p_max = 0.6, "
                        r"n_mc = 2000: about 0.0103 Monte Carlo draws .*; need at least 1\)$"):
         rate_exponent_check(hp, (20, 50, 100, 200), reps=2, rng=RandomSource(6), n_mc=2000)
+    # the count quoted is n_mc times the model's own signal volume
+    for d, n_mc in ((6, 2000), (2, 30)):
+        about = f"about {n_mc * DriftModel(0.6, 0.3, d).signal_volume():.3g} Monte Carlo draws"
+        with pytest.raises(ValueError, match=re.escape(about)):
+            rate_exponent_check(HyperParams(beta=1.0, gamma=0.3, d=d), (20, 50, 100, 200),
+                                reps=2, rng=RandomSource(6), n_mc=n_mc)
 
 
 def test_rate_check_zero_risk_names_the_expected_ball_draws():
-    # 4000 * pi * 0.01^2 = 1.26 expected draws in B(x_c, 0.01): past the refusal,
+    # 4000 * pi * 0.01^2 = 1.26 expected draws in B(c, 0.01): past the refusal,
     # yet at this seed both replications at size 20 have zero risk
     with pytest.raises(RuntimeError, match=r"^mean excess risk is zero at size 20; .*"
                        r"\(d = 2, p_max = 0.51, n_mc = 4000: about 1.26 Monte Carlo draws"):
