@@ -82,6 +82,16 @@ def combined_budget_k(source_sizes: Sequence[int], n_q: int, hp: HyperParams) ->
     return max(1, plan.k_q + sum(plan.k_sources))
 
 
+def _checked_sizes(source_sizes: Sequence[int], n_q: int) -> list[int]:
+    """The source sizes as ints, if there is at least one and every size is >= 0."""
+    sizes = [int(n) for n in source_sizes]
+    if len(sizes) < 1:
+        raise ValueError("need at least one source size")
+    if any(n < 0 for n in sizes) or n_q < 0:
+        raise ValueError(f"sample sizes must be >= 0, got sources {sizes}, target {n_q}")
+    return sizes
+
+
 def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnPlan:
     """Per-source neighbor counts and weights for m source samples.
 
@@ -96,11 +106,7 @@ def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnP
     so a nonempty sample always contributes at least one neighbor.
     Requires at least one sample overall.
     """
-    sizes = [int(n) for n in source_sizes]
-    if len(sizes) < 1:
-        raise ValueError("need at least one source")
-    if any(n < 0 for n in sizes) or n_q < 0:
-        raise ValueError("sample sizes must be >= 0")
+    sizes = _checked_sizes(source_sizes, n_q)
     if sum(sizes) == 0 and n_q == 0:
         raise ValueError("need at least one sample across all sets")
     b, d = hp.beta, float(hp.d)

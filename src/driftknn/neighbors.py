@@ -1,11 +1,11 @@
 """Exact nearest-neighbor search with deterministic tie-breaking.
 
 All queries use the Euclidean norm, summed in coordinate order by one kernel
-(``_squared_distances``), and are exact; a query with a non-finite coordinate
-is rejected. Every ``NeighborIndex`` query returns plain (distances, indices)
-arrays. Neighbor order is canonical: ascending distance, ties broken by
-ascending sample index. Merged queries over several sample sets additionally
-break cross-set distance ties by set priority (target first, then sources).
+(``_squared_distances``), and are exact. Every path that takes a query, here and
+in ``simulation.DriftModel.eta_q``, checks it with ``_check_query`` (d finite
+coordinates). ``NeighborIndex`` queries return plain (distances, indices) arrays.
+Neighbor order is canonical: ascending distance, ties broken by ascending sample
+index; merged queries also break cross-set ties by set order (target first).
 
 Ties are exact float equality. Every ordering path (the boundary of
 ``query``, whose k = n case is ``sorted_order``, and ``merged_order``)
@@ -60,11 +60,16 @@ def _canonical_argsort(dist: np.ndarray) -> np.ndarray:
     return _sort_ties(dist[order], order)
 
 
-def _require_finite(x: np.ndarray):
-    finite = np.isfinite(x).all(axis=-1)
-    if not finite.all():
-        bad = x if x.ndim == 1 else x[np.flatnonzero(~finite)[0]]
+def _check_query(x, d: int) -> np.ndarray:
+    """x as float64, if each point has d finite coordinates; one whole-array test when so."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != (d,):
+        raise ValueError(f"query has dimension {x.shape[-1] if x.ndim else 0}, need {d}")
+    if not np.isfinite(x).all():
+        rows = x.reshape(-1, d)
+        bad = rows[np.argmin(np.isfinite(rows).all(axis=1))]
         raise ValueError(f"query {bad.tolist()} has a non-finite coordinate")
+    return x
 
 
 def _squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -89,11 +94,6 @@ class NeighborIndex:
         self.n = len(sample_set)
         self.d = sample_set.d
 
-    def _require_dim(self, x: np.ndarray):
-        if x.shape[-1] != self.d:
-            raise ValueError(f"query has dimension {x.shape[-1]}, index has {self.d}")
-        _require_finite(x)
-
     def sorted_order(self, x) -> tuple[np.ndarray, np.ndarray]:
         """All sample indices sorted by (distance, index), with distances.
 
@@ -110,8 +110,7 @@ class NeighborIndex:
         canonical sort. k = 0 or an empty index gives empty float64/int64
         arrays. Raises on dimension mismatch or negative k.
         """
-        x = np.asarray(x, dtype=np.float64)
-        self._require_dim(x)
+        x = _check_query(x, self.d)
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         k_eff = min(int(k), self.n)
@@ -143,7 +142,7 @@ class NeighborIndex:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
             raise ValueError(f"xs must be (m, d), got shape {xs.shape}")
-        self._require_dim(xs)
+        _check_query(xs, self.d)
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         m = xs.shape[0]
@@ -221,11 +220,8 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     once by (distance, position), which is (distance, group, index within
     set) because a position is the set's offset plus the index within it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    for g, s in enumerate(sets):
-        if s.d != x.shape[-1]:
-            raise ValueError(f"query has dimension {x.shape[-1]}, set {g} has {s.d}")
-    _require_finite(x)
+    for s in sets:
+        x = _check_query(x, s.d)
     sizes = [len(s) for s in sets]
     dist = np.concatenate([_distances(s.points, x) for s in sets])
     order = _canonical_argsort(dist)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import neighbors
 from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
-from .classifiers import _adaptive_scan, _label, _lepski_scan, _vote_eta
+from .classifiers import _adaptive_scan, _checked_sizes, _label, _lepski_scan, _vote_eta
 from .classifiers import (
     adaptive_predict,
     combined_budget_k,
@@ -81,6 +81,7 @@ class DriftModel:
     eta_P(x) = 1/2 + (eta_Q(x) - 1/2)^gamma_sim.
     Covariates are uniform on [0,1]^d under both P and Q. The model owns its test
     ball B(c, test_radius) and its signal ball B(c, p_max - 1/2), where eta_Q != 1/2.
+    eta_q (so eta_p, bayes) takes a query through ``neighbors._check_query``.
     """
 
     # |eta_Q - 1/2| = max(p_max - 1/2 - ||x - c||, 0) is the distance to the edge of
@@ -100,12 +101,11 @@ class DriftModel:
             raise ValueError(f"gamma_sim must be > 0, got {self.gamma_sim}")
         if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d}")
-        if not (self.test_radius > 0):
-            raise ValueError(f"radius must be > 0, got {self.test_radius}")
+        _check_radius(self.test_radius)
         object.__setattr__(self, "_center", np.full(int(self.d), 0.5))  # the cone's apex
 
     def eta_q(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = neighbors._check_query(x, self.d)
         dist = neighbors._distances(x, self._center)
         val = np.maximum(self.p_max - dist, 0.5)
         return float(val) if x.ndim == 1 else val
@@ -130,6 +130,11 @@ class DriftModel:
         return _ball_volume(self.d, self.p_max - 0.5)
 
 
+def _check_radius(radius: float):
+    if not (0 < radius < math.inf):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
+
+
 def _ball_volume(d: int, r: float) -> float:
     """V_d r^d, V_d taken in logs: pi^(d/2) and gamma(d/2 + 1) overflow a float."""
     return math.exp(d / 2 * math.log(math.pi) - math.lgamma(d / 2 + 1)) * r ** d
@@ -142,16 +147,6 @@ def sample_dataset(model: DriftModel, n_p: int, n_q: int, rng: RandomSource) -> 
     the Q sample for a given rng is identical whatever n_P is.
     """
     return sample_multisource_dataset(model, (n_p,), n_q, rng)
-
-
-def _checked_sizes(source_sizes: Sequence[int], n_q: int) -> list[int]:
-    """The source sizes as ints, if there is at least one and every size is >= 0."""
-    sizes = [int(n) for n in source_sizes]
-    if len(sizes) < 1:
-        raise ValueError("need at least one source size")
-    if any(n < 0 for n in sizes) or n_q < 0:
-        raise ValueError(f"sample sizes must be >= 0, got sources {sizes}, target {n_q}")
-    return sizes
 
 
 def sample_multisource_dataset(model: DriftModel, source_sizes: Sequence[int], n_q: int,
@@ -178,10 +173,9 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
     ball fills at least 1% of it (d <= 8), else a Gaussian direction times radius U^(1/d)
     (Muller 1959; Marsaglia 1972)."""
     center = np.asarray(x_c, dtype=np.float64)
-    if center.ndim != 1:
-        raise ValueError("x_c must be a vector")
-    if not (radius > 0):
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if center.ndim != 1 or not np.isfinite(center).all():
+        raise ValueError(f"x_c must be a finite vector, got {center.tolist()}")
+    _check_radius(radius)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     d = center.shape[0]
@@ -230,10 +224,13 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
     exactly zero, so the classifier is only evaluated where the weight is
     positive; the estimate and standard error equal the full evaluation's.
     The variance merges per-chunk moments (no E[x^2] - mean^2 cancellation).
-    The draw sequence depends only on rng, not on the chunk size.
+    The draw sequence depends only on rng, not on the chunk size. The one draw
+    budget check: n_mc * signal_volume() < 1 expected live draws is refused.
     """
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2, got {n_mc}")
+    if n_mc * model.signal_volume() < 1:
+        raise ValueError(f"too few draws ({_ball_note(model, n_mc)}; need at least 1)")
     gen = rng.generator()
     total = 0.0
     moments = (0, 0.0, 0.0)  # count, mean, sum of squared deviations
@@ -251,6 +248,12 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
         done += m
     var = moments[2] / (n_mc - 1)
     return McEstimate(value=total / n_mc, std_error=math.sqrt(var / n_mc), n=n_mc)
+
+
+def _ball_note(model: DriftModel, n_mc: int) -> str:
+    """How many of n_mc uniform draws the signal ball expects, with the settings behind it."""
+    return (f"d = {model.d}, p_max = {model.p_max}, n_mc = {n_mc}: about "
+            f"{n_mc * model.signal_volume():.3g} Monte Carlo draws are expected in the signal ball")
 
 
 def _add_chunk(moments: tuple[int, float, float], values: np.ndarray, n: int):
@@ -353,14 +356,12 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
     """Fit a named method to a dataset with any number of sources; k, if given, is
     the neighbour count of qonly or combined (in [1, n]), and an error otherwise.
     hp.d must be the dataset's dimension."""
-    try:
-        fitter = METHODS[name]
-    except KeyError:
+    if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
     if hp.d != ds.d:
         raise ValueError(f"hyper-parameters have d = {hp.d} but the dataset has d = {ds.d}")
     if k is None:
-        return fitter(ds, hp, lepski_width)
+        return METHODS[name](ds, hp, lepski_width)
     if name not in ("qonly", "combined"):
         raise ValueError(f"k applies only to qonly and combined, not {name!r}")
     return _fit_knn(name, ds, name == "combined", hp, k)
@@ -592,12 +593,6 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     model = DriftModel(p_max, hp.scalar_gamma(), hp.d)
-    # Only draws in the model's signal ball can carry risk.
-    in_ball = n_mc * model.signal_volume()
-    ball_note = (f"d = {hp.d}, p_max = {p_max}, n_mc = {n_mc}: about {in_ball:.3g} Monte Carlo "
-                 f"draws per replication are expected in the signal ball")
-    if in_ball < 1:
-        raise ValueError(f"too few draws to fit a slope ({ball_note}; need at least 1)")
     experiment = f"rate-{sweep}"
     root = rng.substream(_EXPERIMENT_STREAM_IDS[experiment])
     rep_risks = np.empty((len(sizes), reps))
@@ -621,8 +616,8 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     means = rep_risks.mean(axis=1)
     if np.any(means <= 0):
         bad = sizes[int(np.flatnonzero(means <= 0)[0])]
-        raise RuntimeError(
-            f"mean excess risk is zero at size {bad}; cannot fit a log-log slope ({ball_note})")
+        raise RuntimeError(f"mean excess risk is zero at size {bad}; cannot fit a log-log "
+                           f"slope ({_ball_note(model, n_mc)})")
     log_sizes = np.log(np.asarray(sizes, dtype=np.float64))
     lo, hi = _bootstrap_ci(rep_risks, log_sizes, root.substream(0).generator(), N_BOOTSTRAP)
     return RateCheckResult(

@@ -1088,6 +1088,8 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
     write_text(tmp_path / "ponly.csv", "x0,x1,y,origin\n0.25,0.5,1,P\n")
     write_text(tmp_path / "tag.csv", "x0,x1,y,origin\n0.25,0.5,1,P\n0.5,0.5,0,R\n")
     (tmp_path / "latin.csv").write_bytes(train.read_bytes() + b"0.5,0.5,1,Q\xe9\n")
+    d6 = sample_multisource_dataset(DriftModel(0.6, 0.3, 6), (20,), 30, RandomSource(0))
+    write_labeled_csv(tmp_path / "d6.csv", d6)
     sim = ["--out", "out.csv", "--reps", "1", "--np", "30", "--nq", "25", "--pmax", "0.55"]
     rate = ["rate-check", "--out", "out.csv", "--sizes", "20,50,100,200", "--reps", "2",
             "--nmc", "2000", "--pmax", "0.7"]
@@ -1120,15 +1122,15 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
         ([*rate, "--sizes", "10,20,30"], 2, "degenerate grid: need >= 4 sizes, got 3"),
         ([*rate, "--reps", "1"], 2, "reps must be >= 2, got 1"),
         ([*rate, "--pmax", "0.3"], 2, "p_max must be in (0.5, 1], got 0.3"),
-        ([*rate, "--nmc", "1"], 2, "too few draws to fit a slope (d = 2, p_max = 0.7, n_mc = 1"),
+        ([*rate, "--nmc", "1"], 2, "n_mc must be >= 2, got 1"),
         # the margin exponent is the cone's, and the accuracy target is the oracle label
         ([*rate, "--alpha", "1"], 2, "unrecognized arguments: --alpha 1"),
         (["simulate", "fig4a", *sim, "--accuracy-target", "noisy"], 2,
          "unrecognized arguments: --accuracy-target noisy"),
         # about 0.517 of the 100000 default draws are expected in the d = 6 signal ball
-        (["rate-check", "--d", "6"], 2, "too few draws to fit a slope (d = 6, p_max = 0.6"),
+        (["rate-check", "--d", "6"], 2, "too few draws (d = 6, p_max = 0.6"),
         # pi^(d/2) and gamma(d/2 + 1) of the ball volume overflow a float here
-        (["rate-check", "--d", "2000"], 2, "too few draws to fit a slope (d = 2000,"),
+        (["rate-check", "--d", "2000"], 2, "too few draws (d = 2000,"),
         ([*pred, "--method", "combined"], 2, "combined needs --gamma"),
         ([*pred, "--method", "lepski", "--k", "3"], 2, "--k applies only to knn"),
         ([*pred, "--method", "knn", "--k", "9"], 2, "k must be in [1, 4], got 9"),
@@ -1145,7 +1147,11 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
          "method 'qonly' has no samples to fit on"),
         (ev, 2, "the following arguments are required: --pmax"),
         ([*ev, "--pmax", "0.4"], 2, "p_max must be in (0.5, 1], got 0.4"),
-        ([*ev, "--pmax", "0.55", "--radius", "0"], 2, "radius must be > 0, got 0.0"),
+        ([*ev, "--pmax", "0.55", "--radius", "0"], 2, "radius must be finite and > 0, got 0.0"),
+        ([*ev, "--pmax", "0.55", "--radius", "inf"], 2, "radius must be finite and > 0, got inf"),
+        # about 0.005 of the 1000 draws are expected in the d = 6 signal ball B(c, 0.1)
+        ([*ev, "--pmax", "0.6", "--nmc", "1000", "--train", "d6.csv"], 2,
+         "too few draws (d = 6, p_max = 0.6, n_mc = 1000: about 0.00517 Monte Carlo draws"),
         ([*ev, "--pmax", "0.55", "--gamma-sim", "-1"], 2, "gamma_sim must be > 0, got -1.0"),
         ([*ev, "--pmax", "0.55", "--n-test", "0"], 2, "n must be >= 1, got 0"),
         ([*ev, "--pmax", "0.55", "--n-test", "-1"], 2, "n must be >= 1, got -1"),

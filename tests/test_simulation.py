@@ -7,12 +7,17 @@ planar disc of radius r.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import driftknn
 from driftknn.classifiers import adaptive_predict, knn_predict, minimax_plan, weighted_knn_predict
 from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.neighbors import merged_order
@@ -55,8 +60,8 @@ def test_model_validation():
                           ((0.55, 0.0), "gamma_sim must be > 0, got 0.0"),
                           ((0.55, 0.3, 0), "d must be an integer >= 1, got 0"),
                           ((0.55, 0.3, 2.0), "d must be an integer >= 1, got 2.0"),
-                          ((0.55, 0.3, 2, 0.0), "radius must be > 0, got 0.0"),
-                          ((0.55, 0.3, 2, -0.1), "radius must be > 0, got -0.1")):
+                          ((0.55, 0.3, 2, 0.0), "radius must be finite and > 0, got 0.0"),
+                          ((0.55, 0.3, 2, -0.1), "radius must be finite and > 0, got -0.1")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DriftModel(*args)
 
@@ -234,6 +239,32 @@ def test_sample_test_points_validation():
         sample_test_points(0.5, 0.1, 3, RandomSource(1))
 
 
+def test_ball_radius_must_be_finite_and_positive():
+    # an infinite radius would put +-inf test points in front of the query check
+    for radius in (math.inf, math.nan, -math.inf):
+        message = f"^radius must be finite and > 0, got {radius}$"
+        with pytest.raises(ValueError, match=message):
+            DriftModel(0.6, test_radius=radius)
+        with pytest.raises(ValueError, match=message):
+            sample_test_points([0.5, 0.5], radius, 3, RandomSource(1))
+
+
+def test_sample_test_points_refuses_a_non_finite_centre():
+    # no NaN candidate passes the rejection test, so an unchecked centre loops forever:
+    # run in a child process, so a regression fails on the timeout instead of hanging
+    code = ("import math; from driftknn import RandomSource; "
+            "from driftknn.simulation import sample_test_points; "
+            "sample_test_points([math.nan, 0.5], 0.1, 3, RandomSource(1))")
+    src = str(Path(driftknn.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert "ValueError: x_c must be a finite vector, got [nan, 0.5]" in proc.stderr
+    for centre in ([0.5, math.inf], [-math.inf, 0.5]):
+        with pytest.raises(ValueError, match=r"^x_c must be a finite vector"):
+            sample_test_points(centre, 0.1, 3, RandomSource(1))
+
+
 # ---------------------------------------------------------------- scoring
 
 
@@ -321,6 +352,21 @@ def test_excess_risk_validation():
         excess_risk_mc(constant_classifier(0), m, 1, RandomSource(1))
     with pytest.raises(ValueError, match="label"):
         constant_classifier(2)
+
+
+def test_excess_risk_refuses_fewer_than_one_expected_ball_draw():
+    # at d = 20 the ball B(c, 0.4) holds about 5.7e-07 of 2000 uniform draws: the worst
+    # classifier would score an exact 0 +- 0, so the estimate is refused instead
+    model = DriftModel(0.9, 0.3, 20)
+    with pytest.raises(ValueError, match=r"^too few draws \(d = 20, p_max = 0.9, n_mc = 2000: "
+                       r"about 5.\d+e-07 Monte Carlo draws are expected in the signal ball; "
+                       r"need at least 1\)$"):
+        excess_risk_mc(constant_classifier(0), model, 2000, RandomSource(1))
+    # the threshold is 1 expected draw: pi * 0.05^2 * n_mc crosses it between 127 and 128
+    m = DriftModel(0.55)
+    with pytest.raises(ValueError, match="too few draws"):
+        excess_risk_mc(constant_classifier(0), m, 127, RandomSource(1))
+    assert excess_risk_mc(constant_classifier(0), m, 128, RandomSource(1)).n == 128
 
 
 def test_fit_method_all_names_predict():
@@ -499,10 +545,29 @@ def test_non_finite_queries_raise_on_every_path(bad):
     calls = [lambda: weighted_knn_predict(mds, plan, x),
              lambda: adaptive_predict(mds, x)]
     calls += [lambda: merged_order([mds.q_data, *mds.sources], x)]
+    # the model's regression functions and oracle, for one point and for a batch
+    calls += [lambda f=f, q=q: f(q) for f in (m.eta_q, m.eta_p, m.bayes) for q in (x, pts)]
+    calls += [lambda: classification_accuracy(fits[0].predict_batch, m, pts)]
     calls += [lambda fm=fm: fm.predict_batch(pts) for fm in fits]
     for call in calls:
         with pytest.raises(ValueError, match="non-finite coordinate"):
             call()
+
+
+def test_model_refuses_a_query_of_another_dimension():
+    # one point or a batch with fewer or more than d coordinates, at d = 3
+    m = DriftModel(0.6, d=3)
+    for q, k in (([0.5, 0.5], 2), ([0.5] * 4, 4), (np.full((5, 2), 0.5), 2),
+                 (np.full((5, 4), 0.5), 4)):
+        for f in (m.eta_q, m.eta_p, m.bayes):
+            with pytest.raises(ValueError, match=f"^query has dimension {k}, need 3$"):
+                f(q)
+    # a batch names its first non-finite row
+    pts = np.full((4, 3), 0.5)
+    pts[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^query \[0.5, nan, 0.5\] has a non-finite"):
+        m.bayes(pts)
+    assert m.eta_q([0.5, 0.5, 0.5]) == 0.6
 
 
 def test_fit_method_lepski_width_passthrough():
@@ -677,9 +742,9 @@ def test_rate_check_smoke():
 
 def test_rate_check_refuses_fewer_than_one_expected_ball_draw():
     # at d = 6 the signal ball B(c, 0.1) holds 2000 * pi^3 * 0.1^6 / 3! = 0.0103
-    # of the 2000 Monte Carlo draws in expectation: refused before any sampling
+    # of the 2000 Monte Carlo draws in expectation
     hp = HyperParams(beta=1.0, gamma=0.3, d=6)
-    with pytest.raises(ValueError, match=r"^too few draws to fit a slope \(d = 6, p_max = 0.6, "
+    with pytest.raises(ValueError, match=r"^too few draws \(d = 6, p_max = 0.6, "
                        r"n_mc = 2000: about 0.0103 Monte Carlo draws .*; need at least 1\)$"):
         rate_exponent_check(hp, (20, 50, 100, 200), reps=2, rng=RandomSource(6), n_mc=2000)
     # the count quoted is n_mc times the model's own signal volume
