@@ -297,6 +297,11 @@ LEPSKI_WIDTHS = {
 }
 
 
+def _check_width(width: str):
+    if width not in LEPSKI_WIDTHS:
+        raise ValueError(f"unknown width variant {width!r}; options: {sorted(LEPSKI_WIDTHS)}")
+
+
 @dataclass(frozen=True, eq=False)
 class LepskiTrace:
     """Per-step record of the interval-intersection scan.
@@ -357,8 +362,7 @@ def _lepski_scan(labels: np.ndarray, d: int, width: str) -> tuple[int, LepskiTra
     n = len(labels)
     if n == 0:
         raise ValueError("sample set is empty")
-    if width not in LEPSKI_WIDTHS:
-        raise ValueError(f"unknown width variant {width!r}; options: {sorted(LEPSKI_WIDTHS)}")
+    _check_width(width)
     k, w = _lepski_steps(n, d, width)
     eta = np.cumsum(labels) / k
     split = (eta - w > 0.5) | (eta + w < 0.5)

@@ -427,14 +427,10 @@ def _read_train(path) -> tuple[TransferDataset, bool]:
     return data, True
 
 
-def _gammas(args, m: int) -> float | tuple[float, ...]:
-    """--gamma as a HyperParams gamma: a single value for every source, or m values."""
+def _gammas(args) -> float | tuple[float, ...]:
+    """--gamma as a HyperParams gamma, one value or a tuple: parsed, not checked."""
     gammas = _parse_list(args.gamma)
-    if len(gammas) == 1:
-        return gammas[0]
-    if len(gammas) != m:
-        raise ValueError(f"gamma vector has {len(gammas)} entries, need {m}")
-    return tuple(gammas)
+    return gammas[0] if len(gammas) == 1 else tuple(gammas)
 
 
 # predict's one-set spellings (--method, --pool) as registry names
@@ -450,7 +446,7 @@ def _fit_for(args, train: TransferDataset, tagged: bool):
         raise ValueError("--k applies only to knn")
     if args.pool and method not in ("knn", "lepski"):
         raise ValueError("--pool applies only to knn and lepski")
-    gamma = None if args.gamma is None else _gammas(args, train.m)
+    gamma = None if args.gamma is None else _gammas(args)
     hp = HyperParams(beta=args.beta, gamma=1.0 if gamma is None else gamma, d=train.d)
     if method in ("weighted", "adaptive") and not tagged:
         raise ValueError(f"{method} needs origin tags (P/Q or P1..Pm) in the training CSV")
@@ -478,10 +474,11 @@ def _cmd_predict(args) -> None:
 
 def _cmd_eval(args) -> None:
     train, _ = _read_train(args.train)
-    gamma = _gammas(args, train.m)
+    gamma = _gammas(args)
+    hp = HyperParams(beta=args.beta, gamma=gamma, d=train.d)
+    hp.gamma_vector(train.m)  # the count, before the test points are drawn
     if isinstance(gamma, tuple) and args.gamma_sim is None:
         raise ValueError("a per-source --gamma needs --gamma-sim (the model has one exponent)")
-    hp = HyperParams(beta=args.beta, gamma=gamma, d=train.d)
     gamma_sim = args.gamma_sim if args.gamma_sim is not None else gamma
     model = DriftModel(args.pmax, gamma_sim, train.d, args.radius)
     rs = RandomSource(args.seed).substream(_EXPERIMENT_STREAM_IDS["eval"])

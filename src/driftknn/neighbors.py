@@ -94,6 +94,11 @@ class NeighborIndex:
         self.n = len(sample_set)
         self.d = sample_set.d
 
+    def _k_eff(self, k: int) -> int:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        return min(int(k), self.n)
+
     def sorted_order(self, x) -> tuple[np.ndarray, np.ndarray]:
         """All sample indices sorted by (distance, index), with distances.
 
@@ -111,9 +116,7 @@ class NeighborIndex:
         arrays. Raises on dimension mismatch or negative k.
         """
         x = _check_query(x, self.d)
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        k_eff = min(int(k), self.n)
+        k_eff = self._k_eff(k)
         if k_eff == 0:
             return np.empty(0), np.empty(0, dtype=np.int64)
         dist = _distances(self.points, x)
@@ -143,10 +146,8 @@ class NeighborIndex:
         if xs.ndim != 2:
             raise ValueError(f"xs must be (m, d), got shape {xs.shape}")
         _check_query(xs, self.d)
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+        k_eff = self._k_eff(k)
         m = xs.shape[0]
-        k_eff = min(int(k), self.n)
         if k_eff == 0 or m == 0:
             return np.empty((m, 0)), np.empty((m, 0), dtype=np.int64)
         k_probe = min(k_eff + 1, self.n)

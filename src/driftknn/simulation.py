@@ -27,7 +27,7 @@ import numpy as np
 
 from . import neighbors
 from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
-from .classifiers import _adaptive_scan, _checked_sizes, _label, _lepski_scan, _vote_eta
+from .classifiers import _adaptive_scan, _check_width, _checked_sizes, _label, _lepski_scan, _vote_eta
 from .classifiers import (
     adaptive_predict,
     combined_budget_k,
@@ -353,13 +353,15 @@ ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
 
 def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
                lepski_width: str = "algorithm3", k: int | None = None) -> FittedMethod:
-    """Fit a named method to a dataset with any number of sources; k, if given, is
-    the neighbour count of qonly or combined (in [1, n]), and an error otherwise.
-    hp.d must be the dataset's dimension."""
+    """Fit a named method to a dataset with any number of sources; k, if given, is the
+    neighbour count of qonly or combined (in [1, n]) and refused elsewhere. The one check of
+    every fit's settings: the name, Lepski width, hp.d and the length of hp.gamma."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
     if hp.d != ds.d:
         raise ValueError(f"hyper-parameters have d = {hp.d} but the dataset has d = {ds.d}")
+    hp.gamma_vector(ds.m)
+    _check_width(lepski_width)
     if k is None:
         return METHODS[name](ds, hp, lepski_width)
     if name not in ("qonly", "combined"):
@@ -421,17 +423,15 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     used both to generate the source data and in the weighted plan.
     Replication streams are keyed by (experiment, grid index, replication),
     so results are independent of method order and reproducible per seed.
-    Every grid point's model and sizes are checked before the first
-    replication runs.
+    Every grid point's model and sizes, and reps against the substream cap, are checked
+    before the first replication; fit_method checks the method names and width in it.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    for name in methods:
-        if name not in METHODS:
-            raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
     hp = HyperParams(beta=beta, gamma=gamma, d=d)
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
+    root.substream(reps - 1)  # the last replication's stream must exist
     grid = [(pm, DriftModel(pm, gamma, d), n_p)
             for pm in p_max_values for n_p in n_p_values]
     if not grid:
@@ -578,9 +578,9 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     (target-only for sweep="q", source-only for sweep="p"), estimates each
     classifier's excess risk by Monte Carlo with n_mc draws, and regresses
     log(mean risk) on log(n). The confidence interval comes from a
-    replication bootstrap of N_BOOTSTRAP resamples. The grid must hold at
-    least 4 sizes spanning at least a decade. The target slope is
-    target_rate_exponent at the cone's margin exponent, alpha = 1.
+    replication bootstrap of N_BOOTSTRAP resamples. The grid must hold at least 4
+    sizes spanning at least a decade, and reps below 2**20, the substream fan-out
+    cap. The target slope is target_rate_exponent at the cone's margin exponent, alpha = 1.
     """
     target = target_rate_exponent(hp, sweep)
     sizes = tuple(int(n) for n in sizes)
@@ -592,6 +592,7 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise ValueError("degenerate grid: sizes must span at least a decade")
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
+    rng.substream(reps - 1)  # the last replication's stream must exist
     model = DriftModel(p_max, hp.scalar_gamma(), hp.d)
     experiment = f"rate-{sweep}"
     root = rng.substream(_EXPERIMENT_STREAM_IDS[experiment])

@@ -842,10 +842,15 @@ def test_cli_predict_bad_gamma_is_a_usage_error(tmp_path, capsys):
     write_labeled_csv(multi, TransferDataset((s, s), s))
     test = tmp_path / "test.csv"
     write_points(test, [[0.5, 0.5]])
-    cases = [(train, method, gamma, f"gamma vector has {count} entries, need 1")
+    # an empty list is HyperParams' own refusal; a wrong count is fit_method's
+    def expected(count, m):
+        return "gamma vector must be nonempty" if count == 0 else \
+            f"gamma vector has {count} entries, need {m}"
+
+    cases = [(train, method, gamma, expected(count, 1))
              for method in ("knn", "combined", "weighted", "lepski", "knn --k 2", "adaptive")
              for gamma, count in (("", 0), (",", 0), ("0.3,0.5", 2))]
-    cases += [(multi, method, gamma, f"gamma vector has {count} entries, need 2")
+    cases += [(multi, method, gamma, expected(count, 2))
               for method in ("weighted", "combined")
               for gamma, count in (("", 0), ("0.3,0.5,0.7", 3))]
     for path, method, gamma, message in cases:
@@ -1121,6 +1126,10 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
         (["simulate", "fig6", *sim], 2, "invalid choice: 'fig6'"),
         ([*rate, "--sizes", "10,20,30"], 2, "degenerate grid: need >= 4 sizes, got 3"),
         ([*rate, "--reps", "1"], 2, "reps must be >= 2, got 1"),
+        # a replication's stream index must be below 2**20 - 1: refused before any replication
+        (["simulate", "fig5a", *sim, "--reps", "1048576", "--np", "1", "--nq", "1"], 2,
+         "substream index out of range: 1048575"),
+        ([*rate, "--reps", "1048576"], 2, "substream index out of range: 1048575"),
         ([*rate, "--pmax", "0.3"], 2, "p_max must be in (0.5, 1], got 0.3"),
         ([*rate, "--nmc", "1"], 2, "n_mc must be >= 2, got 1"),
         # the margin exponent is the cone's, and the accuracy target is the oracle label

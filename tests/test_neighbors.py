@@ -65,6 +65,12 @@ def test_tie_breaks_by_lower_index():
     assert s2.labels[nbrs].tolist() == [1]
 
 
+def test_query_batch_refuses_a_negative_k():
+    idx = NeighborIndex(make_set([[0.0], [1.0]], [0, 1]))
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        idx.query_batch([[0.0], [1.0]], -1)
+
+
 def test_query_edge_cases():
     s = make_set([[0.0], [1.0]], [0, 1])
     idx = NeighborIndex(s)

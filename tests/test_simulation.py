@@ -579,6 +579,23 @@ def test_fit_method_lepski_width_passthrough():
     assert a.predict_batch(pts).shape == b.predict_batch(pts).shape
 
 
+def test_fit_method_refuses_an_unknown_lepski_width_for_every_method():
+    ds = sample_dataset(DriftModel(0.55), 30, 40, RandomSource(56))
+    for name in METHODS:
+        with pytest.raises(ValueError, match=r"^unknown width variant 'bogus'; options: "
+                                             r"\['algorithm3', 'lemma5'\]$"):
+            fit_method(name, ds, HP_MAIN, lepski_width="bogus")
+
+
+@pytest.mark.parametrize("sizes", [(30,), (30, 20)])
+def test_fit_method_refuses_a_gamma_vector_of_another_length_for_every_method(sizes):
+    ds = sample_multisource_dataset(DriftModel(0.55), sizes, 40, RandomSource(57))
+    hp = HyperParams(beta=1.0, gamma=(0.3, 0.5, 0.7), d=2)
+    for name in METHODS:
+        with pytest.raises(ValueError, match=f"^gamma vector has 3 entries, need {len(sizes)}$"):
+            fit_method(name, ds, hp)
+
+
 # ---------------------------------------------------------------- engine
 
 
@@ -649,6 +666,28 @@ def test_run_accuracy_experiment_validation():
     with pytest.raises(ValueError, match="empty grid"):
         run_accuracy_experiment("fig4a", methods=("qonly",), p_max_values=(),
                                 n_p_values=(0,), n_q=10, reps=1, seed=1)
+
+
+def test_run_accuracy_experiment_refuses_an_unknown_lepski_width():
+    with pytest.raises(ValueError, match="^unknown width variant 'bogus'"):
+        run_accuracy_experiment("fig4a", methods=("qonly",), p_max_values=(0.55,),
+                                n_p_values=(0,), n_q=10, reps=1, seed=1, lepski_width="bogus")
+
+
+def test_both_engines_refuse_reps_beyond_the_substream_cap_before_sampling(monkeypatch):
+    from driftknn import core, simulation
+
+    def refuse(*_args):
+        raise AssertionError("a replication was sampled")
+
+    monkeypatch.setattr(core, "SUBSTREAM_CAP", 8)
+    monkeypatch.setattr(simulation, "sample_dataset", refuse)
+    with pytest.raises(ValueError, match="^substream index out of range: 7$"):
+        run_accuracy_experiment("fig5a", methods=("qonly",), p_max_values=(0.55,),
+                                n_p_values=(10,), n_q=10, reps=8, seed=1)
+    with pytest.raises(ValueError, match="^substream index out of range: 7$"):
+        rate_exponent_check(HP_MAIN, (20, 50, 100, 200), 8, RandomSource(1), n_mc=4000,
+                            p_max=0.7)
 
 
 @pytest.mark.parametrize("bad, message", [
