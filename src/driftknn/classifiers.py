@@ -131,9 +131,9 @@ def _vote_eta(groups, ks: Sequence[int], ws: Sequence[float], x=None):
     group is asked for more neighbors than it holds or every selected
     neighbor has zero weight. The groups are sample sets queried at x or,
     with no x, each group's labels nearest first (views of one order). Like
-    ``DriftModel.eta_q``, x is one query (d,) and the answer a float, or an
-    (m, d) array answered row by row through the k-d tree path; both paths
-    give the same values.
+    ``DriftModel.eta_q``, x is one query (d,), read through the views of its
+    ``merged_order``, with a float answer, or an (m, d) array answered row by
+    row through the k-d tree path; both paths give the same values.
     """
     if ks[0] > len(groups[0]):
         raise ValueError(f"plan needs k_Q = {ks[0]} but Q has {len(groups[0])} samples")
@@ -143,14 +143,16 @@ def _vote_eta(groups, ks: Sequence[int], ws: Sequence[float], x=None):
     den = ws[0] * ks[0] + sum(w * k for w, k in zip(ws[1:], ks[1:]))
     if den <= 0:
         raise ValueError("plan selects no positively weighted neighbors")
+    if np.ndim(x) == 1:
+        # Looked up on the module, as in adaptive_predict.
+        mo = neighbors.merged_order(groups, x)
+        groups, x = [mo.group_labels(g) for g in range(mo.n_groups)], None
     num = 0.0
     for s, k, w in zip(groups, ks, ws):
         if k and x is None:
             num += w * s[:k].sum()
         elif k:
-            idx = NeighborIndex(s)
-            _, nbrs = idx.query(x, k) if np.ndim(x) == 1 else idx.query_batch(x, k)
-            num += w * idx.labels[nbrs].sum(axis=-1)
+            num += w * s.labels[NeighborIndex(s).query_batch(x, k)[1]].sum(axis=-1)
     return num / den
 
 
@@ -181,14 +183,18 @@ def weighted_knn_predict(ds: TransferDataset, plan: KnnPlan, x):
     return _label(weighted_knn_eta(ds, plan, x))
 
 
+def _check_k(k: int, n: int):
+    if not (1 <= k <= n):
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+
+
 def knn_predict(s: SampleSet, k: int, x):
     """Plain k-NN majority label with strict-majority tie rule (> 1/2).
 
     The weighted vote over the one group [s] with weight 1, so eta_hat is
     the label mean S / k; one query or an (m, d) array.
     """
-    if not (1 <= k <= len(s)):
-        raise ValueError(f"k must be in [1, {len(s)}], got {k}")
+    _check_k(k, len(s))
     return _label(_vote_eta((s,), (k,), (1.0,), x))
 
 
@@ -338,8 +344,7 @@ def lepski_predict(s: SampleSet, x, width: str = "algorithm3") -> tuple[int, Lep
     the convention from LEPSKI_WIDTHS. Returns (label, trace), like
     ``adaptive_predict``.
     """
-    _, order = NeighborIndex(s).sorted_order(x)
-    return _lepski_scan(s.labels[order], s.d, width)
+    return _lepski_scan(neighbors.merged_order([s], x).labels, s.d, width)
 
 
 @functools.lru_cache(maxsize=16)

@@ -40,6 +40,12 @@ def _as_points(x) -> np.ndarray:
     return arr
 
 
+def _check_dimension(d) -> int:
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, got {d}")
+    return int(d)
+
+
 def _as_labels(y) -> np.ndarray:
     arr = np.array(y, dtype=np.int64, copy=True)
     if arr.ndim != 1:
@@ -79,9 +85,7 @@ class SampleSet:
 
     @classmethod
     def empty(cls, d: int) -> "SampleSet":
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        return cls(np.empty((0, d)), np.empty((0,), dtype=np.int64))
+        return cls(np.empty((0, _check_dimension(d))), np.empty((0,), dtype=np.int64))
 
     @property
     def d(self) -> int:
@@ -172,11 +176,9 @@ class HyperParams:
             for i, g in enumerate(gamma):
                 if not (g > 0):
                     raise ValueError(f"gamma[{i}] must be > 0, got {g}")
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValueError(f"d must be an integer >= 1, got {self.d}")
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _check_dimension(self.d))
 
     def scalar_gamma(self) -> float:
         """The single relative-signal exponent; errors on a true vector."""

@@ -106,7 +106,7 @@ def write_labeled_csv(path, data) -> None:
 
     A dataset gets an origin column: one source writes P rows then Q rows,
     m >= 2 sources write P1..Pm then Q. Floats carry 17 significant digits
-    for exact round-trips.
+    for exact round-trips; an empty source of m >= 2, which no row could tag, is refused.
     """
     columns = ["y"]
     if isinstance(data, SampleSet):
@@ -114,6 +114,8 @@ def write_labeled_csv(path, data) -> None:
     elif not hasattr(data, "sources"):
         raise TypeError(f"not a dataset type: {type(data).__name__}")
     else:
+        if data.m > 1 and 0 in data.source_sizes:
+            raise ValueError(f"source P{data.source_sizes.index(0) + 1} is empty; no row can tag it")
         columns.append("origin")
         tags = ["P"] if data.m == 1 else [f"P{i}" for i in range(1, data.m + 1)]
         parts = [([t], s) for t, s in zip([*tags, "Q"], [*data.sources, data.q_data])]

@@ -3,20 +3,20 @@
 All queries use the Euclidean norm, summed in coordinate order by one kernel
 (``_squared_distances``), and are exact. Every path that takes a query, here and
 in ``simulation.DriftModel.eta_q``, checks it with ``_check_query`` (d finite
-coordinates). ``NeighborIndex`` queries return plain (distances, indices) arrays.
-Neighbor order is canonical: ascending distance, ties broken by ascending sample
-index; merged queries also break cross-set ties by set order (target first).
+coordinates). Neighbor order is canonical: ascending distance, ties broken by
+ascending sample index; merged queries also break cross-set ties by set order
+(target first). Ties are exact float equality.
 
-Ties are exact float equality. Every ordering path (the boundary of
-``query``, whose k = n case is ``sorted_order``, and ``merged_order``)
-sorts one distance vector with one primitive, ``_canonical_argsort``: a
-default argsort, then one integer sort of the runs of equal distances by
-position (``_sort_ties``). Batch queries go through a k-d tree for speed;
-any row where a distance tie is detected near the cut is rerouted through
-the canonical path, so results never depend on the tree's internal
-ordering. The tie tolerance is relative to each row's own k-th distance,
-and rows whose distances overflow are rerouted without a floating-point
-warning.
+One primitive per query shape: one query is ordered by ``merged_order``, which
+every single-query classifier reads; many go through the k-d tree of
+``NeighborIndex.query_batch``, which returns plain (distances, indices)
+arrays. A batch row with a distance tie detected near the cut, or with
+overflowing distances (no floating-point warning), is rerouted through
+``NeighborIndex.query``, so results never depend on the tree's internal
+ordering; the tie tolerance is relative to the row's own k-th distance.
+``merged_order`` and the boundary of ``query`` sort one distance vector with
+one primitive, ``_canonical_argsort``: a default argsort, then one integer
+sort of the runs of equal distances by position (``_sort_ties``).
 
 One ``MergedOrder`` serves every method scored on its query: filtered to one
 set it is that set's order, and with each run of equal distances regrouped by
@@ -85,12 +85,12 @@ def _distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class NeighborIndex:
-    """Exact k-NN index over one SampleSet (Euclidean, canonical tie order)."""
+    """Exact k-NN index over one SampleSet (Euclidean, canonical tie order) for
+    batches of queries; one query is ordered by ``merged_order``."""
 
     def __init__(self, sample_set: SampleSet):
         self.sample_set = sample_set
         self.points = sample_set.points
-        self.labels = sample_set.labels
         self.n = len(sample_set)
         self.d = sample_set.d
 
@@ -100,34 +100,27 @@ class NeighborIndex:
         return min(int(k), self.n)
 
     def sorted_order(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """All sample indices sorted by (distance, index), with distances.
-
-        Returns (distances, indices), both length n, distances ascending.
-        """
+        """(distances, indices) of all n samples in canonical order: query(x, n)."""
         return self.query(x, self.n)
 
     def query(self, x, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k nearest samples to x in canonical order.
+        """The k nearest samples to x in canonical order: a row of ``query_batch``.
 
-        Returns (distances, indices), both of length min(k, n): the first
-        min(k, n) entries of ``sorted_order(x)``. An argpartition finds the
-        k-th distance; every sample at or within it is then ordered by the
-        canonical sort. k = 0 or an empty index gives empty float64/int64
-        arrays. Raises on dimension mismatch or negative k.
+        Returns (distances, indices), both of length min(k, n). An
+        argpartition finds the k-th distance (k = n included); every sample at
+        or within it is then ordered by the canonical sort. k = 0 or an empty
+        index gives empty float64/int64 arrays. Raises on dimension mismatch
+        or negative k.
         """
         x = _check_query(x, self.d)
         k_eff = self._k_eff(k)
         if k_eff == 0:
             return np.empty(0), np.empty(0, dtype=np.int64)
         dist = _distances(self.points, x)
-        if k_eff >= self.n:
-            order = _canonical_argsort(dist)
-        else:
-            part = np.argpartition(dist, k_eff - 1)[:k_eff]
-            dmax = dist[part].max()
-            # cand ascends, so its positions order like the sample indices.
-            cand = np.flatnonzero(dist <= dmax)
-            order = cand[_canonical_argsort(dist[cand])][:k_eff]
+        dmax = dist[np.argpartition(dist, k_eff - 1)[:k_eff]].max()
+        # cand ascends, so its positions order like the sample indices.
+        cand = np.flatnonzero(dist <= dmax)
+        order = cand[_canonical_argsort(dist[cand])][:k_eff]
         return dist[order], order
 
     def query_batch(self, xs, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,9 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import neighbors
+from . import core, neighbors
 from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
-from .classifiers import _adaptive_scan, _check_width, _checked_sizes, _label, _lepski_scan, _vote_eta
+from .classifiers import _adaptive_scan, _check_k, _check_width, _checked_sizes, _label
+from .classifiers import _lepski_scan, _vote_eta
 from .classifiers import (
     adaptive_predict,
     combined_budget_k,
@@ -99,10 +100,8 @@ class DriftModel:
             raise ValueError(f"p_max must be in (0.5, 1], got {self.p_max}")
         if not (self.gamma_sim > 0):
             raise ValueError(f"gamma_sim must be > 0, got {self.gamma_sim}")
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValueError(f"d must be an integer >= 1, got {self.d}")
+        object.__setattr__(self, "_center", np.full(core._check_dimension(self.d), 0.5))  # cone apex
         _check_radius(self.test_radius)
-        object.__setattr__(self, "_center", np.full(int(self.d), 0.5))  # the cone's apex
 
     def eta_q(self, x):
         x = neighbors._check_query(x, self.d)
@@ -308,8 +307,7 @@ def _fit_knn(name: str, ds: TransferDataset, pooled: bool, hp: HyperParams,
     n, view, one_set = _one_set(name, ds, pooled)
     if k is None:
         k = combined_budget_k(ds.source_sizes, ds.n_q, hp) if pooled else default_knn_k(n, hp)
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_k(k, n)
     return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
                         lambda pts: knn_predict(one_set(), k, pts))
 

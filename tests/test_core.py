@@ -62,7 +62,7 @@ def test_empty_sample_set():
     s = SampleSet.empty(3)
     assert len(s) == 0
     assert s.d == 3
-    with pytest.raises(ValueError, match="d must be >= 1"):
+    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got 0$"):
         SampleSet.empty(0)
     # an empty set still needs a dimension: no guessing d = 0 from empty input
     with pytest.raises(ValueError, match="2-d array"):

@@ -124,6 +124,23 @@ def test_multisource_round_trip(tmp_path):
     np.testing.assert_array_equal(back.q_data.labels, q.labels)
 
 
+@pytest.mark.parametrize("sizes, empty", [((3, 0, 2), 2), ((3, 2, 0), 3), ((0, 1), 1)])
+def test_multisource_write_refuses_an_empty_source(tmp_path, sizes, empty):
+    # no row could carry the empty source's tag: the reader would refuse the file
+    # (P1, P3) or read fewer sources (P1, P2 of three), so the writer refuses it
+    gen = np.random.default_rng(5)
+    sets = [make_set(gen.random((n, 2)), gen.integers(0, 2, n)) if n else SampleSet.empty(2)
+            for n in sizes]
+    path = tmp_path / "gap.csv"
+    with pytest.raises(ValueError, match=rf"^source P{empty} is empty; no row can tag it$"):
+        write_labeled_csv(path, TransferDataset(tuple(sets), make_set([[0.5, 0.5]], [1])))
+    assert not path.exists()
+    # one source may be empty: a P/Q file with only Q rows reads back as that dataset
+    write_labeled_csv(path, TransferDataset((SampleSet.empty(2),), make_set([[0.5, 0.5]], [1])))
+    back = read_labeled_csv(path)
+    assert (back.m, back.n_p, back.n_q) == (1, 0, 1)
+
+
 @pytest.mark.parametrize("tags, rows_per_set", [
     (["Q", "P", "Q", "P"], [[1, 3], [0, 2]]),  # P, Q
     (["P2", "Q", "P1", "P2"], [[2], [0, 3], [1]]),  # P1, P2, Q

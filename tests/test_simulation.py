@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftknn
-from driftknn.classifiers import adaptive_predict, knn_predict, minimax_plan, weighted_knn_predict
+from driftknn.classifiers import (
+    adaptive_predict,
+    combined_budget_k,
+    default_knn_k,
+    knn_predict,
+    lepski_predict,
+    minimax_plan,
+    weighted_knn_predict,
+)
 from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.neighbors import merged_order
 from driftknn.simulation import (
@@ -64,6 +72,15 @@ def test_model_validation():
                           ((0.55, 0.3, 2, -0.1), "radius must be finite and > 0, got -0.1")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DriftModel(*args)
+    # the model, the hyper-parameters and an empty sample set share one dimension rule
+    for d in (0, -1, 2.0, "2", None, np.float64(3.0)):
+        message = f"^{re.escape(f'd must be an integer >= 1, got {d}')}$"
+        for build in (lambda: DriftModel(0.55, d=d), lambda: HyperParams(1.0, 0.3, d),
+                      lambda: SampleSet.empty(d)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    for d in (1, 3, np.int64(2)):
+        assert DriftModel(0.55, d=d).d == HyperParams(1.0, 0.3, d).d == SampleSet.empty(d).d == d
 
 
 def test_model_is_a_value():
@@ -445,14 +462,34 @@ def lattice_set(gen, n, grid, d=2):
 LATTICE = dict(seed=st.integers(0, 2**32 - 1), grid=st.integers(1, 8))
 
 
+def one_query_predictors(ds):
+    """The public one-query function behind each registry method fitted with
+    HP_MAIN, as x -> label."""
+    pooled = pooled_sample_set(ds)
+    plan = minimax_plan(ds.source_sizes, ds.n_q, HP_MAIN)
+    k_pooled = combined_budget_k(ds.source_sizes, ds.n_q, HP_MAIN)
+    return {
+        "weighted": lambda x: weighted_knn_predict(ds, plan, x),
+        "combined": lambda x: knn_predict(pooled, k_pooled, x),
+        "qonly": lambda x: knn_predict(ds.q_data, default_knn_k(ds.n_q, HP_MAIN), x),
+        "adaptive": lambda x: adaptive_predict(ds, x)[0],
+        "lepski-combined": lambda x: lepski_predict(pooled, x)[0],
+        "lepski-q": lambda x: lepski_predict(ds.q_data, x)[0],
+    }
+
+
 def assert_batch_agrees_with_order(ds, pts):
     """Each registry method gives the same label from the shared merged order
-    of one query (the replication path) and from its batch path (eval, predict)."""
+    of one query (the replication path), from its batch path (eval, predict) and
+    from its public one-query function."""
     orders = [merged_order([ds.q_data, *ds.sources], x) for x in pts]
+    one_query = one_query_predictors(ds)
+    assert set(one_query) == set(METHODS)
     for name in METHODS:
         fm = fit_method(name, ds, HP_MAIN)
-        np.testing.assert_array_equal(
-            fm.predict_batch(pts), [fm.predict_order(mo) for mo in orders], err_msg=name)
+        want = [fm.predict_order(mo) for mo in orders]
+        np.testing.assert_array_equal(fm.predict_batch(pts), want, err_msg=name)
+        assert [one_query[name](x) for x in pts] == want, name
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -471,16 +508,7 @@ def test_multisource_fits_batch_agree_with_point(sizes, n_q, seed, grid):
     gen = np.random.default_rng(seed)
     mds = TransferDataset(tuple(lattice_set(gen, n, grid) for n in sizes),
                           lattice_set(gen, n_q, grid))
-    hp = HyperParams(beta=1.0, gamma=0.3, d=2)
-    plan = minimax_plan(mds.source_sizes, mds.n_q, hp)
-    pts = lattice_points(gen, 10, grid)
-    assert_batch_agrees_with_order(mds, pts)
-    # the one-query public functions: the vote through NeighborIndex.query, the scan
-    weighted, adaptive = _fit_weighted(mds, hp), _fit_adaptive(mds)
-    want_w = [weighted_knn_predict(mds, plan, x) for x in pts]
-    want_a = [adaptive_predict(mds, x)[0] for x in pts]
-    np.testing.assert_array_equal(weighted.predict_batch(pts), want_w)
-    np.testing.assert_array_equal(adaptive.predict_batch(pts), want_a)
+    assert_batch_agrees_with_order(mds, lattice_points(gen, 10, grid))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -633,6 +661,39 @@ def test_replication_orders_once_for_every_method(monkeypatch):
                                       n_p_values=(0, 40), n_q=30, reps=3, seed=4)
     assert calls == [2] * (2 * 2 * 3)
     assert len(records) == len(calls) * len(METHODS)
+
+
+def test_one_query_calls_order_once_without_the_index(monkeypatch):
+    # every public one-query classifier reads one merged order of its groups;
+    # NeighborIndex serves batches only
+    from driftknn import classifiers, neighbors
+
+    m = DriftModel(0.55)
+    ds = sample_multisource_dataset(m, (40, 30), 50, RandomSource(71))
+    pts = m.sample_test_points(3, RandomSource(72))
+    plan = minimax_plan(ds.source_sizes, ds.n_q, HP_MAIN)
+    want = {name: [f(x) for x in pts] for name, f in one_query_predictors(ds).items()}
+    want_eta = [classifiers.weighted_knn_eta(ds, plan, x) for x in pts]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a one-query call reached NeighborIndex")
+
+    calls = []
+    real = neighbors.merged_order
+
+    def counting(sets, x):
+        calls.append(len(sets))
+        return real(sets, x)
+
+    monkeypatch.setattr(neighbors, "merged_order", counting)
+    for attr in ("sorted_order", "query", "query_batch"):
+        monkeypatch.setattr(neighbors.NeighborIndex, attr, refuse)
+    for name, f in one_query_predictors(ds).items():
+        del calls[:]
+        assert [f(x) for x in pts] == want[name], name
+        # the vote and the scan order [Q, S_1, S_2], a one-set method its one set
+        assert calls == [3 if name in ("weighted", "adaptive") else 1] * len(pts), name
+    assert [classifiers.weighted_knn_eta(ds, plan, x) for x in pts] == want_eta
 
 
 def test_run_accuracy_experiment_method_streams_independent():
