@@ -212,37 +212,31 @@ class AdaptiveTrace:
     is the step whose intermediate classifier produced ``label`` (the stop
     step, else the first argmax of the statistic). ``k_q``/``eta_q`` are
     row 0 and ``k_p``/``eta_p`` row 1, the source of a two-sample dataset.
+    The trace keeps the merged ``order``; the five arrays are computed over
+    all n steps when first read, as ``LepskiTrace``'s bounds are.
     """
 
-    k_counts: np.ndarray
-    etas: np.ndarray
-    snr_pos: np.ndarray
-    snr_neg: np.ndarray
-    snr: np.ndarray
+    order: neighbors.MergedOrder
     threshold: float
     stop_step: int | None
     chosen_step: int
     label: int
 
-    @property
-    def k_q(self) -> np.ndarray:
-        return self.k_counts[0]
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        k_counts, _, etas, snr_pos, snr_neg, snr = _scan_block(self.order, 0, len(self.order))
+        return k_counts, etas, snr_pos, snr_neg, snr
 
-    @property
-    def k_p(self) -> np.ndarray:
-        return self.k_counts[1]
-
-    @property
-    def eta_q(self) -> np.ndarray:
-        return self.etas[0]
-
-    @property
-    def eta_p(self) -> np.ndarray:
-        return self.etas[1]
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.arange(1, len(self.snr) + 1)
+    k_counts = property(lambda self: self._arrays[0])
+    etas = property(lambda self: self._arrays[1])
+    snr_pos = property(lambda self: self._arrays[2])
+    snr_neg = property(lambda self: self._arrays[3])
+    snr = property(lambda self: self._arrays[4])
+    k_q = property(lambda self: self.k_counts[0])
+    k_p = property(lambda self: self.k_counts[1])
+    eta_q = property(lambda self: self.etas[0])
+    eta_p = property(lambda self: self.etas[1])
+    steps = property(lambda self: np.arange(1, len(self.order) + 1))
 
 
 def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
@@ -256,43 +250,69 @@ def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
     where max(snr_pos, snr_neg) exceeds (d+3) * log(n); if none does, the
     argmax step (smallest on ties) is used. The label at that step is
     1{sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) >= 0} (Alg. 3) for
-    one source, and 1{snr_pos >= snr_neg} for m >= 2.
+    one source, and 1{snr_pos >= snr_neg} for m >= 2. A scan that stops in
+    the first quarter of the order computes no step past it.
     """
     # Looked up on the module, so a replaced neighbors.merged_order (a tracer
     # or a tie-rule mutation) sees every scan.
     return _adaptive_scan(neighbors.merged_order([ds.q_data, *ds.sources], x), ds.d)
 
 
+def _scan_block(mo: neighbors.MergedOrder, lo: int, hi: int, carry=(0, 0)) -> tuple:
+    """(k_counts, sums, etas, snr_pos, snr_neg, snr) on steps lo..hi-1 (0-based).
+
+    ``carry`` is the group counts and label sums, as (m+1, 1) columns, of
+    the steps before lo. Row g of the (m+1, hi-lo) arrays is group g; the
+    sums over axis 0 add the groups in order, Q first. Counts and sums are
+    exact integers, so a block holds the full scan's values bit for bit.
+    """
+    member = mo.group[lo:hi] == np.arange(mo.n_groups)[:, None]
+    k_counts = np.cumsum(member, axis=1) + carry[0]
+    sums = np.cumsum(member * mo.labels[lo:hi], axis=1) + carry[1]
+    etas = sums / np.maximum(k_counts, 1)
+    etas[k_counts == 0] = 0.5
+    s = etas - 0.5
+    terms = k_counts * s
+    terms *= s
+    pos = terms * (etas >= 0.5)
+    snr_pos = pos.sum(axis=0)
+    snr_neg = (terms - pos).sum(axis=0)
+    return k_counts, sums, etas, snr_pos, snr_neg, np.maximum(snr_pos, snr_neg)
+
+
 def _adaptive_scan(mo: neighbors.MergedOrder, d: int) -> tuple[int, AdaptiveTrace]:
-    """The scan of ``adaptive_predict`` over the merged order of [Q, S_1..S_m]."""
+    """The scan of ``adaptive_predict`` over the merged order of [Q, S_1..S_m].
+
+    It runs in at most two blocks, the first n // 4 steps and the rest; the
+    second runs only if no step of the first stops the scan. With no stop,
+    the chosen step is the first argmax over both blocks.
+    """
     n = len(mo)
     if n == 0:
         raise ValueError("dataset is empty")
-    # Row g of the (m+1, n) arrays is group g; the sums over axis 0 add the
-    # groups in order, Q first.
-    member = mo.group == np.arange(mo.n_groups)[:, None]
-    k_counts = np.cumsum(member, axis=1)
-    sums = np.cumsum(member * mo.labels, axis=1)
-    etas = np.where(k_counts > 0, sums / np.maximum(k_counts, 1), 0.5)
-    s = etas - 0.5
-    terms = k_counts * s * s
-    above = etas >= 0.5
-    snr_pos = np.where(above, terms, 0.0).sum(axis=0)
-    snr_neg = np.where(above, 0.0, terms).sum(axis=0)
-    snr = np.maximum(snr_pos, snr_neg)
     threshold = (d + 3) * math.log(n)
-    exceed = snr > threshold
-    stops = bool(exceed.any())
-    chosen = int(np.argmax(exceed if stops else snr))
+    # numpy adds a one-step block's groups pairwise, not in order: no cut then.
+    cuts = (0, n // 4, n) if n >= 8 else (0, n)
+    carry, peak = (0, 0), -1.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = _scan_block(mo, lo, hi, carry)
+        snr = block[5]
+        exceed = snr > threshold
+        stops = bool(exceed.any())
+        i = int(np.argmax(exceed if stops else snr))
+        if stops or snr[i] > peak:  # a later block takes the argmax only if strictly higher
+            peak, chosen, col = snr[i], lo + i, [a[..., i] for a in block]
+        if stops:
+            break
+        carry = (block[0][:, -1:], block[1][:, -1:])
+    k, _, eta, snr_pos, snr_neg, _ = col  # the chosen step's column
     if mo.n_groups == 2:
-        k, eta = k_counts[:, chosen], etas[:, chosen]
         label = int(math.sqrt(k[1]) * (eta[1] - 0.5) + math.sqrt(k[0]) * (eta[0] - 0.5) >= 0)
     else:
-        label = int(snr_pos[chosen] >= snr_neg[chosen])
+        label = int(snr_pos >= snr_neg)
     return label, AdaptiveTrace(
-        k_counts=k_counts, etas=etas, snr_pos=snr_pos, snr_neg=snr_neg, snr=snr,
-        threshold=threshold, stop_step=chosen + 1 if stops else None, chosen_step=chosen + 1,
-        label=label)
+        order=mo, threshold=threshold, stop_step=chosen + 1 if stops else None,
+        chosen_step=chosen + 1, label=label)
 
 
 # Two conventions for the confidence width at step k; they differ in

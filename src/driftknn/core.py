@@ -41,7 +41,7 @@ def _as_points(x) -> np.ndarray:
 
 
 def _check_dimension(d) -> int:
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
+    if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ValueError(f"d must be an integer >= 1, got {d}")
     return int(d)
 

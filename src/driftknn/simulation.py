@@ -100,7 +100,8 @@ class DriftModel:
             raise ValueError(f"p_max must be in (0.5, 1], got {self.p_max}")
         if not (self.gamma_sim > 0):
             raise ValueError(f"gamma_sim must be > 0, got {self.gamma_sim}")
-        object.__setattr__(self, "_center", np.full(core._check_dimension(self.d), 0.5))  # cone apex
+        object.__setattr__(self, "d", core._check_dimension(self.d))
+        object.__setattr__(self, "_center", np.full(self.d, 0.5))  # cone apex
         _check_radius(self.test_radius)
 
     def eta_q(self, x):

@@ -5,12 +5,14 @@ floats (math.floor / math.log arithmetic on the closed-form expressions)
 before being pasted here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from driftknn import classifiers
 from driftknn.core import HyperParams, KnnPlan, RandomSource, SampleSet, TransferDataset
 from driftknn.classifiers import (
     LEPSKI_WIDTHS,
@@ -486,6 +488,125 @@ def test_multisource_adaptive_trace_invariants():
     above = tr.etas >= 0.5
     np.testing.assert_allclose(tr.snr_pos, np.where(above, terms, 0.0).sum(axis=0))
     np.testing.assert_allclose(tr.snr_neg, np.where(above, 0.0, terms).sum(axis=0))
+
+
+def reference_adaptive(ds, x):
+    """Alg. 3's scan written out step by step over all n steps, with plain floats.
+
+    Returns (label, stop_step, chosen_step, [k_counts, etas, snr_pos, snr_neg,
+    snr]). Each step's sums add the groups in order, Q first, as the library
+    does, so the values are comparable bit for bit. Distances on a dyadic
+    lattice are exact, so sorting by (distance, group, index) is the
+    canonical order.
+    """
+    groups = [ds.q_data, *ds.sources]
+    rows = sorted((math.dist(s.points[i], x), g, i)
+                  for g, s in enumerate(groups) for i in range(len(s)))
+    k, sums, cols = [0] * len(groups), [0] * len(groups), [[], [], [], [], []]
+    for _, g, i in rows:
+        k[g] += 1
+        sums[g] += int(groups[g].labels[i])
+        etas = [sums[h] / k[h] if k[h] else 0.5 for h in range(len(groups))]
+        terms = [k[h] * (e - 0.5) * (e - 0.5) for h, e in enumerate(etas)]
+        pos = sum(t for t, e in zip(terms, etas) if e >= 0.5)
+        neg = sum(t for t, e in zip(terms, etas) if e < 0.5)
+        for col, v in zip(cols, (list(k), etas, pos, neg, max(pos, neg))):
+            col.append(v)
+    k_counts, etas = np.array(cols[0]).T, np.array(cols[1]).T
+    snr_pos, snr_neg, snr = (np.array(c, dtype=np.float64) for c in cols[2:])
+    threshold = (ds.d + 3) * math.log(len(rows))
+    over = [j for j, v in enumerate(snr) if v > threshold]
+    c = over[0] if over else int(np.argmax(snr))
+    if ds.m == 1:
+        score = sum(math.sqrt(k_counts[h, c]) * (etas[h, c] - 0.5) for h in (1, 0))
+        label = int(score >= 0)
+    else:
+        label = int(snr_pos[c] >= snr_neg[c])
+    return label, (c + 1 if over else None), c + 1, [k_counts, etas, snr_pos, snr_neg, snr]
+
+
+def lattice_transfer(gen, sizes, grid, p_one):
+    """Sets on the 1/grid lattice of [0, 1]^2, labels 1 with probability p_one."""
+    q, *sources = (make_set(gen.integers(0, grid + 1, (n, 2)) / grid,
+                            (gen.random(n) < p_one).astype(np.int64)) for n in sizes)
+    return TransferDataset(tuple(sources), q)
+
+
+def test_adaptive_scan_matches_full_length_reference():
+    # tie-heavy lattices, m = 1..3: scans that stop in the first block (the
+    # first n // 4 steps), stop later, or never stop all give the reference's
+    # label, steps and full-length arrays, equal to the last bit
+    gen = RandomSource(61).generator()
+    seen = set()
+    for m in (1, 2, 3):
+        for p_one, n_each, grid in ((1.0, 300, 4), (0.9, 60, 8), (0.8, 100, 16), (0.5, 40, 2)):
+            for _ in range(3):
+                ds = lattice_transfer(gen, [n_each] * (m + 1), grid, p_one)
+                x = gen.integers(0, grid + 1, 2) / grid
+                label, tr = adaptive_predict(ds, x)
+                want_label, stop, chosen, arrays = reference_adaptive(ds, x)
+                assert (label, tr.label, tr.stop_step, tr.chosen_step) == (
+                    want_label, want_label, stop, chosen)
+                got = [tr.k_counts, tr.etas, tr.snr_pos, tr.snr_neg, tr.snr]
+                for g, w in zip(got, arrays):
+                    assert g.shape == w.shape and np.array_equal(g, w)
+                assert tr.k_counts.dtype == np.int64 and tr.etas.dtype == np.float64
+                n = len(tr.steps)
+                seen.add("none" if stop is None else "first" if stop <= n // 4 else "second")
+    assert seen == {"first", "second", "none"}
+
+
+def test_adaptive_scan_stops_computing_at_its_stop(monkeypatch):
+    calls = []
+    block = classifiers._scan_block
+
+    def spy(mo, lo, hi, *carry):
+        calls.append((lo, hi))
+        return block(mo, lo, hi, *carry)
+
+    monkeypatch.setattr(classifiers, "_scan_block", spy)
+    gen = RandomSource(62).generator()
+    ds = lattice_transfer(gen, [500, 300], 8, 1.0)
+    n = 800
+    label, tr = adaptive_predict(ds, [0.5, 0.5])
+    # all labels are 1, so snr(k) = k / 4 stops the scan at k = 134 < n // 4
+    assert (label, tr.stop_step) == (1, 134)
+    assert calls and all(hi <= n // 4 for _, hi in calls)
+    before = len(calls)
+    assert len(tr.snr) == n
+    assert calls[before:] == [(0, n)]
+    assert tr.snr[0] == 0.25 and tr.k_p[-1] == 300 and tr.etas.shape == (2, n)
+    assert len(calls) == before + 1
+    # a scan that never stops computes the rest of the order in one more block
+    calls.clear()
+    ds = lattice_transfer(gen, [40, 40], 2, 0.5)
+    _, tr = adaptive_predict(ds, [0.5, 0.5])
+    assert tr.stop_step is None and calls == [(0, 20), (20, 80)]
+
+
+def test_adaptive_argmax_tie_across_blocks_keeps_the_first():
+    # D = 2 S(k) - k walks so that snr(k) = D^2 / (4k) is exactly 1/4 at k = 1,
+    # 4 and 16 and lower elsewhere: no stop, and the tie at k = 16, past the
+    # first block's 40 // 4 steps, does not displace the first argmax
+    walk = [1, 0, 1, 2, 1, 2, 1, 2, 1, 2, 3, 2, 3, 2, 3, 4] + [3, 2] * 12
+    labels = [1] + [int(b > a) for a, b in zip(walk, walk[1:])]
+    q = make_set([[i / 64, 0.0] for i in range(40)], labels)
+    _, tr = adaptive_predict(TransferDataset((SampleSet.empty(2),), q), [0.0, 0.0])
+    assert tr.stop_step is None
+    assert tr.snr.max() == tr.snr[0] == tr.snr[3] == tr.snr[15] == 0.25
+    assert tr.chosen_step == 1
+
+
+def test_adaptive_trace_is_frozen_and_hashes_by_identity():
+    ds = lattice_transfer(RandomSource(63).generator(), [30, 20], 4, 0.7)
+    _, tr = adaptive_predict(ds, [0.5, 0.5])
+    _, other = adaptive_predict(ds, [0.5, 0.5])
+    for name in ("label", "stop_step", "snr", "k_counts"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tr, name, None)
+    assert len(tr.snr) == 50  # a read caches the arrays but leaves the hash as it was
+    assert hash(tr) == object.__hash__(tr) and hash(other) == object.__hash__(other)
+    assert tr != other and len({tr, other, tr}) == 2
 
 
 # ---------------------------------------------------------------- lepski

@@ -73,14 +73,17 @@ def test_model_validation():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DriftModel(*args)
     # the model, the hyper-parameters and an empty sample set share one dimension rule
-    for d in (0, -1, 2.0, "2", None, np.float64(3.0)):
+    # a bool is an int subclass, but not a dimension
+    for d in (0, -1, 2.0, "2", None, np.float64(3.0), True, False):
         message = f"^{re.escape(f'd must be an integer >= 1, got {d}')}$"
         for build in (lambda: DriftModel(0.55, d=d), lambda: HyperParams(1.0, 0.3, d),
                       lambda: SampleSet.empty(d)):
             with pytest.raises(ValueError, match=message):
                 build()
     for d in (1, 3, np.int64(2)):
-        assert DriftModel(0.55, d=d).d == HyperParams(1.0, 0.3, d).d == SampleSet.empty(d).d == d
+        built = (DriftModel(0.55, d=d).d, HyperParams(1.0, 0.3, d).d, SampleSet.empty(d).d)
+        # each keeps the checked int, not the value it was given
+        assert built == (d, d, d) and {type(v) for v in built} == {int}
 
 
 def test_model_is_a_value():
