@@ -213,7 +213,9 @@ class AdaptiveTrace:
     step, else the first argmax of the statistic). ``k_q``/``eta_q`` are
     row 0 and ``k_p``/``eta_p`` row 1, the source of a two-sample dataset.
     The trace keeps the merged ``order``; the five arrays are computed over
-    all n steps when first read, as ``LepskiTrace``'s bounds are.
+    all n steps when first read, as ``LepskiTrace``'s bounds are. When the
+    scan stopped in its first block, that read also sorts the rest of the
+    order, which the scan did not (see ``MergedOrder.head``).
     """
 
     order: neighbors.MergedOrder
@@ -251,7 +253,8 @@ def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
     argmax step (smallest on ties) is used. The label at that step is
     1{sqrt(k_P)(eta_P - 1/2) + sqrt(k_Q)(eta_Q - 1/2) >= 0} (Alg. 3) for
     one source, and 1{snr_pos >= snr_neg} for m >= 2. A scan that stops in
-    the first quarter of the order computes no step past it.
+    the first quarter of the order computes no step past it and sorts only
+    that quarter of the order.
     """
     # Looked up on the module, so a replaced neighbors.merged_order (a tracer
     # or a tie-rule mutation) sees every scan.
@@ -265,10 +268,13 @@ def _scan_block(mo: neighbors.MergedOrder, lo: int, hi: int, carry=(0, 0)) -> tu
     the steps before lo. Row g of the (m+1, hi-lo) arrays is group g; the
     sums over axis 0 add the groups in order, Q first. Counts and sums are
     exact integers, so a block holds the full scan's values bit for bit.
+    The block reads the order through ``mo.head(hi)``, so a first block
+    sorts only the hi nearest points of an order not yet built.
     """
-    member = mo.group[lo:hi] == np.arange(mo.n_groups)[:, None]
+    group, labels = mo.head(hi)
+    member = group[lo:] == np.arange(mo.n_groups)[:, None]
     k_counts = np.cumsum(member, axis=1) + carry[0]
-    sums = np.cumsum(member * mo.labels[lo:hi], axis=1) + carry[1]
+    sums = np.cumsum(member * labels[lo:], axis=1) + carry[1]
     etas = sums / np.maximum(k_counts, 1)
     etas[k_counts == 0] = 0.5
     s = etas - 0.5

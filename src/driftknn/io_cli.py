@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -315,6 +316,7 @@ def _parse_list(text: str, kind: type = float) -> list:
         raise ValueError(f"expected a comma-separated list of {noun}, got {text!r}") from None
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftknn",

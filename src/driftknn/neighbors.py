@@ -10,13 +10,24 @@ ascending sample index; merged queries also break cross-set ties by set order
 One primitive per query shape: one query is ordered by ``merged_order``, which
 every single-query classifier reads; many go through the k-d tree of
 ``NeighborIndex.query_batch``, which returns plain (distances, indices)
-arrays. A batch row with a distance tie detected near the cut, or with
-overflowing distances (no floating-point warning), is rerouted through
-``NeighborIndex.query``, so results never depend on the tree's internal
-ordering; the tie tolerance is relative to the row's own k-th distance.
-``merged_order`` and the boundary of ``query`` sort one distance vector with
-one primitive, ``_canonical_argsort``: a default argsort, then one integer
-sort of the runs of equal distances by position (``_sort_ties``).
+arrays. Each sorts only what its reader reads:
+
+* ``merged_order`` sorts all n points once, when its arrays are first read;
+  the adaptive scan's first block reads ``MergedOrder.head`` and sorts only
+  the points it scans;
+* ``_k_nearest``, shared by ``query`` and the batch rows below, sorts only
+  the points at or within the k-th distance;
+* a batch row with no tie keeps the tree's order; one with ties inside its
+  k nearest re-sorts those k; one with a tie at the cut sorts the tree's
+  ball around its k-th distance; only a row with overflowing distances (no
+  floating-point warning) or a short ball goes through ``query``. The tie
+  tolerance is relative to the row's own k-th distance, and no result
+  depends on the tree's internal ordering.
+
+Every sort of one distance vector is one primitive, ``_canonical_argsort``: a
+default argsort, then one integer sort of the runs of equal distances by
+position (``_sort_ties``). The batch re-sorts its inner-tie rows together, by
+one row-wise ``np.lexsort`` on (distance, index).
 
 One ``MergedOrder`` serves every method scored on its query: filtered to one
 set it is that set's order, and with each run of equal distances regrouped by
@@ -58,6 +69,16 @@ def _canonical_argsort(dist: np.ndarray) -> np.ndarray:
     The default argsort is not stable; ``_sort_ties`` restores index order."""
     order = np.argsort(dist)
     return _sort_ties(dist[order], order)
+
+
+def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k nearest entries of dist (1 <= k <= len(dist)) in (distance,
+    position) order: an argpartition finds the k-th distance, and only the entries at
+    or within it go through the canonical sort."""
+    dmax = dist[np.argpartition(dist, k - 1)[:k]].max()
+    # cand ascends, so its positions order like those of dist.
+    cand = np.flatnonzero(dist <= dmax)
+    return cand[_canonical_argsort(dist[cand])][:k]
 
 
 def _check_query(x, d: int) -> np.ndarray:
@@ -106,9 +127,8 @@ class NeighborIndex:
     def query(self, x, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest samples to x in canonical order: a row of ``query_batch``.
 
-        Returns (distances, indices), both of length min(k, n). An
-        argpartition finds the k-th distance (k = n included); every sample at
-        or within it is then ordered by the canonical sort. k = 0 or an empty
+        Returns (distances, indices), both of length min(k, n), from one
+        distance pass and ``_k_nearest`` (k = n included). k = 0 or an empty
         index gives empty float64/int64 arrays. Raises on dimension mismatch
         or negative k.
         """
@@ -117,23 +137,27 @@ class NeighborIndex:
         if k_eff == 0:
             return np.empty(0), np.empty(0, dtype=np.int64)
         dist = _distances(self.points, x)
-        dmax = dist[np.argpartition(dist, k_eff - 1)[:k_eff]].max()
-        # cand ascends, so its positions order like the sample indices.
-        cand = np.flatnonzero(dist <= dmax)
-        order = cand[_canonical_argsort(dist[cand])][:k_eff]
+        order = _k_nearest(dist, k_eff)
         return dist[order], order
 
     def query_batch(self, xs, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest neighbors for each row of xs.
+        """k nearest neighbors for each row of xs, each row in the order ``query()`` gives.
 
-        Returns (distances, indices), each of shape (m, min(k, n)). The
-        neighbor set per row is exact. A row is recomputed on the canonical
-        path when two adjacent ones of its k + 1 tree distances lie within
-        _TIE_RTOL times its own k-th distance (or 1, if larger), or when its
-        distances overflow; one far query does not widen the tolerance of
-        the other rows. Every row is in canonical order, the order ``query()``
-        gives: a row that is not rerouted has no two of its k + 1 distances
-        within the tolerance, so its ascending distances fix its order.
+        Returns (distances, indices), each of shape (m, min(k, n)). The k-d
+        tree probes k + 1 neighbors per row; two adjacent ones tie when their
+        tree distances lie within _TIE_RTOL times the row's own k-th distance
+        (or 1, if larger), so one far query does not widen the tolerance of
+        the other rows. What each row then sorts:
+
+        * no tie: nothing; its ascending tree distances fix its order;
+        * ties inside its k nearest only: the neighbor set is exact, and its k
+          rows are re-sorted by exact ``_distances`` and index;
+        * a tie at the cut: the tree's ball of radius k-th distance plus the
+          tolerance, through ``_k_nearest``;
+        * distances that overflow, or a ball of fewer than k points: all n
+          samples, through ``query()``.
+
+        Re-sorted rows carry exact distances, the others the tree's.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
@@ -144,25 +168,49 @@ class NeighborIndex:
         if k_eff == 0 or m == 0:
             return np.empty((m, 0)), np.empty((m, 0), dtype=np.int64)
         k_probe = min(k_eff + 1, self.n)
-        dist, idx = cKDTree(self.points).query(xs, k=k_probe, workers=-1)
+        tree = cKDTree(self.points)
+        dist, idx = tree.query(xs, k=k_probe, workers=-1)
         dist = np.atleast_2d(dist.reshape(m, k_probe))
         idx = np.atleast_2d(idx.reshape(m, k_probe))
-        # A row needs exact treatment if any two of its k + 1 probed distances
-        # could tie (the first excluded neighbor against the last included
-        # one, or an included pair, whose order the tree does not promise),
-        # or if a distance overflowed: the tree reports those as missing
-        # neighbors. The tolerance scales with the row's own k-th distance,
-        # and gaps are taken only on rows whose included distances are finite.
-        finite = np.isfinite(dist[:, k_eff - 1])
-        rows = dist if finite.all() else dist[finite]
-        gap = np.diff(rows, axis=1).min(axis=1, initial=np.inf)
-        suspect = ~finite
-        suspect[finite] = gap <= _TIE_RTOL * np.maximum(rows[:, k_eff - 1], 1.0)
+        # The tree reports an overflowed distance as a missing neighbor, so
+        # gaps are taken only on rows whose k included distances are finite.
+        tol = _TIE_RTOL * np.maximum(dist[:, k_eff - 1], 1.0)
+        finite = np.isfinite(tol)
+        tie = np.diff(dist if finite.all() else dist[finite], axis=1) <= tol[finite, None]
+        tied, at_cut = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        tied[finite] = tie.any(axis=1)
+        if k_probe > k_eff:
+            at_cut[finite] = tie[:, k_eff - 1]
         out_d = dist[:, :k_eff].copy()
         out_i = idx[:, :k_eff].astype(np.int64)
-        for row in np.flatnonzero(suspect):
+        inner = np.flatnonzero(tied & ~at_cut)
+        if inner.size:
+            cand = out_i[inner]
+            exact = _distances(self.points[cand], xs[inner, None])
+            order = np.lexsort((cand, exact))  # row by row
+            out_i[inner] = np.take_along_axis(cand, order, axis=1)
+            out_d[inner] = np.take_along_axis(exact, order, axis=1)
+        cut = np.flatnonzero(at_cut)
+        full = ~finite
+        if cut.size:
+            radius = out_d[cut, -1] + tol[cut]
+            balls = tree.query_ball_point(xs[cut], radius, return_sorted=True)
+            for row, ball in zip(cut, balls):
+                cand = np.asarray(ball, dtype=np.int64)
+                if len(cand) < k_eff:
+                    full[row] = True
+                    continue
+                exact = _distances(self.points[cand], xs[row])
+                pos = _k_nearest(exact, k_eff)
+                out_d[row], out_i[row] = exact[pos], cand[pos]
+        # an exact distance may overflow where the tree's did not
+        full |= ~np.isfinite(out_d[:, -1])
+        for row in np.flatnonzero(full):
             out_d[row], out_i[row] = self.query(xs[row], k_eff)
         return out_d, out_i
+
+
+_ARRAYS = ("distances", "group", "within_index", "labels")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +220,13 @@ class MergedOrder:
     ``group`` holds the origin of each position: 0 for the target (Q) set,
     1..m for source sets in order. Ties resolve by (distance, group, index
     within set). ``within_index`` is each point's index inside its own set.
-    ``merged_order`` makes the four arrays read-only, so the views below
-    (``pooled_labels`` may return ``labels`` itself) cannot alter the order.
+    The four arrays are read-only, so the views below (``pooled_labels``
+    may return ``labels`` itself) cannot alter the order.
+
+    An order from ``merged_order`` sorts nothing when made: it builds the
+    four arrays, with one sort of all n points, when one of them is first
+    read. Before that, ``head(k)`` sorts only the k nearest, and ``len``
+    sorts nothing.
     """
 
     distances: np.ndarray
@@ -182,8 +235,35 @@ class MergedOrder:
     labels: np.ndarray
     n_groups: int
 
+    def __getattr__(self, name):
+        # Reached only for an unset attribute: an array of an order from
+        # merged_order that has not been read yet.
+        unsorted = self.__dict__.get("_unsorted")
+        if unsorted is None or name not in _ARRAYS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        order = _canonical_argsort(unsorted[0])
+        for field, a in zip(_ARRAYS, (unsorted[0][order], *self._at(order))):
+            a.setflags(write=False)
+            object.__setattr__(self, field, a)
+        return self.__dict__[name]
+
+    def _at(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(group, within_index, labels) of the given positions of the unsorted order."""
+        _, labels, owner, starts = self.__dict__["_unsorted"]
+        group = owner[pos]
+        return group, pos - starts[group], labels[pos]
+
     def __len__(self) -> int:
-        return self.distances.shape[0]
+        unsorted = self.__dict__.get("_unsorted")
+        return (self.distances if unsorted is None else unsorted[0]).shape[0]
+
+    def head(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(group[:k], labels[:k]): slices of the arrays once built; before that,
+        for 0 < k < len, only the k nearest points are sorted (``_k_nearest``)."""
+        if "labels" in self.__dict__ or not 0 < k < len(self):
+            return self.group[:k], self.labels[:k]
+        group, _, labels = self._at(_k_nearest(self._unsorted[0], k))
+        return group, labels
 
     def group_labels(self, g: int) -> np.ndarray:
         """The labels of set g in its own (distance, index) order."""
@@ -211,18 +291,17 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
 
     sets[0] is the target set (tie priority first), the rest follow in
     order. The per-set distances are concatenated in set order and sorted
-    once by (distance, position), which is (distance, group, index within
-    set) because a position is the set's offset plus the index within it.
+    by (distance, position), which is (distance, group, index within set)
+    because a position is the set's offset plus the index within it. The
+    sort waits for the order's first read (see ``MergedOrder``).
     """
     for s in sets:
         x = _check_query(x, s.d)
     sizes = [len(s) for s in sets]
     dist = np.concatenate([_distances(s.points, x) for s in sets])
-    order = _canonical_argsort(dist)
-    group = np.repeat(np.arange(len(sets)), sizes)[order]
-    within = order - (np.cumsum(sizes) - sizes)[group]
-    labels = np.concatenate([s.labels for s in sets])[order]
-    arrays = (dist[order], group, within, labels)
-    for a in arrays:
-        a.setflags(write=False)
-    return MergedOrder(*arrays, len(sets))
+    labels = np.concatenate([s.labels for s in sets])
+    owner = np.repeat(np.arange(len(sets)), sizes)  # the group of each position
+    mo = object.__new__(MergedOrder)
+    vars(mo).update(n_groups=len(sets),
+                    _unsorted=(dist, labels, owner, np.cumsum(sizes) - sizes))
+    return mo

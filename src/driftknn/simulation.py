@@ -445,8 +445,10 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
             ds = sample_dataset(model, n_p, n_q, rs.substream(0))
             x = model.sample_test_points(1, rs.substream(1))[0]
             truth = model.bayes(x)
-            # one order for every method, looked up on the module as in adaptive_predict
+            # one order for every method, looked up on the module as in adaptive_predict;
+            # the vote and Lepski views read all of it, so it is sorted once, up front
             mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
+            mo.labels  # builds the arrays
             for name in methods:
                 t0 = time.perf_counter()
                 pred = fit_method(name, ds, hp, lepski_width).predict_order(mo)

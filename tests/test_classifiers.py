@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftknn import classifiers
+from driftknn import classifiers, neighbors
 from driftknn.core import HyperParams, KnnPlan, RandomSource, SampleSet, TransferDataset
 from driftknn.classifiers import (
     LEPSKI_WIDTHS,
+    _adaptive_scan,
     _lepski_scan,
     LepskiTrace,
     adaptive_predict,
@@ -582,6 +583,41 @@ def test_adaptive_scan_stops_computing_at_its_stop(monkeypatch):
     ds = lattice_transfer(gen, [40, 40], 2, 0.5)
     _, tr = adaptive_predict(ds, [0.5, 0.5])
     assert tr.stop_step is None and calls == [(0, 20), (20, 80)]
+
+
+def test_adaptive_scan_sorts_only_the_head_it_reads(monkeypatch):
+    # A scan that stops in its first block (the first n // 4 steps) sorts only
+    # the points at or within the n // 4-th distance; one that stops later, or
+    # never, then sorts the whole order once. Either way its label, steps and
+    # trace arrays are those of the same scan over an eagerly built order.
+    sorted_sizes = []
+    argsort = neighbors._canonical_argsort
+    monkeypatch.setattr(neighbors, "_canonical_argsort",
+                        lambda dist: sorted_sizes.append(len(dist)) or argsort(dist))
+    gen = RandomSource(64).generator()
+    x = np.array([0.5, 0.5])
+    for where, sizes, grid, p_one in (("first", [500, 300], 8, 1.0),
+                                      ("second", [300, 200], 16, 0.8),
+                                      ("none", [300, 200], 8, 0.7)):
+        ds = lattice_transfer(gen, sizes, grid, p_one)
+        sets = [ds.q_data, *ds.sources]
+        sorted_sizes.clear()
+        label, tr = adaptive_predict(ds, x)
+        n = sum(sizes)
+        stop = tr.stop_step
+        assert where == ("none" if stop is None else "first" if stop <= n // 4 else "second")
+        dist = np.sort(np.concatenate([neighbors._distances(s.points, x) for s in sets]))
+        head = int((dist <= dist[n // 4 - 1]).sum())
+        assert head < n and sorted_sizes == ([head] if where == "first" else [head, n])
+        mo = neighbors.merged_order(sets, x)
+        eager = neighbors.MergedOrder(mo.distances, mo.group, mo.within_index, mo.labels,
+                                      mo.n_groups)
+        want_label, want = _adaptive_scan(eager, ds.d)
+        assert (label, tr.label, stop, tr.chosen_step) == (
+            want_label, want_label, want.stop_step, want.chosen_step)
+        for name in ("k_counts", "etas", "snr_pos", "snr_neg", "snr", "k_p", "eta_q", "steps"):
+            got, exp = getattr(tr, name), getattr(want, name)
+            assert got.dtype == exp.dtype and np.array_equal(got, exp), name
 
 
 def test_adaptive_argmax_tie_across_blocks_keeps_the_first():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftknn
+from driftknn import io_cli
 from driftknn.classifiers import (
     adaptive_predict,
     combined_budget_k,
@@ -1098,6 +1099,47 @@ def test_cli_eval_per_source_gamma(tmp_path, capsys):
 def test_cli_argparse_failures():
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
+
+
+def test_cli_reuses_one_parser_with_the_outputs_of_fresh_runs(tmp_path, monkeypatch, capsys):
+    # one process runs several commands, with refused argvs in between, on the
+    # parser built once; each must give what it gives on a parser built for it
+    monkeypatch.chdir(tmp_path)
+    train = transfer_csv(tmp_path)
+    write_points(tmp_path / "test.csv", [[0.11, 0.11], [0.89, 0.89], [0.5, 0.5]])
+    pred = ["predict", "--train", str(train), "--test", "test.csv"]
+    argvs = [
+        [*pred, "--method", "knn", "--pool", "--k", "3", "--out", "a.csv"],
+        ["simulate", "fig6", "--out", "x.csv"],
+        ["simulate", "fig5a", "--np", "30", "--nq", "25", "--pmax", "0.55", "--reps", "2",
+         "--out", "b.csv"],
+        [*pred, "--method", "lepski", "--k", "3", "--out", "x.csv"],
+        ["rate-check", "--sizes", "20,40,80,200", "--reps", "2", "--nmc", "1000",
+         "--pmax", "0.7", "--out", "c.csv"],
+        [*pred, "--method", "weighted", "--out", "x.csv"],
+        [*pred, "--method", "adaptive", "--out", "d.csv"],
+        ["eval", "--method", "qonly", "--train", str(train), "--pmax", "0.55",
+         "--n-test", "20", "--nmc", "500", "--out", "e.csv"],
+        [*pred, "--method", "knn", "--out", "f.csv"],
+    ]
+
+    def outcome(argv):
+        code = run_cli(argv)
+        out = tmp_path / argv[argv.index("--out") + 1]
+        files = (out.read_bytes(), json.loads(Path(f"{out}.manifest.jsonl").read_text())["config"]
+                 ) if code == 0 else None
+        return code, capsys.readouterr(), files
+
+    fresh = []
+    for argv in argvs:
+        io_cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, *_ in fresh] == [0, 2, 0, 2, 0, 2, 0, 0, 0]
+    (tmp_path / "x.csv").unlink(missing_ok=True)
+    parser = io_cli._build_parser()
+    assert [outcome(argv) for argv in argvs] == fresh
+    assert io_cli._build_parser() is parser
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):

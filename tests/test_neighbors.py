@@ -199,6 +199,54 @@ def test_batch_tie_tolerance_is_per_row():
         assert nbrs[row].tolist() == query(xs[row], 14)[1].tolist()
 
 
+def tie_branch(dist_sorted, k):
+    """Where a row's exact ties lie: at the cut (k-th against (k+1)-th), only
+    inside its k nearest, nowhere among its k + 1 nearest, or overflow."""
+    if not np.isfinite(dist_sorted[k - 1]):
+        return "overflow"
+    if k < len(dist_sorted) and dist_sorted[k] == dist_sorted[k - 1]:
+        return "cut"
+    return "inner" if (np.diff(dist_sorted[:k]) == 0).any() else "none"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_batch_rows_are_lexsort_rows_without_a_full_query_on_tie_heavy_lattices():
+    # Many rows per batch on lattices with duplicate points: every row equals
+    # np.lexsort's, and only a row whose distances overflow runs query() over
+    # all n samples; a tie inside the k nearest or at the cut is resolved from
+    # the tree's own candidates.
+    gen = RandomSource(71).generator()
+    seen = set()
+    for grid in (8, 20, 128):
+        # the left half of the points comes twice, so most rows see exact ties;
+        # queries on the lattice tie by symmetry, queries off it rarely tie
+        base = gen.integers(0, grid + 1, (120, 2)) / grid
+        pts = np.vstack([base, base[base[:, 0] < 0.5][:40]])
+        idx = NeighborIndex(SampleSet(pts, gen.integers(0, 2, len(pts))))
+        n = len(pts)
+        xs = np.vstack([gen.integers(0, grid + 1, (12, 2)) / grid,
+                        0.5 + 0.5 * gen.random((8, 2)),
+                        [[1e308, -1e308], [0.25, 0.5]]])
+        calls = []
+        query = idx.query
+        idx.query = lambda x, k: calls.append(x) or query(x, k)
+        for k in (1, 5, 14, n - 1, n):
+            calls.clear()
+            dists, nbrs = idx.query_batch(xs, k)
+            branches = []
+            for row, x in enumerate(xs):
+                dist = _distances(pts, x)
+                ref = np.lexsort((np.arange(n), dist))
+                branches.append(tie_branch(dist[ref], k))
+                np.testing.assert_array_equal(nbrs[row], ref[:k])
+                np.testing.assert_allclose(dists[row], dist[ref[:k]], rtol=1e-12)
+            overflow = [row for row, b in enumerate(branches) if b == "overflow"]
+            assert overflow == [len(xs) - 2]
+            assert len(calls) == 1 and np.array_equal(calls[0], xs[overflow[0]])
+            seen |= {(grid, b) for b in branches}
+    assert seen == {(g, b) for g in (8, 20, 128) for b in ("none", "inner", "cut", "overflow")}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_batch_overflow_warns_no_invalid_value():
     s = make_set([[1e308, 0.0], [-1e308, 0.0], [1e308, 1e308]], [0, 1, 0])
@@ -362,6 +410,13 @@ def assert_orders_match_lexsort(sets, x):
     np.testing.assert_array_equal(mo.group, group[ref])
     np.testing.assert_array_equal(mo.within_index, within[ref])
     np.testing.assert_array_equal(mo.labels, np.concatenate([s.labels for s in sets])[ref])
+    # the k nearest, sorted alone on a fresh order, and sliced from the built one
+    for k in range(len(mo) + 1):
+        for order in (merged_order(sets, x), mo):
+            got_g, got_l = order.head(k)
+            assert (got_g.dtype, got_l.dtype) == (mo.group.dtype, mo.labels.dtype)
+            np.testing.assert_array_equal(got_g, mo.group[:k])
+            np.testing.assert_array_equal(got_l, mo.labels[:k])
     # The views of the merged order, once with row ids in place of the labels,
     # so that each must reproduce an order, not only a label sequence: set g
     # alone, and the pooled set S_1..S_m, Q.
