@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import HyperParams, KnnPlan, SampleSet, TransferDataset
 from . import neighbors
-from .neighbors import NeighborIndex
+from .neighbors import NeighborIndex, _check_k
 
 __all__ = [
     "default_knn_k",
@@ -183,19 +183,13 @@ def weighted_knn_predict(ds: TransferDataset, plan: KnnPlan, x):
     return _label(weighted_knn_eta(ds, plan, x))
 
 
-def _check_k(k: int, n: int):
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-
-
 def knn_predict(s: SampleSet, k: int, x):
     """Plain k-NN majority label with strict-majority tie rule (> 1/2).
 
     The weighted vote over the one group [s] with weight 1, so eta_hat is
     the label mean S / k; one query or an (m, d) array.
     """
-    _check_k(k, len(s))
-    return _label(_vote_eta((s,), (k,), (1.0,), x))
+    return _label(_vote_eta((s,), (_check_k(k, len(s)),), (1.0,), x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,10 +47,11 @@ def _check_dimension(d) -> int:
 
 
 def _as_labels(y) -> np.ndarray:
-    arr = np.array(y, dtype=np.int64, copy=True)
+    """y in its own dtype, if 1-d: SampleSet checks for 0/1 before the int64 cast, so a
+    label of 0.9 or NaN is refused, not truncated."""
+    arr = np.asarray(y)
     if arr.ndim != 1:
         raise ValueError(f"labels must be a 1-d array, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -79,7 +80,9 @@ class SampleSet:
         bad = np.flatnonzero((labs != 0) & (labs != 1))
         if bad.size:
             i = int(bad[0])
-            raise ValueError(f"sample {i}: label must be 0 or 1, got {int(labs[i])}")
+            raise ValueError(f"sample {i}: label must be 0 or 1, got {labs.tolist()[i]!r}")
+        labs = labs.astype(np.int64)
+        labs.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
 

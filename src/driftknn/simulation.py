@@ -27,7 +27,8 @@ import numpy as np
 
 from . import core, neighbors
 from .core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
-from .classifiers import _adaptive_scan, _check_k, _check_width, _checked_sizes, _label
+from .neighbors import _check_k
+from .classifiers import _adaptive_scan, _check_width, _checked_sizes, _label
 from .classifiers import _lepski_scan, _vote_eta
 from .classifiers import (
     adaptive_predict,
@@ -287,7 +288,11 @@ class FittedMethod:
         return int(self._order(mo))
 
     def predict_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self._batch(np.asarray(pts, dtype=np.float64)), dtype=np.int64)
+        """The labels of the rows of an (m, d) array."""
+        pts = np.asarray(pts, dtype=np.float64)
+        if pts.ndim != 2:
+            raise ValueError(f"pts must be (m, d), got shape {pts.shape}")
+        return np.asarray(self._batch(pts), dtype=np.int64)
 
 
 def _one_set(name: str, ds: TransferDataset, pooled: bool):
@@ -308,7 +313,7 @@ def _fit_knn(name: str, ds: TransferDataset, pooled: bool, hp: HyperParams,
     n, view, one_set = _one_set(name, ds, pooled)
     if k is None:
         k = combined_budget_k(ds.source_sizes, ds.n_q, hp) if pooled else default_knn_k(n, hp)
-    _check_k(k, n)
+    k = _check_k(k, n)
     return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
                         lambda pts: knn_predict(one_set(), k, pts))
 

@@ -277,6 +277,23 @@ def test_knn_predict_majority_and_validation():
         knn_predict(s, 4, [0.0])
 
 
+def test_knn_predict_refuses_a_k_that_is_not_an_integer():
+    s = make_set([[0.0], [0.1], [0.2]], [1, 1, 0])
+    for k, shown in ((True, "True"), (2.5, "2.5"), (np.float64(1.0), "1.0")):
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {shown}$"):
+            knn_predict(s, k, [0.0])
+    assert knn_predict(s, np.int64(3), [0.0]) == 1
+
+
+def test_one_query_classifiers_refuse_a_query_of_several_points():
+    s = make_set([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+    x = [[0.2, 0.1], [0.9, 0.8]]
+    with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+        lepski_predict(s, x)
+    with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+        adaptive_predict(TransferDataset((s,), s), x)
+
+
 def test_multisource_weighted_matches_hand_example():
     ds, _ = hand_example()
     p2 = make_set([[0.0, 0.05], [0.3, 0.0]], [1, 1])

@@ -58,6 +58,18 @@ def test_sample_set_error_cites_offending_index():
         make_set([[0.0], [1.0], [2.0]], [0, 1, 7])
 
 
+def test_sample_set_checks_labels_before_the_int_cast():
+    # a fractional or NaN label is refused with its value, never truncated to 0
+    for bad, shown in ((0.9, "0.9"), (0.5, "0.5"), (np.nan, "nan"), (-1.0, "-1.0")):
+        with pytest.raises(ValueError, match=rf"^sample 1: label must be 0 or 1, got {shown}$"):
+            make_set([[0.0], [1.0]], [1.0, bad])
+    # bools and integral floats are 0/1 labels, stored as int64
+    for labels in ([True, False], [1.0, 0.0], np.array([1, 0], dtype=np.uint8)):
+        s = make_set([[0.0], [1.0]], labels)
+        assert s.labels.dtype == np.int64 and s.labels.tolist() == [1, 0]
+        assert not s.labels.flags.writeable
+
+
 def test_empty_sample_set():
     s = SampleSet.empty(3)
     assert len(s) == 0

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
+from driftknn import neighbors
 from driftknn.core import RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.neighbors import (
     MergedOrder,
@@ -69,6 +71,18 @@ def test_query_batch_refuses_a_negative_k():
     idx = NeighborIndex(make_set([[0.0], [1.0]], [0, 1]))
     with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
         idx.query_batch([[0.0], [1.0]], -1)
+
+
+def test_index_refuses_a_k_that_is_not_an_integer():
+    idx = NeighborIndex(make_set([[0.0], [1.0], [2.0]], [0, 1, 0]))
+    for k, shown in ((2.5, "2.5"), (np.float64(3.0), "3.0"), (True, "True")):
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {shown}$"):
+            idx.query([0.0], k)
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {shown}$"):
+            idx.query_batch([[0.0]], k)
+    # numpy integers are integers
+    assert idx.query([0.0], np.int64(2))[1].tolist() == [0, 1]
+    assert idx.query_batch([[2.0]], np.int32(2))[1].tolist() == [[2, 1]]
 
 
 def test_query_edge_cases():
@@ -260,6 +274,34 @@ def test_batch_overflow_warns_no_invalid_value():
         assert nbrs[row].tolist() == idx.query(xs[row], 2)[1].tolist()
 
 
+class ReversedBallTree(cKDTree):
+    """A k-d tree whose query_ball_point returns each ball in reverse order."""
+
+    def query_ball_point(self, x, r, **kwargs):
+        balls = super().query_ball_point(x, r, **kwargs)
+        for row, ball in enumerate(balls):
+            balls[row] = ball[::-1]
+        return balls
+
+
+def test_batch_tied_rows_do_not_depend_on_the_ball_order(monkeypatch):
+    # a 1/20 lattice with duplicate points: most rows tie, inside their k
+    # nearest or at the cut, and each must come out in np.lexsort's order
+    # whatever order the tree lists its ball in
+    monkeypatch.setattr(neighbors, "cKDTree", ReversedBallTree)
+    gen = RandomSource(73).generator()
+    base = gen.integers(0, 21, (150, 2)) / 20
+    pts = np.vstack([base, base[:60]])
+    idx = NeighborIndex(SampleSet(pts, gen.integers(0, 2, len(pts))))
+    xs = gen.integers(0, 21, (20, 2)) / 20
+    dists, nbrs = idx.query_batch(xs, 14)
+    for row, x in enumerate(xs):
+        dist = _distances(pts, x)
+        ref = np.lexsort((np.arange(len(pts)), dist))[:14]
+        np.testing.assert_array_equal(nbrs[row], ref)
+        np.testing.assert_array_equal(dists[row], dist[ref])
+
+
 def test_batch_edge_cases():
     s = make_set([[0.0], [1.0]], [0, 1])
     idx = NeighborIndex(s)
@@ -285,6 +327,28 @@ def test_non_finite_query_is_rejected_and_named():
 
 
 # ---------------------------------------------------------------- merged
+
+def test_merged_order_takes_one_point_and_at_least_one_set():
+    s = make_set([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+    # a (2, 2) query against a 2-point set used to pair point i with row i
+    for x, shape in (([[0.2, 0.1], [0.9, 0.8]], r"\(2, 2\)"), ([[0.2, 0.1]], r"\(1, 2\)"),
+                     (0.5, r"\(\)")):
+        with pytest.raises(ValueError, match=rf"^a query is one point of shape \(d,\), got shape {shape}$"):
+            merged_order([s], x)
+    with pytest.raises(ValueError, match=r"^merged_order needs at least one sample set$"):
+        merged_order([], [0.0, 0.0])
+
+
+def test_merged_order_head_refuses_a_negative_or_fractional_k():
+    mo = merged_order([make_set([[0.0], [1.0], [2.0]], [0, 1, 1])], [0.1])
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        mo.head(-1)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1.5$"):
+        mo.head(1.5)
+    assert [a.tolist() for a in mo.head(0)] == [[], []]
+    assert mo.head(np.int64(2))[1].tolist() == [0, 1]
+
+
 
 
 def test_merged_order_tie_prefers_target():

@@ -424,6 +424,27 @@ def test_fit_method_k_overrides_the_neighbour_count_of_knn_fits():
             fit_method(name, ds, HP_MAIN, k=3)
 
 
+def test_fit_method_refuses_a_k_that_is_not_an_integer():
+    ds = sample_dataset(DriftModel(0.55), 60, 80, RandomSource(52))
+    for name in ("qonly", "combined"):
+        for k, shown in ((2.5, "2.5"), (np.float64(3.0), "3.0"), (True, "True")):
+            with pytest.raises(ValueError, match=rf"^k must be an integer, got {shown}$"):
+                fit_method(name, ds, HP_MAIN, k=k)
+        fm = fit_method(name, ds, HP_MAIN, k=np.int64(3))
+        mo = merged_order([ds.q_data, *ds.sources], CENTER)
+        assert fm.predict_order(mo) == fm.predict_batch(CENTER[None])[0]
+
+
+def test_predict_batch_takes_only_an_m_by_d_array():
+    ds = sample_dataset(DriftModel(0.55), 60, 80, RandomSource(55))
+    for name in METHODS:
+        fm = fit_method(name, ds, HP_MAIN)
+        for pts, shape in ((CENTER, r"\(2,\)"), (0.5, r"\(\)"), (np.zeros((1, 2, 2)), r"\(1, 2, 2\)")):
+            with pytest.raises(ValueError, match=rf"^pts must be \(m, d\), got shape {shape}$"):
+                fm.predict_batch(pts)
+        assert fm.predict_batch(np.empty((0, 2))).shape == (0,)
+
+
 def test_fit_method_refuses_hyperparams_of_another_dimension():
     # a plan built for the wrong d would answer silently: every fit refuses it
     m = DriftModel(0.55, d=3)
