@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HyperParams, KnnPlan, SampleSet, TransferDataset
+from .core import HyperParams, KnnPlan, SampleSet, TransferDataset, _is_integer
 from . import neighbors
 from .neighbors import NeighborIndex, _check_k
 
@@ -83,10 +83,14 @@ def combined_budget_k(source_sizes: Sequence[int], n_q: int, hp: HyperParams) ->
 
 
 def _checked_sizes(source_sizes: Sequence[int], n_q: int) -> list[int]:
-    """The source sizes as ints, if there is at least one and every size is >= 0."""
-    sizes = [int(n) for n in source_sizes]
+    """The source sizes as ints, if there is at least one and every size, the target's
+    too, is an integer (a numpy one, not a bool) >= 0."""
+    sizes = list(source_sizes)
     if len(sizes) < 1:
         raise ValueError("need at least one source size")
+    if not all(map(_is_integer, (*sizes, n_q))):
+        raise ValueError(f"sample sizes must be integers, got sources {sizes}, target {n_q}")
+    sizes = [int(n) for n in sizes]
     if any(n < 0 for n in sizes) or n_q < 0:
         raise ValueError(f"sample sizes must be >= 0, got sources {sizes}, target {n_q}")
     return sizes

@@ -40,8 +40,13 @@ def _as_points(x) -> np.ndarray:
     return arr
 
 
+def _is_integer(v) -> bool:
+    """True for an int or a numpy integer; False for a bool and for every float, 3.0 too."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_dimension(d) -> int:
-    if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
+    if not (_is_integer(d) and d >= 1):
         raise ValueError(f"d must be an integer >= 1, got {d}")
     return int(d)
 
@@ -245,6 +250,9 @@ class RandomSource:
     stream: int = 0
 
     def __post_init__(self):
+        if not (_is_integer(self.seed) and _is_integer(self.stream)):
+            raise ValueError(f"seed and stream must be integers, got seed {self.seed!r}, "
+                             f"stream {self.stream!r}")
         if self.seed < 0 or self.stream < 0:
             raise ValueError("seed and stream must be nonnegative integers")
         object.__setattr__(self, "seed", int(self.seed))
@@ -256,7 +264,9 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(seq))
 
     def substream(self, i: int) -> "RandomSource":
-        """Derive an independent child stream; i in [0, 2**20 - 1)."""
+        """Derive an independent child stream; i an integer in [0, 2**20 - 1)."""
+        if not _is_integer(i):
+            raise ValueError(f"substream index must be an integer, got {i!r}")
         if not (0 <= i < SUBSTREAM_CAP - 1):
             raise ValueError(f"substream index out of range: {i}")
         return RandomSource(self.seed, self.stream * SUBSTREAM_CAP + i + 1)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import SampleSet
+from .core import SampleSet, _is_integer
 
 __all__ = [
     "NeighborIndex",
@@ -85,7 +85,7 @@ def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
 
 def _check_k(k, n: int | None = None) -> int:
     """k as an int, if it is an integer (a numpy one, not a bool) >= 0, or in [1, n] given n."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not _is_integer(k):
         raise ValueError(f"k must be an integer, got {k}")
     if n is not None and not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -123,7 +123,6 @@ class NeighborIndex:
     batches of queries; one query is ordered by ``merged_order``."""
 
     def __init__(self, sample_set: SampleSet):
-        self.sample_set = sample_set
         self.points = sample_set.points
         self.n = len(sample_set)
         self.d = sample_set.d
@@ -191,7 +190,8 @@ class NeighborIndex:
         out_d = dist[:, :k_eff].copy()
         out_i = idx[:, :k_eff].astype(np.int64)
         full = ~finite
-        balls = tree.query_ball_point(xs[rows], out_d[rows, -1] + tol[rows])
+        balls = tree.query_ball_point(xs[rows], out_d[rows, -1] + tol[rows],
+                                      return_sorted=False)
         for row, ball in zip(rows, balls):
             cand = np.asarray(ball, dtype=np.int64)
             if len(cand) < k_eff:

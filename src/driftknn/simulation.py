@@ -295,82 +295,56 @@ class FittedMethod:
         return np.asarray(self._batch(pts), dtype=np.int64)
 
 
-def _one_set(name: str, ds: TransferDataset, pooled: bool):
-    """(size, MergedOrder view, SampleSet built on first use) of Q, or pooled of S_1..S_m, Q;
-    raises ValueError when that set is empty."""
-    n = ds.n_q + (ds.n_p if pooled else 0)
-    if n == 0:
-        raise ValueError(f"method {name!r} has no samples to fit on")
-    if pooled:
-        return n, neighbors.MergedOrder.pooled_labels, functools.cache(lambda: pooled_sample_set(ds))
-    return n, lambda mo: mo.group_labels(0), lambda: ds.q_data
-
-
-def _fit_knn(name: str, ds: TransferDataset, pooled: bool, hp: HyperParams,
-             k: int | None = None) -> FittedMethod:
-    """Plain k-NN majority vote on one set of n rows, k in [1, n]; k defaults to
-    combined_budget_k on the pooled set and to default_knn_k on Q."""
-    n, view, one_set = _one_set(name, ds, pooled)
-    if k is None:
-        k = combined_budget_k(ds.source_sizes, ds.n_q, hp) if pooled else default_knn_k(n, hp)
-    k = _check_k(k, n)
-    return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
-                        lambda pts: knn_predict(one_set(), k, pts))
-
-
-def _fit_weighted(ds: TransferDataset, hp: HyperParams) -> FittedMethod:
-    """The weighted vote over [Q, S_1..S_m] with the minimax_plan."""
-    plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
-    ks, ws = (plan.k_q, *plan.k_sources), (plan.w_q, *plan.w_sources)
-    views = lambda mo: [mo.group_labels(g) for g in range(mo.n_groups)]
-    return FittedMethod("weighted", lambda mo: _label(_vote_eta(views(mo), ks, ws)),
-                        lambda pts: weighted_knn_predict(ds, plan, pts))
-
-
-def _fit_adaptive(ds: TransferDataset) -> FittedMethod:
-    """The adaptive scan over [Q, S_1..S_m]; a batch scans each row's own order."""
-    return FittedMethod("adaptive", lambda mo: _adaptive_scan(mo, ds.d)[0],
-                        lambda pts: [adaptive_predict(ds, x)[0] for x in pts])
-
-
-def _fit_lepski(name: str, ds: TransferDataset, pooled: bool, width: str) -> FittedMethod:
-    """The Lepski interval scan on one set of rows; a batch scans row by row."""
-    _, view, one_set = _one_set(name, ds, pooled)
-    return FittedMethod(name, lambda mo: _lepski_scan(view(mo), ds.d, width)[0],
-                        lambda pts: [lepski_predict(one_set(), x, width=width)[0] for x in pts])
-
-
-# The named methods of simulate, eval and predict: each maps (dataset,
-# hyper-parameters, Lepski width) to a fit. predict's knn and lepski are
-# spellings of qonly, combined, lepski-q and lepski-combined.
-METHODS: dict[str, Callable[[TransferDataset, HyperParams, str], FittedMethod]] = {
-    "weighted": lambda ds, hp, _w: _fit_weighted(ds, hp),
-    "combined": lambda ds, hp, _w: _fit_knn("combined", ds, True, hp),
-    "qonly": lambda ds, hp, _w: _fit_knn("qonly", ds, False, hp),
-    "adaptive": lambda ds, _hp, _w: _fit_adaptive(ds),
-    "lepski-combined": lambda ds, _hp, w: _fit_lepski("lepski-combined", ds, True, w),
-    "lepski-q": lambda ds, _hp, w: _fit_lepski("lepski-q", ds, False, w),
-}
+# The named methods of simulate, eval and predict, all built by fit_method. predict's knn
+# and lepski are spellings of qonly, combined, lepski-q and lepski-combined.
+METHODS = ("weighted", "combined", "qonly", "adaptive", "lepski-combined", "lepski-q")
 NONADAPTIVE_METHODS = ("weighted", "combined", "qonly")
 ADAPTIVE_METHODS = ("adaptive", "lepski-combined", "lepski-q")
 
 
 def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
                lepski_width: str = "algorithm3", k: int | None = None) -> FittedMethod:
-    """Fit a named method to a dataset with any number of sources; k, if given, is the
-    neighbour count of qonly or combined (in [1, n]) and refused elsewhere. The one check of
-    every fit's settings: the name, Lepski width, hp.d and the length of hp.gamma."""
+    """Fit a named method to a dataset with any number of sources: the one place a method is
+    built, after the one check of every fit's settings (name, hp.d, the length of hp.gamma,
+    Lepski width, then k). weighted is the vote over [Q, S_1..S_m] with the minimax_plan,
+    adaptive the adaptive scan over them, a batch scanning each row's own order. The one-set
+    methods read Q, or the pooled S_1..S_m, Q (its SampleSet built on the first batch), and
+    raise ValueError when that set is empty: qonly and combined are the plain k-NN majority
+    vote, k in [1, n] if given (refused on other methods), else default_knn_k on Q and
+    combined_budget_k pooled; lepski-q and lepski-combined the Lepski interval scan, a batch
+    scanning row by row."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
     if hp.d != ds.d:
         raise ValueError(f"hyper-parameters have d = {hp.d} but the dataset has d = {ds.d}")
     hp.gamma_vector(ds.m)
     _check_width(lepski_width)
-    if k is None:
-        return METHODS[name](ds, hp, lepski_width)
-    if name not in ("qonly", "combined"):
+    if k is not None and name not in ("qonly", "combined"):
         raise ValueError(f"k applies only to qonly and combined, not {name!r}")
-    return _fit_knn(name, ds, name == "combined", hp, k)
+    if name == "weighted":
+        plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
+        ks, ws = (plan.k_q, *plan.k_sources), (plan.w_q, *plan.w_sources)
+        views = lambda mo: [mo.group_labels(g) for g in range(mo.n_groups)]
+        return FittedMethod(name, lambda mo: _label(_vote_eta(views(mo), ks, ws)),
+                            lambda pts: weighted_knn_predict(ds, plan, pts))
+    if name == "adaptive":
+        return FittedMethod(name, lambda mo: _adaptive_scan(mo, ds.d)[0],
+                            lambda pts: [adaptive_predict(ds, x)[0] for x in pts])
+    pooled = name in ("combined", "lepski-combined")
+    n = ds.n_q + (ds.n_p if pooled else 0)
+    if n == 0:
+        raise ValueError(f"method {name!r} has no samples to fit on")
+    view = neighbors.MergedOrder.pooled_labels if pooled else lambda mo: mo.group_labels(0)
+    one_set = functools.cache(lambda: pooled_sample_set(ds)) if pooled else lambda: ds.q_data
+    if name.startswith("lepski"):
+        return FittedMethod(name, lambda mo: _lepski_scan(view(mo), ds.d, lepski_width)[0],
+                            lambda pts: [lepski_predict(one_set(), x, width=lepski_width)[0]
+                                         for x in pts])
+    if k is None:
+        k = combined_budget_k(ds.source_sizes, ds.n_q, hp) if pooled else default_knn_k(n, hp)
+    k = _check_k(k, n)
+    return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
+                        lambda pts: knn_predict(one_set(), k, pts))
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,28 @@ def test_random_source_rejects_negative_keys():
         RandomSource(0, stream=-2)
 
 
+def test_random_source_refuses_keys_and_indices_that_are_not_integers():
+    # a float or bool seed, stream or substream index used to be truncated by int():
+    # RandomSource(1.5) and RandomSource(True) ran as seed 1
+    for seed, stream, shown in ((1.5, 0, "seed 1.5, stream 0"), (True, 0, "seed True, stream 0"),
+                                (2, 1.0, "seed 2, stream 1.0"), (2, False, "seed 2, stream False"),
+                                ("3", 0, "seed '3', stream 0")):
+        with pytest.raises(ValueError, match=f"^seed and stream must be integers, got {shown}$"):
+            RandomSource(seed, stream)
+    rs = RandomSource(2)
+    for i in (1.9, 0.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"^substream index must be an integer, got "):
+            rs.substream(i)
+    # numpy integers pass and are stored as ints; the range messages are unchanged
+    child = RandomSource(np.int64(2), np.uint8(1)).substream(np.int32(1))
+    assert child == RandomSource(2, SUBSTREAM_CAP + 2)
+    assert type(child.seed) is int and type(child.stream) is int
+    with pytest.raises(ValueError, match="^seed and stream must be nonnegative integers$"):
+        RandomSource(np.int64(-1))
+    with pytest.raises(ValueError, match="^substream index out of range: -1$"):
+        rs.substream(np.int64(-1))
+
+
 def test_records_that_hold_arrays_compare_by_identity():
     from driftknn.classifiers import adaptive_predict, lepski_predict
     from driftknn.neighbors import merged_order

@@ -103,7 +103,7 @@ def test_query_edge_cases():
             assert (dist.dtype, nbrs.dtype) == (np.float64, np.int64)
             np.testing.assert_array_equal(dist, all_d[:n_out])
             np.testing.assert_array_equal(nbrs, all_i[:n_out])
-        assert len(all_i) == len(index.sample_set)
+        assert len(all_i) == index.n
 
 
 def test_query_matches_brute_force():

@@ -41,9 +41,7 @@ from driftknn.simulation import (
     excess_risk_mc,
     _add_chunk,
     _bootstrap_ci,
-    _fit_adaptive,
     _fit_slope,
-    _fit_weighted,
     fit_method,
     rate_exponent_check,
     run_accuracy_experiment,
@@ -222,6 +220,15 @@ def test_sample_multisource_shapes():
     assert mds.n_q == 4
     with pytest.raises(ValueError, match="at least one source"):
         sample_multisource_dataset(m, (), 4, RandomSource(13))
+    # a size of 10.5 used to draw 10 rows, and a target size of 5.5 failed inside numpy;
+    # numpy integers pass
+    for sizes, n_q, shown in (((10.5,), 4, r"\[10.5\], target 4"),
+                              ((4, True), 4, r"\[4, True\], target 4"),
+                              ((10,), 5.5, r"\[10\], target 5.5")):
+        with pytest.raises(ValueError, match=f"^sample sizes must be integers, got sources {shown}$"):
+            sample_multisource_dataset(m, sizes, n_q, RandomSource(13))
+    mds = sample_multisource_dataset(m, np.array([5, 0, 7]), np.int64(4), RandomSource(13))
+    assert (mds.source_sizes, mds.n_q) == ((5, 0, 7), 4)
 
 
 def test_sample_test_points_containment_and_radius():
@@ -435,6 +442,38 @@ def test_fit_method_refuses_a_k_that_is_not_an_integer():
         assert fm.predict_order(mo) == fm.predict_batch(CENTER[None])[0]
 
 
+def test_the_pooled_set_of_a_fit_is_built_on_its_first_batch_only(monkeypatch):
+    # simulate refits every method on every replication and reads only the merged
+    # order, so a fit must not build the pooled set; a batch builds it once
+    from driftknn import simulation
+
+    builds = []
+    real = simulation.pooled_sample_set
+
+    def counting(ds):
+        builds.append(ds)
+        return real(ds)
+
+    monkeypatch.setattr(simulation, "pooled_sample_set", counting)
+    ds = sample_dataset(DriftModel(0.55), 60, 80, RandomSource(54))
+    mo = merged_order([ds.q_data, *ds.sources], CENTER)
+    pts = np.vstack([CENTER, CENTER + 0.1])
+    for name in ("combined", "lepski-combined"):
+        fm = fit_method(name, ds, HP_MAIN)
+        fm.predict_order(mo)
+        assert builds == []
+        first = fm.predict_batch(pts)
+        assert builds == [ds]
+        np.testing.assert_array_equal(fm.predict_batch(pts), first)
+        assert builds == [ds]
+        builds.clear()
+    for name in ("qonly", "lepski-q"):
+        fm = fit_method(name, ds, HP_MAIN)
+        fm.predict_order(mo)
+        fm.predict_batch(pts)
+        assert builds == []
+
+
 def test_predict_batch_takes_only_an_m_by_d_array():
     ds = sample_dataset(DriftModel(0.55), 60, 80, RandomSource(55))
     for name in METHODS:
@@ -592,7 +631,7 @@ def test_non_finite_queries_raise_on_every_path(bad):
     ds = sample_dataset(m, 30, 40, RandomSource(56))
     mds = sample_multisource_dataset(m, (20, 25), 30, RandomSource(57))
     fits = [fit_method(name, ds, HP_MAIN) for name in METHODS]
-    fits += [_fit_weighted(mds, HP_MAIN), _fit_adaptive(mds)]
+    fits += [fit_method(name, mds, HP_MAIN) for name in ("weighted", "adaptive")]
     plan = minimax_plan(mds.source_sizes, mds.n_q, HP_MAIN)
     calls = [lambda: weighted_knn_predict(mds, plan, x),
              lambda: adaptive_predict(mds, x)]
@@ -779,6 +818,9 @@ def test_both_engines_refuse_reps_beyond_the_substream_cap_before_sampling(monke
     (dict(p_max_values=(0.55, 0.4)), r"p_max must be in \(0.5, 1\], got 0.4"),
     (dict(n_p_values=(30, -1)), r"sample sizes must be >= 0, got sources \[-1\], target 20"),
     (dict(n_q=-1), r"sample sizes must be >= 0, got sources \[30\], target -1"),
+    # a size of 10.5 used to run 10-row sources but record n_p = 10.5
+    (dict(n_p_values=(30, 10.5)), r"sample sizes must be integers, got sources \[10.5\], target 20"),
+    (dict(n_q=20.0), r"sample sizes must be integers, got sources \[30\], target 20.0"),
 ])
 def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
         monkeypatch, bad, message):
