@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HyperParams, KnnPlan, SampleSet, TransferDataset, _is_integer
+from .core import HyperParams, KnnPlan, SampleSet, TransferDataset, _check_count
 from . import neighbors
 from .neighbors import NeighborIndex, _check_k
 
@@ -62,9 +62,7 @@ def _floor_count(x: float) -> int:
 
 def default_knn_k(n: int, hp: HyperParams) -> int:
     """Rate-optimal single-sample neighbor count floor(n^(2b/(2b+d))), >= 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
+    if _check_count(n, "n") == 0:
         return 0
     return max(1, _floor_count(n ** (2 * hp.beta / (2 * hp.beta + hp.d))))
 
@@ -83,16 +81,12 @@ def combined_budget_k(source_sizes: Sequence[int], n_q: int, hp: HyperParams) ->
 
 
 def _checked_sizes(source_sizes: Sequence[int], n_q: int) -> list[int]:
-    """The source sizes as ints, if there is at least one and every size, the target's
-    too, is an integer (a numpy one, not a bool) >= 0."""
-    sizes = list(source_sizes)
-    if len(sizes) < 1:
+    """The source sizes as ints, if there is at least one and every size, n_q too, is a
+    count (``core._check_count``)."""
+    sizes = [_check_count(n, f"source {i} size") for i, n in enumerate(source_sizes, start=1)]
+    if not sizes:
         raise ValueError("need at least one source size")
-    if not all(map(_is_integer, (*sizes, n_q))):
-        raise ValueError(f"sample sizes must be integers, got sources {sizes}, target {n_q}")
-    sizes = [int(n) for n in sizes]
-    if any(n < 0 for n in sizes) or n_q < 0:
-        raise ValueError(f"sample sizes must be >= 0, got sources {sizes}, target {n_q}")
+    _check_count(n_q, "n_q")
     return sizes
 
 

@@ -40,15 +40,15 @@ def _as_points(x) -> np.ndarray:
     return arr
 
 
-def _is_integer(v) -> bool:
-    """True for an int or a numpy integer; False for a bool and for every float, 3.0 too."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _check_dimension(d) -> int:
-    if not (_is_integer(d) and d >= 1):
-        raise ValueError(f"d must be an integer >= 1, got {d}")
-    return int(d)
+def _check_count(v, name: str, lo=0) -> int:
+    """v as an int, if it is an integer >= lo: the one rule for every count (a size, the
+    dimension, a neighbor count, a seed). A numpy integer passes; a bool and every float,
+    3.0 too, are refused, so that no count is silently truncated."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v}")
+    if v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v}")
+    return int(v)
 
 
 def _as_labels(y) -> np.ndarray:
@@ -93,7 +93,7 @@ class SampleSet:
 
     @classmethod
     def empty(cls, d: int) -> "SampleSet":
-        return cls(np.empty((0, _check_dimension(d))), np.empty((0,), dtype=np.int64))
+        return cls(np.empty((0, _check_count(d, "d", 1))), np.empty((0,), dtype=np.int64))
 
     @property
     def d(self) -> int:
@@ -186,7 +186,7 @@ class HyperParams:
                     raise ValueError(f"gamma[{i}] must be > 0, got {g}")
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "d", _check_dimension(self.d))
+        object.__setattr__(self, "d", _check_count(self.d, "d", 1))
 
     def scalar_gamma(self) -> float:
         """The single relative-signal exponent; errors on a true vector."""
@@ -215,20 +215,21 @@ class KnnPlan:
     w_q: float
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.k_sources)
+        ks = tuple(_check_count(k, f"k_sources[{i}]") for i, k in enumerate(self.k_sources))
+        k_q = _check_count(self.k_q, "k_q")
         ws = tuple(float(w) for w in self.w_sources)
+        w_q = float(self.w_q)
         if len(ks) != len(ws):
             raise ValueError(f"{len(ks)} counts but {len(ws)} weights")
         if len(ks) < 1:
             raise ValueError("need at least one source entry")
-        if any(k < 0 for k in ks) or self.k_q < 0:
-            raise ValueError("neighbor counts must be >= 0")
-        if any(w < 0 for w in ws) or self.w_q < 0:
-            raise ValueError("weights must be >= 0")
+        if not all(0 <= w < np.inf for w in (*ws, w_q)):
+            raise ValueError(f"weights must be finite and >= 0, got w_sources {list(ws)}, "
+                             f"w_q {w_q}")
         object.__setattr__(self, "k_sources", ks)
         object.__setattr__(self, "w_sources", ws)
-        object.__setattr__(self, "k_q", int(self.k_q))
-        object.__setattr__(self, "w_q", float(self.w_q))
+        object.__setattr__(self, "k_q", k_q)
+        object.__setattr__(self, "w_q", w_q)
 
     @property
     def m(self) -> int:
@@ -250,13 +251,8 @@ class RandomSource:
     stream: int = 0
 
     def __post_init__(self):
-        if not (_is_integer(self.seed) and _is_integer(self.stream)):
-            raise ValueError(f"seed and stream must be integers, got seed {self.seed!r}, "
-                             f"stream {self.stream!r}")
-        if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream must be nonnegative integers")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "stream", int(self.stream))
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed"))
+        object.__setattr__(self, "stream", _check_count(self.stream, "stream"))
 
     def generator(self) -> np.random.Generator:
         """A fresh numpy Generator positioned at the start of this stream."""
@@ -265,9 +261,8 @@ class RandomSource:
 
     def substream(self, i: int) -> "RandomSource":
         """Derive an independent child stream; i an integer in [0, 2**20 - 1)."""
-        if not _is_integer(i):
-            raise ValueError(f"substream index must be an integer, got {i!r}")
-        if not (0 <= i < SUBSTREAM_CAP - 1):
+        i = _check_count(i, "substream index")
+        if i >= SUBSTREAM_CAP - 1:
             raise ValueError(f"substream index out of range: {i}")
         return RandomSource(self.seed, self.stream * SUBSTREAM_CAP + i + 1)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import SampleSet, _is_integer
+from .core import SampleSet, _check_count
 
 __all__ = [
     "NeighborIndex",
@@ -84,14 +84,11 @@ def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
 
 
 def _check_k(k, n: int | None = None) -> int:
-    """k as an int, if it is an integer (a numpy one, not a bool) >= 0, or in [1, n] given n."""
-    if not _is_integer(k):
-        raise ValueError(f"k must be an integer, got {k}")
+    """k as an int: a count (``core._check_count``), or given n, an integer in [1, n]."""
+    k = _check_count(k, "k", 0 if n is None else -np.inf)
     if n is not None and not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return int(k)
+    return k
 
 
 def _check_query(x, d: int) -> np.ndarray:

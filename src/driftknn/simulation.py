@@ -101,7 +101,7 @@ class DriftModel:
             raise ValueError(f"p_max must be in (0.5, 1], got {self.p_max}")
         if not (self.gamma_sim > 0):
             raise ValueError(f"gamma_sim must be > 0, got {self.gamma_sim}")
-        object.__setattr__(self, "d", core._check_dimension(self.d))
+        object.__setattr__(self, "d", core._check_count(self.d, "d", 1))
         object.__setattr__(self, "_center", np.full(self.d, 0.5))  # cone apex
         _check_radius(self.test_radius)
 
@@ -177,8 +177,7 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
     if center.ndim != 1 or not np.isfinite(center).all():
         raise ValueError(f"x_c must be a finite vector, got {center.tolist()}")
     _check_radius(radius)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = core._check_count(n, "n", 1)
     d = center.shape[0]
     gen = rng.generator()
     if _ball_volume(d, 0.5) < 0.01:
@@ -199,12 +198,24 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
 
 def classification_accuracy(predict: Callable[[np.ndarray], np.ndarray], model: DriftModel,
                             test_points: np.ndarray) -> float:
-    """Fraction of test points where the prediction matches the oracle label."""
+    """Fraction of test points where the prediction, one 0/1 label per point, matches the
+    oracle label."""
     pts = np.asarray(test_points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("test_points must be a nonempty (m, d) array")
+    return float(np.mean(_labels_of(predict, pts) == model.bayes(pts)))
+
+
+def _labels_of(predict: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """predict(pts), if it is one 0/1 label per row of pts: the scorers' check of a predictor."""
     pred = np.asarray(predict(pts))
-    return float(np.mean(pred == model.bayes(pts)))
+    if pred.shape != (len(pts),):
+        raise ValueError(f"a predictor must answer one label per point: {len(pts)} points, "
+                         f"answer of shape {pred.shape}")
+    bad = np.flatnonzero((pred != 0) & (pred != 1))
+    if bad.size:
+        raise ValueError(f"a predictor must answer 0 or 1, got {pred.tolist()[bad[0]]!r}")
+    return pred
 
 
 @dataclass(frozen=True)
@@ -222,14 +233,13 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
 
     Estimates 2 E[|eta_Q(X) - 1/2| 1{predict(X) != bayes(X)}] with X
     uniform on [0,1]^d. Draws with zero weight |eta_Q - 1/2| = 0 contribute
-    exactly zero, so the classifier is only evaluated where the weight is
-    positive; the estimate and standard error equal the full evaluation's.
+    exactly zero, so the classifier (one 0/1 label per point) is only evaluated where
+    the weight is positive; the estimate and standard error equal the full evaluation's.
     The variance merges per-chunk moments (no E[x^2] - mean^2 cancellation).
     The draw sequence depends only on rng, not on the chunk size. The one draw
     budget check: n_mc * signal_volume() < 1 expected live draws is refused.
     """
-    if n_mc < 2:
-        raise ValueError(f"n_mc must be >= 2, got {n_mc}")
+    n_mc = core._check_count(n_mc, "n_mc", 2)
     if n_mc * model.signal_volume() < 1:
         raise ValueError(f"too few draws ({_ball_note(model, n_mc)}; need at least 1)")
     gen = rng.generator()
@@ -242,7 +252,7 @@ def excess_risk_mc(predict: Callable[[np.ndarray], np.ndarray], model: DriftMode
         eta = model.eta_q(pts)
         weight = 2.0 * np.abs(eta - 0.5)
         live = np.flatnonzero(weight > 0)
-        pred = np.asarray(predict(pts[live])) if live.size else 0
+        pred = _labels_of(predict, pts[live]) if live.size else 0
         contrib = weight[live] * (pred != (eta[live] > 0.5))
         total += float(contrib.sum())
         moments = _add_chunk(moments, contrib, m)
@@ -404,8 +414,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     Every grid point's model and sizes, and reps against the substream cap, are checked
     before the first replication; fit_method checks the method names and width in it.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = core._check_count(reps, "reps", 1)
     hp = HyperParams(beta=beta, gamma=gamma, d=d)
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
@@ -563,15 +572,12 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     cap. The target slope is target_rate_exponent at the cone's margin exponent, alpha = 1.
     """
     target = target_rate_exponent(hp, sweep)
-    sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 4:
         raise ValueError(f"degenerate grid: need >= 4 sizes, got {len(sizes)}")
-    if any(n < 1 for n in sizes):
-        raise ValueError("degenerate grid: sizes must be >= 1")
+    sizes = tuple(core._check_count(n, "size", 1) for n in sizes)
     if max(sizes) < 10 * min(sizes):
         raise ValueError("degenerate grid: sizes must span at least a decade")
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
+    reps = core._check_count(reps, "reps", 2)
     rng.substream(reps - 1)  # the last replication's stream must exist
     model = DriftModel(p_max, hp.scalar_gamma(), hp.d)
     experiment = f"rate-{sweep}"

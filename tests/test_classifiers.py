@@ -125,8 +125,11 @@ def test_minimax_plan_validation():
     with pytest.raises(ValueError, match=">= 0"):
         minimax_plan((-1,), 10, HP_MAIN)
     # minimax_plan((10.7,), 5, hp) used to plan for 10 source rows; numpy integers pass
-    for sizes, n_q in (((10.7,), 5), ((10, True), 5), ((10,), 5.0), ((10,), False)):
-        with pytest.raises(ValueError, match="^sample sizes must be integers, got sources"):
+    for sizes, n_q, shown in (((10.7,), 5, "source 1 size must be an integer, got 10.7"),
+                              ((10, True), 5, "source 2 size must be an integer, got True"),
+                              ((10,), 5.0, "n_q must be an integer, got 5.0"),
+                              ((10,), False, "n_q must be an integer, got False")):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
             minimax_plan(sizes, n_q, HP_MAIN)
     assert minimax_plan(np.array([2000]), np.int64(5000), HP_MAIN) == \
         minimax_plan((2000,), 5000, HP_MAIN)

@@ -74,7 +74,7 @@ def test_empty_sample_set():
     s = SampleSet.empty(3)
     assert len(s) == 0
     assert s.d == 3
-    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^d must be >= 1, got 0$"):
         SampleSet.empty(0)
     # an empty set still needs a dimension: no guessing d = 0 from empty input
     with pytest.raises(ValueError, match="2-d array"):
@@ -230,6 +230,11 @@ def test_knn_plan_validation():
         KnnPlan((-1,), (0.5,), 1, 0.5)
     with pytest.raises(ValueError, match=">= 0"):
         KnnPlan((1,), (-0.5,), 1, 0.5)
+    # a NaN weight made the vote's estimate NaN, which the batch path read as label 0
+    for w_sources, w_q in (((np.nan,), 1.0), ((1.0,), np.inf), ((np.inf,), 1.0),
+                           ((1.0,), -np.inf)):
+        with pytest.raises(ValueError, match="^weights must be finite and >= 0, got "):
+            KnnPlan((1,), w_sources, 2, w_q)
     with pytest.raises(ValueError, match="counts but"):
         KnnPlan((1, 2), (0.1,), 3, 0.3)
     with pytest.raises(ValueError, match="at least one source"):
@@ -274,7 +279,7 @@ def test_substream_never_collides_with_parent():
 
 def test_substream_range_checked():
     rs = RandomSource(0)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="^substream index must be >= 0, got -1$"):
         rs.substream(-1)
     with pytest.raises(ValueError, match="out of range"):
         rs.substream(SUBSTREAM_CAP - 1)
@@ -291,22 +296,26 @@ def test_random_source_rejects_negative_keys():
 def test_random_source_refuses_keys_and_indices_that_are_not_integers():
     # a float or bool seed, stream or substream index used to be truncated by int():
     # RandomSource(1.5) and RandomSource(True) ran as seed 1
-    for seed, stream, shown in ((1.5, 0, "seed 1.5, stream 0"), (True, 0, "seed True, stream 0"),
-                                (2, 1.0, "seed 2, stream 1.0"), (2, False, "seed 2, stream False"),
-                                ("3", 0, "seed '3', stream 0")):
-        with pytest.raises(ValueError, match=f"^seed and stream must be integers, got {shown}$"):
+    for seed, stream, shown in ((1.5, 0, "seed must be an integer, got 1.5"),
+                                (True, 0, "seed must be an integer, got True"),
+                                (2, 1.0, "stream must be an integer, got 1.0"),
+                                (2, False, "stream must be an integer, got False"),
+                                ("3", 0, "seed must be an integer, got 3")):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
             RandomSource(seed, stream)
     rs = RandomSource(2)
     for i in (1.9, 0.0, True, np.float64(1.0)):
         with pytest.raises(ValueError, match=r"^substream index must be an integer, got "):
             rs.substream(i)
-    # numpy integers pass and are stored as ints; the range messages are unchanged
+    # numpy integers pass and are stored as ints
     child = RandomSource(np.int64(2), np.uint8(1)).substream(np.int32(1))
     assert child == RandomSource(2, SUBSTREAM_CAP + 2)
     assert type(child.seed) is int and type(child.stream) is int
-    with pytest.raises(ValueError, match="^seed and stream must be nonnegative integers$"):
+    # the index joins the stream id as an int: a numpy one used to overflow int64 here
+    assert RandomSource(0, 2**50).substream(np.int64(1)).stream == 2**70 + 2
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         RandomSource(np.int64(-1))
-    with pytest.raises(ValueError, match="^substream index out of range: -1$"):
+    with pytest.raises(ValueError, match="^substream index must be >= 0, got -1$"):
         rs.substream(np.int64(-1))
 
 

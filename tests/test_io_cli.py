@@ -1163,9 +1163,9 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
     cases = [
         (["simulate", "fig4a", *sim, "--reps", "0"], 2, "reps must be >= 1, got 0"),
         (["simulate", "fig4a", *sim, "--np", "30,-1"], 2,
-         "sample sizes must be >= 0, got sources [-1], target 25"),
+         "source 1 size must be >= 0, got -1"),
         (["simulate", "fig4a", *sim, "--nq", "-1"], 2,
-         "sample sizes must be >= 0, got sources [30], target -1"),
+         "n_q must be >= 0, got -1"),
         (["simulate", "fig4a", *sim, "--np", "x"], 2,
          "expected a comma-separated list of integers, got 'x'"),
         (["simulate", "fig4a", *sim, "--pmax", "0.55,0.4"], 2,

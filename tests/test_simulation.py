@@ -64,16 +64,18 @@ def test_model_validation():
     for args, message in (((0.5,), "p_max must be in (0.5, 1], got 0.5"),
                           ((1.2,), "p_max must be in (0.5, 1], got 1.2"),
                           ((0.55, 0.0), "gamma_sim must be > 0, got 0.0"),
-                          ((0.55, 0.3, 0), "d must be an integer >= 1, got 0"),
-                          ((0.55, 0.3, 2.0), "d must be an integer >= 1, got 2.0"),
+                          ((0.55, 0.3, 0), "d must be >= 1, got 0"),
+                          ((0.55, 0.3, 2.0), "d must be an integer, got 2.0"),
                           ((0.55, 0.3, 2, 0.0), "radius must be finite and > 0, got 0.0"),
                           ((0.55, 0.3, 2, -0.1), "radius must be finite and > 0, got -0.1")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DriftModel(*args)
     # the model, the hyper-parameters and an empty sample set share one dimension rule
     # a bool is an int subclass, but not a dimension
-    for d in (0, -1, 2.0, "2", None, np.float64(3.0), True, False):
-        message = f"^{re.escape(f'd must be an integer >= 1, got {d}')}$"
+    for d, rule in ((0, ">= 1"), (-1, ">= 1"), (2.0, "an integer"), ("2", "an integer"),
+                    (None, "an integer"), (np.float64(3.0), "an integer"), (True, "an integer"),
+                    (False, "an integer")):
+        message = f"^{re.escape(f'd must be {rule}, got {d}')}$"
         for build in (lambda: DriftModel(0.55, d=d), lambda: HyperParams(1.0, 0.3, d),
                       lambda: SampleSet.empty(d)):
             with pytest.raises(ValueError, match=message):
@@ -222,10 +224,10 @@ def test_sample_multisource_shapes():
         sample_multisource_dataset(m, (), 4, RandomSource(13))
     # a size of 10.5 used to draw 10 rows, and a target size of 5.5 failed inside numpy;
     # numpy integers pass
-    for sizes, n_q, shown in (((10.5,), 4, r"\[10.5\], target 4"),
-                              ((4, True), 4, r"\[4, True\], target 4"),
-                              ((10,), 5.5, r"\[10\], target 5.5")):
-        with pytest.raises(ValueError, match=f"^sample sizes must be integers, got sources {shown}$"):
+    for sizes, n_q, shown in (((10.5,), 4, "source 1 size must be an integer, got 10.5"),
+                              ((4, True), 4, "source 2 size must be an integer, got True"),
+                              ((10,), 5.5, "n_q must be an integer, got 5.5")):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
             sample_multisource_dataset(m, sizes, n_q, RandomSource(13))
     mds = sample_multisource_dataset(m, np.array([5, 0, 7]), np.int64(4), RandomSource(13))
     assert (mds.source_sizes, mds.n_q) == ((5, 0, 7), 4)
@@ -316,6 +318,27 @@ def test_classification_accuracy_validation():
     m = DriftModel(0.55)
     with pytest.raises(ValueError, match="nonempty"):
         classification_accuracy(constant_classifier(1), m, np.empty((0, 2)))
+
+
+def test_the_scorers_refuse_an_answer_that_is_not_one_label_per_point():
+    # np.array([1]) used to broadcast over every point and score 1.0, and an answer of 0.7
+    # was scored as wrong
+    m = DriftModel(0.6)
+    pts = m.sample_test_points(5, RandomSource(33))
+    for answer, message in ((lambda xs: np.array([1]), "one label per point: 5 points, "
+                                                        "answer of shape (1,)"),
+                            (lambda xs: np.ones((len(xs), 1)), "one label per point"),
+                            (lambda xs: np.full(len(xs), 0.7), "must answer 0 or 1, got 0.7"),
+                            (lambda xs: np.full(len(xs), np.nan), "must answer 0 or 1, got nan")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classification_accuracy(answer, m, pts)
+        # excess_risk_mc asks only about its live draws, so its point count differs
+        with pytest.raises(ValueError, match=re.escape(message.split(":")[0])):
+            excess_risk_mc(answer, m, 4000, RandomSource(34))
+    # 0/1 labels of any dtype, bools too, are scored
+    for answer in (lambda xs: m.bayes(xs).astype(bool), lambda xs: m.bayes(xs) * 1.0):
+        assert classification_accuracy(answer, m, pts) == 1.0
+        assert excess_risk_mc(answer, m, 4000, RandomSource(34)).value == 0.0
 
 
 def test_excess_risk_of_oracle_is_zero():
@@ -816,11 +839,11 @@ def test_both_engines_refuse_reps_beyond_the_substream_cap_before_sampling(monke
 
 @pytest.mark.parametrize("bad, message", [
     (dict(p_max_values=(0.55, 0.4)), r"p_max must be in \(0.5, 1\], got 0.4"),
-    (dict(n_p_values=(30, -1)), r"sample sizes must be >= 0, got sources \[-1\], target 20"),
-    (dict(n_q=-1), r"sample sizes must be >= 0, got sources \[30\], target -1"),
+    (dict(n_p_values=(30, -1)), r"source 1 size must be >= 0, got -1"),
+    (dict(n_q=-1), r"n_q must be >= 0, got -1"),
     # a size of 10.5 used to run 10-row sources but record n_p = 10.5
-    (dict(n_p_values=(30, 10.5)), r"sample sizes must be integers, got sources \[10.5\], target 20"),
-    (dict(n_q=20.0), r"sample sizes must be integers, got sources \[30\], target 20.0"),
+    (dict(n_p_values=(30, 10.5)), r"source 1 size must be an integer, got 10.5"),
+    (dict(n_q=20.0), r"n_q must be an integer, got 20.0"),
 ])
 def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
         monkeypatch, bad, message):
@@ -878,7 +901,7 @@ def test_rate_check_grid_validation():
         rate_exponent_check(hp, (10, 100, 1000), 2, rs)
     with pytest.raises(ValueError, match="span at least a decade"):
         rate_exponent_check(hp, (100, 200, 400, 800), 2, rs)
-    with pytest.raises(ValueError, match="sizes must be >= 1"):
+    with pytest.raises(ValueError, match="^size must be >= 1, got 0$"):
         rate_exponent_check(hp, (0, 10, 100, 1000), 2, rs)
     with pytest.raises(ValueError, match="reps"):
         rate_exponent_check(hp, (10, 20, 50, 100), 1, rs)
