@@ -80,14 +80,13 @@ def combined_budget_k(source_sizes: Sequence[int], n_q: int, hp: HyperParams) ->
     return max(1, plan.k_q + sum(plan.k_sources))
 
 
-def _checked_sizes(source_sizes: Sequence[int], n_q: int) -> list[int]:
-    """The source sizes as ints, if there is at least one and every size, n_q too, is a
-    count (``core._check_count``)."""
+def _checked_sizes(source_sizes: Sequence[int], n_q: int) -> tuple[list[int], int]:
+    """(source sizes, n_q) as ints, if there is at least one source size and every size,
+    n_q too, is a count (``core._check_count``)."""
     sizes = [_check_count(n, f"source {i} size") for i, n in enumerate(source_sizes, start=1)]
     if not sizes:
         raise ValueError("need at least one source size")
-    _check_count(n_q, "n_q")
-    return sizes
+    return sizes, _check_count(n_q, "n_q")
 
 
 def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnPlan:
@@ -104,7 +103,7 @@ def minimax_plan(source_sizes: Sequence[int], n_q: int, hp: HyperParams) -> KnnP
     so a nonempty sample always contributes at least one neighbor.
     Requires at least one sample overall.
     """
-    sizes = _checked_sizes(source_sizes, n_q)
+    sizes, n_q = _checked_sizes(source_sizes, n_q)
     if sum(sizes) == 0 and n_q == 0:
         raise ValueError("need at least one sample across all sets")
     b, d = hp.beta, float(hp.d)
@@ -206,8 +205,8 @@ class AdaptiveTrace:
     row 0 and ``k_p``/``eta_p`` row 1, the source of a two-sample dataset.
     The trace keeps the merged ``order``; the five arrays are computed over
     all n steps when first read, as ``LepskiTrace``'s bounds are. When the
-    scan stopped in its first block, that read also sorts the rest of the
-    order, which the scan did not (see ``MergedOrder.head``).
+    scan stopped in its first block, that read sorts the whole order, of
+    which the scan sorted only the head (see ``MergedOrder``).
     """
 
     order: neighbors.MergedOrder
@@ -261,7 +260,7 @@ def _scan_block(mo: neighbors.MergedOrder, lo: int, hi: int, carry=(0, 0)) -> tu
     sums over axis 0 add the groups in order, Q first. Counts and sums are
     exact integers, so a block holds the full scan's values bit for bit.
     The block reads the order through ``mo.head(hi)``, so a first block
-    sorts only the hi nearest points of an order not yet built.
+    sorts only the hi nearest points of a fresh order.
     """
     group, labels = mo.head(hi)
     member = group[lo:] == np.arange(mo.n_groups)[:, None]

@@ -12,10 +12,11 @@ every single-query classifier reads; many go through the k-d tree of
 ``NeighborIndex.query_batch``, which returns plain (distances, indices)
 arrays. Each sorts only what its reader reads:
 
-* ``merged_order`` sorts all n points once, when its arrays are first read;
-  the adaptive scan's first block reads ``MergedOrder.head`` and sorts only
-  the points it scans;
-* ``_k_nearest``, shared by ``query`` and ``MergedOrder.head``, sorts only
+* ``merged_order`` sorts nothing when made and keeps the sorted prefix of
+  its nearest points: the adaptive scan's first block reads
+  ``MergedOrder.head`` and sorts only the points it scans; a read past
+  that prefix sorts afresh;
+* ``_k_nearest``, shared by ``query`` and ``MergedOrder``, sorts only
   the points at or within the k-th distance;
 * a batch row with no tie keeps the tree's order; one with a tie sorts the
   tree's ball around its k-th distance; only a row with overflowing
@@ -38,7 +39,8 @@ pooled position it is the order of ``core.pooled_sample_set`` (S_1..S_m, Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -74,9 +76,11 @@ def _canonical_argsort(dist: np.ndarray) -> np.ndarray:
 
 
 def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k nearest entries of dist (1 <= k <= len(dist)) in (distance,
-    position) order: an argpartition finds the k-th distance, and only the entries at
-    or within it go through the canonical sort."""
+    """Positions of the k nearest entries of dist (k >= 1; all for k >= len(dist)) in
+    (distance, position) order: an argpartition finds the k-th distance, and only the
+    entries at or within it go through the canonical sort."""
+    if k >= len(dist):
+        return _canonical_argsort(dist)
     dmax = dist[np.argpartition(dist, k - 1)[:k]].max()
     # cand ascends, so its positions order like those of dist.
     cand = np.flatnonzero(dist <= dmax)
@@ -204,61 +208,61 @@ class NeighborIndex:
         return out_d, out_i
 
 
-_ARRAYS = ("distances", "group", "within_index", "labels")
+def _sorted_rows(field: int) -> functools.cached_property:
+    """Row field ``field`` of a MergedOrder in the full order, gathered when first read."""
+    def gather(self: MergedOrder) -> np.ndarray:
+        a = self._rows[field][self._sorted(len(self))]
+        a.setflags(write=False)
+        return a
+    return functools.cached_property(gather)
 
 
-@dataclass(frozen=True, eq=False)
 class MergedOrder:
     """All points of several sample sets sorted by distance to one query.
 
-    ``group`` holds the origin of each position: 0 for the target (Q) set,
-    1..m for source sets in order. Ties resolve by (distance, group, index
-    within set). ``within_index`` is each point's index inside its own set.
-    The four arrays are read-only, so the views below (``pooled_labels``
-    may return ``labels`` itself) cannot alter the order.
+    The constructor takes one row per point, in any order, and sorts the
+    rows by (distance, row position), so rows given in that order keep it.
+    ``group`` is each point's set (0 for the target Q, 1..m for the
+    sources) and ``within_index`` its index in that set. The order is
+    frozen and its four arrays are read-only, so the views below
+    (``pooled_labels`` may return ``labels`` itself) cannot alter it.
 
-    An order from ``merged_order`` sorts nothing when made: it builds the
-    four arrays, with one sort of all n points, when one of them is first
-    read. Before that, ``head(k)`` sorts only the k nearest, and ``len``
-    sorts nothing.
+    Nothing is sorted when the order is made. It keeps one sorted prefix,
+    the positions of its nearest rows: ``head(k)`` on a fresh order sorts
+    only the k nearest, and a read past the prefix sorts afresh.
     """
 
-    distances: np.ndarray
-    group: np.ndarray
-    within_index: np.ndarray
-    labels: np.ndarray
-    n_groups: int
+    def __init__(self, distances, group, within_index, labels, n_groups: int):
+        object.__setattr__(self, "n_groups", n_groups)
+        object.__setattr__(self, "_rows", (distances, group, within_index, labels))
+        object.__setattr__(self, "_prefix", np.empty(0, dtype=np.int64))
 
-    def __getattr__(self, name):
-        # Reached only for an unset attribute: an array of an order from
-        # merged_order that has not been read yet.
-        unsorted = self.__dict__.get("_unsorted")
-        if unsorted is None or name not in _ARRAYS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        order = _canonical_argsort(unsorted[0])
-        for field, a in zip(_ARRAYS, (unsorted[0][order], *self._at(order))):
-            a.setflags(write=False)
-            object.__setattr__(self, field, a)
-        return self.__dict__[name]
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def _at(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(group, within_index, labels) of the given positions of the unsorted order."""
-        _, labels, owner, starts = self.__dict__["_unsorted"]
-        group = owner[pos]
-        return group, pos - starts[group], labels[pos]
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    distances, group, within_index, labels = map(_sorted_rows, range(4))
+
+    def _sorted(self, k: int) -> np.ndarray:
+        """Positions of at least the min(k, len) nearest rows, in order: the prefix, or
+        a fresh sort of the k nearest (``_k_nearest``) kept as the new prefix."""
+        if len(self._prefix) < min(k, len(self)):
+            object.__setattr__(self, "_prefix", _k_nearest(self._rows[0], k))
+        return self._prefix
 
     def __len__(self) -> int:
-        unsorted = self.__dict__.get("_unsorted")
-        return (self.distances if unsorted is None else unsorted[0]).shape[0]
+        return self._rows[0].shape[0]
 
     def head(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(group[:k], labels[:k]): slices of the arrays once built; before that,
-        for 0 < k < len, only the k nearest points are sorted (``_k_nearest``); k is an
-        integer >= 0."""
-        if "labels" in self.__dict__ or not 0 < _check_k(k) < len(self):
+        """(group[:k], labels[:k]), k an integer >= 0, from the kept prefix or a fresh
+        sort of the k nearest rows, so a fresh order sorts only those."""
+        k = _check_k(k)
+        pos = self._sorted(k)
+        if len(pos) == len(self):  # slice the built arrays
             return self.group[:k], self.labels[:k]
-        group, _, labels = self._at(_k_nearest(self._unsorted[0], k))
-        return group, labels
+        return self._rows[1][pos[:k]], self._rows[3][pos[:k]]
 
     def group_labels(self, g: int) -> np.ndarray:
         """The labels of set g in its own (distance, index) order."""
@@ -285,11 +289,10 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     """Merge several sample sets into one distance-sorted sequence.
 
     sets[0] is the target set (tie priority first), the rest follow in
-    order. The per-set distances are concatenated in set order and sorted
-    by (distance, position), which is (distance, group, index within set)
-    because a position is the set's offset plus the index within it. The
-    sort waits for the order's first read (see ``MergedOrder``). x is one
-    point, of shape (d,).
+    order. The rows go to ``MergedOrder`` set by set, so its (distance,
+    position) order is (distance, group, index within set): a position is
+    the set's offset plus the index within it. Sorting waits for the
+    order's reads (see ``MergedOrder``). x is one point, of shape (d,).
     """
     if not sets:
         raise ValueError("merged_order needs at least one sample set")
@@ -299,10 +302,7 @@ def merged_order(sets: list[SampleSet], x) -> MergedOrder:
     for s in sets:
         x = _check_query(x, s.d)
     sizes = [len(s) for s in sets]
-    dist = np.concatenate([_distances(s.points, x) for s in sets])
-    labels = np.concatenate([s.labels for s in sets])
-    owner = np.repeat(np.arange(len(sets)), sizes)  # the group of each position
-    mo = object.__new__(MergedOrder)
-    vars(mo).update(n_groups=len(sets),
-                    _unsorted=(dist, labels, owner, np.cumsum(sizes) - sizes))
-    return mo
+    return MergedOrder(np.concatenate([_distances(s.points, x) for s in sets]),
+                       np.repeat(np.arange(len(sets)), sizes),
+                       np.concatenate([np.arange(n) for n in sizes]),
+                       np.concatenate([s.labels for s in sets]), len(sets))

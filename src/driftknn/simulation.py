@@ -156,7 +156,7 @@ def sample_multisource_dataset(model: DriftModel, source_sizes: Sequence[int], n
 
     The target uses substream 0 and source i (1-based) substream i.
     """
-    sizes = _checked_sizes(source_sizes, n_q)
+    sizes, n_q = _checked_sizes(source_sizes, n_q)
 
     def draw(n: int, eta: Callable, stream: int) -> SampleSet:
         if n == 0:
@@ -291,10 +291,15 @@ def constant_classifier(label: int) -> Callable[[np.ndarray], np.ndarray]:
 class FittedMethod:
     """A fitted classifier: one label from a merged order, or labels of query rows."""
 
-    def __init__(self, name: str, order_fn: Callable, batch_fn: Callable):
+    def __init__(self, name: str, ds: TransferDataset, order_fn: Callable, batch_fn: Callable):
         self.name, self._order, self._batch = name, order_fn, batch_fn
+        self._shape = (ds.m + 1, ds.n_q + ds.n_p)
 
     def predict_order(self, mo: neighbors.MergedOrder) -> int:
+        """The label of an order of the fitted dataset's [Q, S_1..S_m] around one query."""
+        shape = (mo.n_groups, len(mo))
+        if shape != self._shape:
+            raise ValueError(f"an order of (sets, points) {shape} for a fit of {self._shape}")
         return int(self._order(mo))
 
     def predict_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -335,10 +340,10 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
         plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
         ks, ws = (plan.k_q, *plan.k_sources), (plan.w_q, *plan.w_sources)
         views = lambda mo: [mo.group_labels(g) for g in range(mo.n_groups)]
-        return FittedMethod(name, lambda mo: _label(_vote_eta(views(mo), ks, ws)),
+        return FittedMethod(name, ds, lambda mo: _label(_vote_eta(views(mo), ks, ws)),
                             lambda pts: weighted_knn_predict(ds, plan, pts))
     if name == "adaptive":
-        return FittedMethod(name, lambda mo: _adaptive_scan(mo, ds.d)[0],
+        return FittedMethod(name, ds, lambda mo: _adaptive_scan(mo, ds.d)[0],
                             lambda pts: [adaptive_predict(ds, x)[0] for x in pts])
     pooled = name in ("combined", "lepski-combined")
     n = ds.n_q + (ds.n_p if pooled else 0)
@@ -347,13 +352,13 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
     view = neighbors.MergedOrder.pooled_labels if pooled else lambda mo: mo.group_labels(0)
     one_set = functools.cache(lambda: pooled_sample_set(ds)) if pooled else lambda: ds.q_data
     if name.startswith("lepski"):
-        return FittedMethod(name, lambda mo: _lepski_scan(view(mo), ds.d, lepski_width)[0],
+        return FittedMethod(name, ds, lambda mo: _lepski_scan(view(mo), ds.d, lepski_width)[0],
                             lambda pts: [lepski_predict(one_set(), x, width=lepski_width)[0]
                                          for x in pts])
     if k is None:
         k = combined_budget_k(ds.source_sizes, ds.n_q, hp) if pooled else default_knn_k(n, hp)
     k = _check_k(k, n)
-    return FittedMethod(name, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
+    return FittedMethod(name, ds, lambda mo: _label(_vote_eta((view(mo),), (k,), (1.0,))),
                         lambda pts: knn_predict(one_set(), k, pts))
 
 
@@ -419,12 +424,14 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
     root.substream(reps - 1)  # the last replication's stream must exist
+    seed, d = root.seed, hp.d  # the checked ints, which the records keep
     grid = [(pm, DriftModel(pm, gamma, d), n_p)
             for pm in p_max_values for n_p in n_p_values]
     if not grid:
         raise ValueError("empty grid")
-    for n_p in n_p_values:
-        _checked_sizes((n_p,), n_q)
+    for i, (pm, model, n_p) in enumerate(grid):
+        (n_p,), n_q = _checked_sizes((n_p,), n_q)
+        grid[i] = pm, model, n_p
     records: list[ExperimentRecord] = []
     for gi, (p_max, model, n_p) in enumerate(grid):
         grid_rs = root.substream(gi)
@@ -434,9 +441,9 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
             x = model.sample_test_points(1, rs.substream(1))[0]
             truth = model.bayes(x)
             # one order for every method, looked up on the module as in adaptive_predict;
-            # the vote and Lepski views read all of it, so it is sorted once, up front
+            # sorted in one pass here, outside the timed fits, as the views read all of it
             mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
-            mo.labels  # builds the arrays
+            mo.labels  # sorts the whole order
             for name in methods:
                 t0 = time.perf_counter()
                 pred = fit_method(name, ds, hp, lepski_width).predict_order(mo)

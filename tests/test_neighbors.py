@@ -1,8 +1,8 @@
 """Exact neighbor search against a brute-force oracle."""
 
+import dataclasses
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -484,15 +484,18 @@ def assert_orders_match_lexsort(sets, x):
     # The views of the merged order, once with row ids in place of the labels,
     # so that each must reproduce an order, not only a label sequence: set g
     # alone, and the pooled set S_1..S_m, Q.
+    def relabeled(labels):
+        return MergedOrder(mo.distances, mo.group, mo.within_index, labels, mo.n_groups)
+
     for g, s in enumerate(sets):
-        got = replace(mo, labels=mo.within_index).group_labels(g)
+        got = relabeled(mo.within_index).group_labels(g)
         np.testing.assert_array_equal(got, NeighborIndex(s).sorted_order(x)[1])
         np.testing.assert_array_equal(mo.group_labels(g), s.labels[got])
     pooled = pooled_sample_set(TransferDataset(tuple(sets[1:]), sets[0]))
     pooled_ref = np.lexsort((np.arange(len(pooled)), _distances(pooled.points, x)))
     starts = np.cumsum([0] + [len(s) for s in sets[1:]])  # S_1..S_m, then Q
     first = np.roll(starts, 1)  # the pooled row of each set's first row, Q first
-    got = replace(mo, labels=first[mo.group] + mo.within_index).pooled_labels()
+    got = relabeled(first[mo.group] + mo.within_index).pooled_labels()
     np.testing.assert_array_equal(got, pooled_ref)
     np.testing.assert_array_equal(got, NeighborIndex(pooled).sorted_order(x)[1])
     np.testing.assert_array_equal(mo.pooled_labels(), pooled.labels[pooled_ref])
@@ -508,6 +511,84 @@ def test_orders_match_lexsort_on_lattices(sizes, seed, grid, d):
     sets = [make_set(gen.integers(0, grid + 1, size=(n, d)) / grid, gen.integers(0, 2, n))
             for n in sizes]
     assert_orders_match_lexsort(sets, gen.integers(0, grid + 1, size=d) / grid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(sizes=st.lists(st.integers(0, 20), min_size=2, max_size=4),
+       seed=st.integers(0, 2**32 - 1), grid=st.integers(1, 4),
+       reads=st.lists(st.integers(0, 90), max_size=5))
+def test_head_reads_in_any_sequence_keep_the_lexsort_order(sizes, seed, grid, reads):
+    # Any sequence of head(k) reads on a fresh order (k past the end included),
+    # each served by the kept prefix or a fresh sort, and the four arrays read
+    # afterwards follow (distance, group, index within set) on a tie-heavy
+    # 1/grid lattice.
+    gen = np.random.default_rng(seed)
+    sets = [make_set(gen.integers(0, grid + 1, size=(n, 2)) / grid, gen.integers(0, 2, n))
+            for n in sizes]
+    x = gen.integers(0, grid + 1, size=2) / grid
+    dist = np.concatenate([_distances(s.points, x) for s in sets])
+    group = np.concatenate([np.full(len(s), g) for g, s in enumerate(sets)])
+    within = np.concatenate([np.arange(len(s)) for s in sets])
+    labels = np.concatenate([s.labels for s in sets])
+    ref = np.lexsort((within, group, dist))
+    mo = merged_order(sets, x)
+    for k in reads:
+        got_g, got_l = mo.head(k)
+        np.testing.assert_array_equal(got_g, group[ref[:k]])
+        np.testing.assert_array_equal(got_l, labels[ref[:k]])
+    for got, want in ((mo.distances, dist), (mo.group, group), (mo.within_index, within),
+                      (mo.labels, labels)):
+        np.testing.assert_array_equal(got, want[ref])
+
+
+def test_reads_within_the_kept_prefix_sort_nothing_more(monkeypatch):
+    # head(k) sorts the k nearest rows; a shorter head reuses them, a longer
+    # read sorts all rows afresh, and reads after that sort nothing
+    sorted_sizes = []
+    argsort = neighbors._canonical_argsort
+    monkeypatch.setattr(neighbors, "_canonical_argsort",
+                        lambda dist: sorted_sizes.append(len(dist)) or argsort(dist))
+    gen = np.random.default_rng(8)
+    sets = [make_set(gen.random((n, 2)), gen.integers(0, 2, n)) for n in (60, 40)]
+    x = gen.random(2)
+    for k in (1, 25, 99):
+        mo = merged_order(sets, x)
+        sorted_sizes.clear()
+        mo.head(k)
+        assert sorted_sizes == [k]  # continuous data: no tie at the k-th distance
+        mo.head(k // 2)
+        mo.labels
+        mo.head(100)
+        mo.distances
+        assert sorted_sizes == [k, 100]
+        eager = merged_order(sets, x)
+        for name in ("distances", "group", "within_index", "labels"):
+            np.testing.assert_array_equal(getattr(mo, name), getattr(eager, name))
+        assert sorted_sizes == [k, 100, 100]  # the eager order's one sort, no more of mo
+
+
+def test_constructor_keeps_rows_given_in_order():
+    # rows already in (distance, position) order stay as given, ties included:
+    # here a source-first order, which merged_order would put Q first
+    dist = np.array([0.0, 0.5, 0.5, 0.5, 1.0])
+    group = np.array([1, 1, 0, 0, 1])
+    within = np.array([0, 1, 0, 1, 2])
+    labels = np.array([1, 0, 1, 1, 0])
+    mo = MergedOrder(dist, group, within, labels, 2)
+    assert len(mo) == 5 and mo.n_groups == 2
+    assert mo.head(3)[0].tolist() == [1, 1, 0]
+    for got, want in ((mo.distances, dist), (mo.group, group), (mo.within_index, within),
+                      (mo.labels, labels)):
+        np.testing.assert_array_equal(got, want)
+    # rows out of order are sorted by (distance, position)
+    rev = MergedOrder(dist[::-1], group[::-1], within[::-1], labels[::-1], 2)
+    assert rev.group.tolist() == [1, 0, 0, 1, 1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mo.n_groups = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mo.labels = labels
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del mo.n_groups
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -6,6 +6,8 @@ cone of signal radius r, and the mean distance 2r/3 of a uniform draw from a
 planar disc of radius r.
 """
 
+import dataclasses
+import json
 import math
 import os
 import re
@@ -813,6 +815,42 @@ def test_run_accuracy_experiment_validation():
     with pytest.raises(ValueError, match="empty grid"):
         run_accuracy_experiment("fig4a", methods=("qonly",), p_max_values=(),
                                 n_p_values=(0,), n_q=10, reps=1, seed=1)
+
+
+def test_run_accuracy_experiment_records_keep_python_ints(tmp_path):
+    # numpy sizes, dimension and seed are stored as the checked ints, so a
+    # record goes to JSON; the records CSV is byte for byte the same
+    from driftknn.io_cli import write_records_csv
+
+    def run(n_p_values, n_q, seed, d):
+        return run_accuracy_experiment("fig4a", ("qonly", "adaptive"), (0.55,), n_p_values,
+                                       n_q, 2, seed, d=d)
+
+    plain, numpy = run((10,), 10, 1, 2), run(np.array([10]), np.int64(10), np.int64(1),
+                                             np.int64(2))
+    for rec in numpy:
+        for name in ("seed", "d", "n_p", "n_q"):
+            assert type(getattr(rec, name)) is int, name
+        json.dumps(dataclasses.asdict(rec))
+    paths = tmp_path / "plain.csv", tmp_path / "numpy.csv"
+    for path, records in zip(paths, (plain, numpy)):
+        write_records_csv(path, records)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_predict_order_refuses_an_order_of_another_dataset():
+    two = sample_multisource_dataset(DriftModel(0.7), (30, 20), 40, RandomSource(5))
+    one = sample_dataset(DriftModel(0.7), 50, 40, RandomSource(6))
+    smaller = sample_multisource_dataset(DriftModel(0.7), (30, 19), 40, RandomSource(5))
+    for name in METHODS:
+        fm = fit_method(name, two, HyperParams(1.0, (0.3, 0.3), 2))
+        assert fm.predict_order(merged_order([two.q_data, *two.sources], CENTER)) in (0, 1)
+        with pytest.raises(ValueError, match=r"^an order of \(sets, points\) \(2, 90\) "
+                                             r"for a fit of \(3, 90\)$"):
+            fm.predict_order(merged_order([one.q_data, *one.sources], CENTER))
+        with pytest.raises(ValueError, match=r"^an order of \(sets, points\) \(3, 89\) "
+                                             r"for a fit of \(3, 90\)$"):
+            fm.predict_order(merged_order([smaller.q_data, *smaller.sources], CENTER))
 
 
 def test_run_accuracy_experiment_refuses_an_unknown_lepski_width():
