@@ -35,6 +35,10 @@ stable argsort. A batch row's ball, tens of candidates, goes through
 One ``MergedOrder`` serves every method scored on its query: filtered to one
 set it is that set's order, and with each run of equal distances regrouped by
 pooled position it is the order of ``core.pooled_sample_set`` (S_1..S_m, Q).
+
+scipy is imported only by the batch k-NN path, inside ``query_batch``:
+``rate-check`` and ``predict``/``eval`` with weighted, qonly, combined or knn
+load it; ``simulate`` and the scan methods (adaptive, Lepski) never do.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ import functools
 from dataclasses import FrozenInstanceError
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import SampleSet, _check_count
 
@@ -177,6 +180,7 @@ class NeighborIndex:
         m = xs.shape[0]
         if k_eff == 0 or m == 0:
             return np.empty((m, 0)), np.empty((m, 0), dtype=np.int64)
+        from scipy.spatial import cKDTree
         k_probe = min(k_eff + 1, self.n)
         tree = cKDTree(self.points)
         dist, idx = tree.query(xs, k=k_probe, workers=-1)

@@ -450,7 +450,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
                 elapsed = time.perf_counter() - t0
                 records.append(ExperimentRecord(
                     experiment=experiment, method=name, seed=seed, replication=rep,
-                    p_max=p_max, gamma=gamma, d=d, n_p=n_p, n_q=n_q,
+                    p_max=float(p_max), gamma=hp.scalar_gamma(), d=d, n_p=n_p, n_q=n_q,
                     accuracy=float(pred == truth), excess_risk=None, wall_time=elapsed,
                 ))
     return records
@@ -585,6 +585,7 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
     if max(sizes) < 10 * min(sizes):
         raise ValueError("degenerate grid: sizes must span at least a decade")
     reps = core._check_count(reps, "reps", 2)
+    n_mc = core._check_count(n_mc, "n_mc", 2)
     rng.substream(reps - 1)  # the last replication's stream must exist
     model = DriftModel(p_max, hp.scalar_gamma(), hp.d)
     experiment = f"rate-{sweep}"
@@ -604,7 +605,7 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
             rep_risks[gi, rep] = est.value
             records.append(ExperimentRecord(
                 experiment=experiment, method="weighted", seed=rng.seed, replication=rep,
-                p_max=p_max, gamma=hp.scalar_gamma(), d=hp.d, n_p=n_p, n_q=n_q,
+                p_max=float(p_max), gamma=hp.scalar_gamma(), d=hp.d, n_p=n_p, n_q=n_q,
                 accuracy=None, excess_risk=est.value, wall_time=elapsed,
             ))
     means = rep_risks.mean(axis=1)

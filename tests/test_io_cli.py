@@ -1028,6 +1028,47 @@ def test_module_form_exits_like_the_console_script():
     assert "too few draws" in proc.stderr
 
 
+# Runs the commands given as a JSON list of argv lists and prints, as JSON, whether
+# scipy.spatial is loaded after the import and after each command.
+SCIPY_PROBE = """
+import json, sys
+from driftknn.io_cli import run_cli
+seen = ["scipy.spatial" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert run_cli(argv) == 0, argv
+    seen.append("scipy.spatial" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_batch_knn_path_loads_scipy(tmp_path):
+    # the scans and simulate order one query at a time and never build a
+    # k-d tree; a fresh interpreter shows that they do not import scipy
+    train = transfer_csv(tmp_path)
+    test = tmp_path / "test.csv"
+    write_points(test, [[0.11, 0.11], [0.89, 0.89], [0.5, 0.5]])
+    files = ["--train", str(train), "--test", str(test)]
+    weighted = ["predict", "--method", "weighted", "--gamma", "0.3", *files]
+    commands = [
+        ["simulate", "fig5a", "--reps", "2", "--np", "30", "--nq", "25",
+         "--out", str(tmp_path / "sim.csv")],
+        ["predict", "--method", "adaptive", *files, "--out", str(tmp_path / "a.csv")],
+        ["predict", "--method", "lepski", "--pool", *files, "--out", str(tmp_path / "l.csv")],
+        ["eval", "--method", "adaptive", "--pmax", "0.55", "--n-test", "20", "--nmc", "2000",
+         "--train", str(train)],
+        weighted + ["--out", str(tmp_path / "fresh.csv")],
+    ]
+    src = str(Path(driftknn.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    # the import and the first four commands leave it unloaded; weighted loads it
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 5 + [True]
+    assert run_cli(weighted + ["--out", str(tmp_path / "here.csv")]) == 0
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+
 def test_cli_eval(tmp_path, capsys):
     train = transfer_csv(tmp_path)
     out = tmp_path / "eval.csv"

@@ -6,8 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from driftknn import neighbors
 from driftknn.core import RandomSource, SampleSet, TransferDataset, pooled_sample_set
@@ -274,13 +274,17 @@ def test_batch_overflow_warns_no_invalid_value():
         assert nbrs[row].tolist() == idx.query(xs[row], 2)[1].tolist()
 
 
-class ReversedBallTree(cKDTree):
-    """A k-d tree whose query_ball_point returns each ball in reverse order."""
+class ReversedBallTree(scipy.spatial.cKDTree):
+    """A k-d tree whose query_ball_point returns each ball in reverse order
+    and counts the balls it answered in ``ReversedBallTree.balls``."""
+
+    balls = 0
 
     def query_ball_point(self, x, r, **kwargs):
         balls = super().query_ball_point(x, r, **kwargs)
         for row, ball in enumerate(balls):
             balls[row] = ball[::-1]
+        ReversedBallTree.balls += len(balls)
         return balls
 
 
@@ -288,13 +292,16 @@ def test_batch_tied_rows_do_not_depend_on_the_ball_order(monkeypatch):
     # a 1/20 lattice with duplicate points: most rows tie, inside their k
     # nearest or at the cut, and each must come out in np.lexsort's order
     # whatever order the tree lists its ball in
-    monkeypatch.setattr(neighbors, "cKDTree", ReversedBallTree)
+    # query_batch imports the tree class from scipy.spatial when it runs
+    monkeypatch.setattr(scipy.spatial, "cKDTree", ReversedBallTree)
+    monkeypatch.setattr(ReversedBallTree, "balls", 0)
     gen = RandomSource(73).generator()
     base = gen.integers(0, 21, (150, 2)) / 20
     pts = np.vstack([base, base[:60]])
     idx = NeighborIndex(SampleSet(pts, gen.integers(0, 2, len(pts))))
     xs = gen.integers(0, 21, (20, 2)) / 20
     dists, nbrs = idx.query_batch(xs, 14)
+    assert ReversedBallTree.balls > 0
     for row, x in enumerate(xs):
         dist = _distances(pts, x)
         ref = np.lexsort((np.arange(len(pts)), dist))[:14]

@@ -838,6 +838,20 @@ def test_run_accuracy_experiment_records_keep_python_ints(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_records_keep_python_floats():
+    # a numpy p_max, gamma and n_mc are stored as the plain float or checked int
+    runs = run_accuracy_experiment("fig4a", ("qonly",), (np.float32(0.55),), (10,), 10, 1, 1,
+                                   gamma=np.float32(0.3))
+    result = rate_exponent_check(HP_MAIN, (20, 50, 100, 200), 2, RandomSource(1),
+                                 n_mc=np.int64(4000), p_max=np.float32(0.7))
+    assert type(result.n_mc) is int and result.n_mc == 4000
+    for rec in runs + result.records:
+        assert type(rec.p_max) is float and type(rec.gamma) is float
+        json.dumps(dataclasses.asdict(rec))
+    assert runs[0].p_max == float(np.float32(0.55)) and runs[0].gamma == float(np.float32(0.3))
+    assert result.records[0].p_max == float(np.float32(0.7))
+
+
 def test_predict_order_refuses_an_order_of_another_dataset():
     two = sample_multisource_dataset(DriftModel(0.7), (30, 20), 40, RandomSource(5))
     one = sample_dataset(DriftModel(0.7), 50, 40, RandomSource(6))
