@@ -28,6 +28,11 @@ __all__ = [
 # Maximum fan-out of RandomSource.substream at each derivation level.
 SUBSTREAM_CAP = 1 << 20
 
+# The coordinate rule of every sample and query: finite and at most MAX_COORD in
+# magnitude, so that no squared distance overflows below 4e7 dimensions (d * 4e300).
+MAX_COORD = 1e150
+BAD_COORD = f"non-finite coordinate or one beyond {MAX_COORD:g} in magnitude"
+
 
 def _as_points(x) -> np.ndarray:
     """Coerce to a read-only (n, d) float64 array with d >= 1."""
@@ -79,9 +84,9 @@ class SampleSet:
             raise ValueError(
                 f"{pts.shape[0]} points but {labs.shape[0]} labels"
             )
-        if not np.isfinite(pts).all():
-            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-            raise ValueError(f"sample {int(bad[0])}: non-finite coordinate")
+        ok = np.abs(pts) <= MAX_COORD
+        if not ok.all():
+            raise ValueError(f"sample {int(ok.all(axis=1).argmin())}: {BAD_COORD}")
         bad = np.flatnonzero((labs != 0) & (labs != 1))
         if bad.size:
             i = int(bad[0])

@@ -34,7 +34,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import HyperParams, RandomSource, SampleSet, TransferDataset
+from .core import BAD_COORD, MAX_COORD, HyperParams, RandomSource, SampleSet, TransferDataset
 from .classifiers import LEPSKI_WIDTHS, default_knn_k
 from .simulation import (
     _EXPERIMENT_STREAM_IDS,
@@ -162,7 +162,7 @@ def _columns(rows, ncols: int, exact: bool):
 
 def _float_columns(cols, faults) -> np.ndarray:
     """The columns as an (n, len(cols)) float array, zero from a column's first
-    non-numeric field on; the first non-numeric and non-finite rows go to faults."""
+    non-numeric field on; faults get the first non-numeric row and the first out of core's rule."""
     pts = np.zeros((len(cols[0]), len(cols)))
     for j, col in enumerate(cols):
         fields = iter(col)
@@ -172,9 +172,9 @@ def _float_columns(cols, faults) -> np.ndarray:
             i = len(col) - 1 - len(list(fields))
             pts[:i, j] = list(map(float, col[:i]))
             faults.append((i, 1, "non-numeric coordinate"))
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        faults.append((int(finite.argmin()), 2, "non-finite coordinate"))
+    ok = (np.abs(pts) <= MAX_COORD).all(axis=1)
+    if not ok.all():
+        faults.append((int(ok.argmin()), 2, BAD_COORD))
     return pts
 
 

@@ -2,10 +2,10 @@
 
 All queries use the Euclidean norm, summed in coordinate order by one kernel
 (``_squared_distances``), and are exact. Every path that takes a query, here and
-in ``simulation.DriftModel.eta_q``, checks it with ``_check_query`` (d finite
-coordinates). Neighbor order is canonical: ascending distance, ties broken by
-ascending sample index; merged queries also break cross-set ties by set order
-(target first). Ties are exact float equality.
+in ``simulation.DriftModel.eta_q``, checks it with ``_check_query`` (d coordinates
+under ``core``'s rule, so no distance overflows). Neighbor order is canonical:
+ascending distance, ties broken by ascending sample index; merged queries also
+break cross-set ties by set order (target first). Ties are exact float equality.
 
 One primitive per query shape: one query is ordered by ``merged_order``, which
 every single-query classifier reads; many go through the k-d tree of
@@ -19,10 +19,9 @@ arrays. Each sorts only what its reader reads:
 * ``_k_nearest``, shared by ``query`` and ``MergedOrder``, sorts only
   the points at or within the k-th distance;
 * a batch row with no tie keeps the tree's order; one with a tie sorts the
-  tree's ball around its k-th distance; only a row with overflowing
-  distances (no floating-point warning) or a short ball goes through
-  ``query``. The tie tolerance is relative to the row's own k-th distance,
-  and no result depends on the tree's internal ordering.
+  tree's ball around its k-th distance. The tie tolerance is relative to
+  the row's own k-th distance, and no result depends on the tree's
+  internal ordering.
 
 Two sorts give the (distance, index) order. A distance vector of up to n
 entries goes through ``_canonical_argsort``: a default argsort, then one
@@ -48,7 +47,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 
-from .core import SampleSet, _check_count
+from .core import BAD_COORD, MAX_COORD, SampleSet, _check_count
 
 __all__ = [
     "NeighborIndex",
@@ -99,14 +98,14 @@ def _check_k(k, n: int | None = None) -> int:
 
 
 def _check_query(x, d: int) -> np.ndarray:
-    """x as float64, if each point has d finite coordinates; one whole-array test when so."""
+    """x as float64, if each point has d coordinates under core's rule; one array test if so."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (d,):
         raise ValueError(f"query has dimension {x.shape[-1] if x.ndim else 0}, need {d}")
-    if not np.isfinite(x).all():
-        rows = x.reshape(-1, d)
-        bad = rows[np.argmin(np.isfinite(rows).all(axis=1))]
-        raise ValueError(f"query {bad.tolist()} has a non-finite coordinate")
+    ok = np.abs(x) <= MAX_COORD
+    if not ok.all():
+        bad = x.reshape(-1, d)[ok.reshape(-1, d).all(axis=1).argmin()]
+        raise ValueError(f"query {bad.tolist()} has a {BAD_COORD}")
     return x
 
 
@@ -166,11 +165,11 @@ class NeighborIndex:
         * no tie: nothing; its ascending tree distances fix its order;
         * a tie: the tree's ball of radius k-th distance plus the tolerance,
           by exact ``_distances`` and index (a row whose ties all lie inside
-          its k nearest has a ball of exactly those k);
-        * distances that overflow, or a ball of fewer than k points: all n
-          samples, through ``query()``.
+          its k nearest has a ball of exactly those k).
 
-        Re-sorted rows carry exact distances, the others the tree's.
+        Re-sorted rows carry exact distances, the others the tree's. The
+        tolerance, at least 1e-9, dwarfs the tree's rounding within the
+        coordinate rule, so a ball never holds fewer than k points.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
@@ -186,29 +185,19 @@ class NeighborIndex:
         dist, idx = tree.query(xs, k=k_probe, workers=-1)
         dist = np.atleast_2d(dist.reshape(m, k_probe))
         idx = np.atleast_2d(idx.reshape(m, k_probe))
-        # The tree reports an overflowed distance as a missing neighbor, so
-        # gaps are taken only on rows whose k included distances are finite.
         tol = _TIE_RTOL * np.maximum(dist[:, k_eff - 1], 1.0)
-        finite = np.isfinite(tol)
-        tie = np.diff(dist if finite.all() else dist[finite], axis=1) <= tol[finite, None]
-        rows = np.flatnonzero(finite)[tie.any(axis=1)]
+        rows = np.flatnonzero((np.diff(dist, axis=1) <= tol[:, None]).any(axis=1))
         out_d = dist[:, :k_eff].copy()
         out_i = idx[:, :k_eff].astype(np.int64)
-        full = ~finite
         balls = tree.query_ball_point(xs[rows], out_d[rows, -1] + tol[rows],
                                       return_sorted=False)
         for row, ball in zip(rows, balls):
             cand = np.asarray(ball, dtype=np.int64)
-            if len(cand) < k_eff:
-                full[row] = True
-                continue
+            if len(cand) < k_eff:  # not under the coordinate rule; it would broadcast
+                raise RuntimeError(f"k-d ball of row {row} holds {len(cand)} < {k_eff} points")
             exact = _distances(self.points[cand], xs[row])
             pos = np.lexsort((cand, exact))[:k_eff]
             out_d[row], out_i[row] = exact[pos], cand[pos]
-        # an exact distance may overflow where the tree's did not
-        full |= ~np.isfinite(out_d[:, -1])
-        for row in np.flatnonzero(full):
-            out_d[row], out_i[row] = self.query(xs[row], k_eff)
         return out_d, out_i
 
 

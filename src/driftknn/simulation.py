@@ -424,7 +424,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
     exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
     root = RandomSource(seed).substream(exp_stream)
     root.substream(reps - 1)  # the last replication's stream must exist
-    seed, d = root.seed, hp.d  # the checked ints, which the records keep
+    seed, gamma, d = root.seed, hp.scalar_gamma(), hp.d  # checked, as the records keep them
     grid = [(pm, DriftModel(pm, gamma, d), n_p)
             for pm in p_max_values for n_p in n_p_values]
     if not grid:
@@ -450,7 +450,7 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
                 elapsed = time.perf_counter() - t0
                 records.append(ExperimentRecord(
                     experiment=experiment, method=name, seed=seed, replication=rep,
-                    p_max=float(p_max), gamma=hp.scalar_gamma(), d=d, n_p=n_p, n_q=n_q,
+                    p_max=float(p_max), gamma=gamma, d=d, n_p=n_p, n_q=n_q,
                     accuracy=float(pred == truth), excess_risk=None, wall_time=elapsed,
                 ))
     return records

@@ -26,7 +26,14 @@ from driftknn.classifiers import (
     minimax_plan,
     weighted_knn_predict,
 )
-from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
+from driftknn.core import (
+    BAD_COORD,
+    HyperParams,
+    RandomSource,
+    SampleSet,
+    TransferDataset,
+    pooled_sample_set,
+)
 from driftknn.io_cli import (
     CsvFormatError,
     _data_rows,
@@ -84,7 +91,7 @@ def test_sample_set_round_trip_is_bit_exact(tmp_path):
 
 def test_transfer_round_trip(tmp_path):
     p = make_set([[math.pi, 0.1], [2.5, -1e-12]], [1, 0])
-    q = make_set([[0.0, 1e300]], [1])
+    q = make_set([[0.0, -1e150]], [1])  # the largest magnitude the coordinate rule allows
     ds = TransferDataset((p,), q)
     path = tmp_path / "transfer.csv"
     write_labeled_csv(path, ds)
@@ -203,6 +210,21 @@ def test_read_bad_values_cite_line(tmp_path):
     p = write_text(tmp_path / "v3.csv", "x0,y\n0,0\n1,2\n")
     with pytest.raises(CsvFormatError, match="line 3: label must be 0 or 1, got '2'"):
         read_labeled_csv(p)
+
+
+def test_readers_refuse_coordinates_beyond_the_bound(tmp_path):
+    # 2e150 breaks the coordinate rule in both readers, with its line named;
+    # 1e150, the largest allowed magnitude, reads back exactly
+    message = re.escape("line 3: non-finite coordinate or one beyond 1e+150 in magnitude")
+    for big in ("2e150", "-2e150"):
+        p = write_text(tmp_path / "big.csv", f"x0,x1,y,origin\n0,0,0,P\n0.5,{big},1,Q\n")
+        with pytest.raises(CsvFormatError, match=message):
+            read_labeled_csv(p)
+        with pytest.raises(CsvFormatError, match=message):
+            read_points_csv(p)
+    p = write_text(tmp_path / "edge.csv", "x0,x1,y\n1e150,-1e150,1\n")
+    np.testing.assert_array_equal(read_labeled_csv(p).points, [[1e150, -1e150]])
+    np.testing.assert_array_equal(read_points_csv(p), [[1e150, -1e150]])
 
 
 def test_read_origin_tag_errors(tmp_path):
@@ -351,8 +373,8 @@ def _oracle_coords(path, lineno, row, d):
         x = [float(v) for v in row[:d]]
     except ValueError:
         raise CsvFormatError(f"{path}: line {lineno}: non-numeric coordinate")
-    if not all(map(math.isfinite, x)):
-        raise CsvFormatError(f"{path}: line {lineno}: non-finite coordinate")
+    if not all(abs(v) <= 1e150 for v in x):  # NaN fails too
+        raise CsvFormatError(f"{path}: line {lineno}: {BAD_COORD}")
     return x
 
 
@@ -446,6 +468,7 @@ _FAULTS = {
     "abc": lambda row, d, pick: _set(row, pick % d, "abc"),
     "inf": lambda row, d, pick: _set(row, pick % d, ("inf", " -inf")[pick % 2]),
     "nan": lambda row, d, pick: _set(row, pick % d, "nan"),
+    "big": lambda row, d, pick: _set(row, pick % d, ("2e150", " -1e150 ", "1e151", "-1e150")[pick]),
     "label": lambda row, d, pick: _set(row, d, ("2", "1.0")[pick % 2]),
     "tag": lambda row, d, pick: _set(row, d + 1, ("P0", "P01", "P", "P4")[pick % 4])
     if len(row) > d + 1 else row,

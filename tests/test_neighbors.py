@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -207,28 +208,23 @@ def test_batch_tie_tolerance_is_per_row():
     query = idx.query
     idx.query = lambda x, k: calls.append(x) or query(x, k)
     dists, nbrs = idx.query_batch(xs, 14)
-    assert len(calls) <= 1
-    assert all(np.array_equal(c, xs[-1]) for c in calls)
+    assert len(calls) == 0
     for row in (0, 50, 99, 100):
         assert nbrs[row].tolist() == query(xs[row], 14)[1].tolist()
 
 
 def tie_branch(dist_sorted, k):
     """Where a row's exact ties lie: at the cut (k-th against (k+1)-th), only
-    inside its k nearest, nowhere among its k + 1 nearest, or overflow."""
-    if not np.isfinite(dist_sorted[k - 1]):
-        return "overflow"
+    inside its k nearest, or nowhere among its k + 1 nearest."""
     if k < len(dist_sorted) and dist_sorted[k] == dist_sorted[k - 1]:
         return "cut"
     return "inner" if (np.diff(dist_sorted[:k]) == 0).any() else "none"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_batch_rows_are_lexsort_rows_without_a_full_query_on_tie_heavy_lattices():
     # Many rows per batch on lattices with duplicate points: every row equals
-    # np.lexsort's, and only a row whose distances overflow runs query() over
-    # all n samples; a tie inside the k nearest or at the cut is resolved from
-    # the tree's own candidates.
+    # np.lexsort's, and no row runs query() over all n samples; a tie inside
+    # the k nearest or at the cut is resolved from the tree's own candidates.
     gen = RandomSource(71).generator()
     seen = set()
     for grid in (8, 20, 128):
@@ -240,38 +236,45 @@ def test_batch_rows_are_lexsort_rows_without_a_full_query_on_tie_heavy_lattices(
         n = len(pts)
         xs = np.vstack([gen.integers(0, grid + 1, (12, 2)) / grid,
                         0.5 + 0.5 * gen.random((8, 2)),
-                        [[1e308, -1e308], [0.25, 0.5]]])
+                        [[0.25, 0.5]]])
         calls = []
         query = idx.query
         idx.query = lambda x, k: calls.append(x) or query(x, k)
         for k in (1, 5, 14, n - 1, n):
-            calls.clear()
             dists, nbrs = idx.query_batch(xs, k)
-            branches = []
+            assert calls == []
             for row, x in enumerate(xs):
                 dist = _distances(pts, x)
                 ref = np.lexsort((np.arange(n), dist))
-                branches.append(tie_branch(dist[ref], k))
+                seen.add((grid, tie_branch(dist[ref], k)))
                 np.testing.assert_array_equal(nbrs[row], ref[:k])
                 np.testing.assert_allclose(dists[row], dist[ref[:k]], rtol=1e-12)
-            overflow = [row for row, b in enumerate(branches) if b == "overflow"]
-            assert overflow == [len(xs) - 2]
-            assert len(calls) == 1 and np.array_equal(calls[0], xs[overflow[0]])
-            seen |= {(grid, b) for b in branches}
-    assert seen == {(g, b) for g in (8, 20, 128) for b in ("none", "inner", "cut", "overflow")}
+    assert seen == {(g, b) for g in (8, 20, 128) for b in ("none", "inner", "cut")}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_batch_overflow_warns_no_invalid_value():
-    s = make_set([[1e308, 0.0], [-1e308, 0.0], [1e308, 1e308]], [0, 1, 0])
+def test_coordinates_beyond_the_bound_are_refused_and_the_bound_is_exact():
+    # 2e150 breaks the coordinate rule on every path that takes a point;
+    # 1e150, the largest allowed magnitude, gives np.lexsort's order with
+    # finite distances and no floating-point warning
+    s = make_set([[0.0, 0.0], [1.0, 1.0]], [0, 1])
     idx = NeighborIndex(s)
-    xs = np.array([[-1e308, 0.0], [0.0, 0.0]])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dists, nbrs = idx.query_batch(xs, 2)
-    assert not [w for w in caught if "invalid value" in str(w.message)]
-    for row in range(2):
-        assert nbrs[row].tolist() == idx.query(xs[row], 2)[1].tolist()
+    for big in (2e150, -2e150):
+        with pytest.raises(ValueError, match=r"^sample 1: non-finite coordinate or one beyond"):
+            make_set([[0.0, 0.0], [0.5, big]], [0, 1])
+        message = f"query [{big!r}, 0.5] has a non-finite coordinate or one beyond 1e+150 in magnitude"
+        for call in (lambda x: idx.query(x, 1), idx.sorted_order,
+                     lambda x: idx.query_batch([[0.0, 0.0], x], 1),
+                     lambda x: merged_order([s], x), DriftModel(0.55).eta_q):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call([big, 0.5])
+    edge = make_set([[1e150, 0.0], [-1e150, 0.0], [1e150, -1e150], [-1e150, 1e150], [0.0, 1e150],
+                     [1e150, 0.0]], [1, 0, 1, 0, 1, 0])
+    for x in ([-1e150, 0.0], [1e150, 1e150], [0.0, 0.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dist = _distances(edge.points, np.asarray(x))
+            assert np.isfinite(dist).all()
+            assert_orders_match_lexsort([edge, SampleSet.empty(2), edge], x)
 
 
 class ReversedBallTree(scipy.spatial.cKDTree):
@@ -598,7 +601,6 @@ def test_constructor_keeps_rows_given_in_order():
         del mo.n_groups
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_orders_keep_exact_float_ties_only():
     one, next_up = 1.0, np.nextafter(1.0, 2.0)
     # one ulp apart is no tie: the primitive takes no tolerance
@@ -607,18 +609,10 @@ def test_orders_keep_exact_float_ties_only():
     ulp = make_set([[next_up], [one], [next_up], [one]], [1, 0, 1, 0])
     assert len(set(_distances(ulp.points, np.zeros(1)).tolist())) == 2
     assert_orders_match_lexsort([ulp, make_set([[-one], [-next_up]], [0, 1]), ulp], [0.0])
-    # distances that overflow are all inf, so they tie and go by index
+    # equal infinities tie and go by index
     inf = np.inf
     np.testing.assert_array_equal(_canonical_argsort(np.array([inf, 0.0, inf, 1e308, inf])),
                                   [1, 3, 0, 2, 4])
-    big = make_set([[1e308, 0.0], [-1e308, 0.0], [1e308, -1e308], [-1e308, 1e150], [1e308, 1.0]],
-                   [1, 0, 1, 0, 1])
-    x = [-1e308, 0.0]
-    assert np.isinf(_distances(big.points, np.asarray(x))).sum() == 3
-    assert_orders_match_lexsort([big, SampleSet.empty(2), big], x)
-    # every distance overflows: the k-d tree reports no neighbor at all
-    far = make_set([[1e308, 0.0], [1e308, 1.0], [1e308, -1.0]], [0, 1, 0])
-    assert_orders_match_lexsort([far, big], x)
 
 
 def test_merged_order_arrays_are_read_only():

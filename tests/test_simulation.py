@@ -873,6 +873,16 @@ def test_run_accuracy_experiment_refuses_an_unknown_lepski_width():
                                 n_p_values=(0,), n_q=10, reps=1, seed=1, lepski_width="bogus")
 
 
+def test_run_accuracy_experiment_takes_a_one_entry_gamma_as_its_scalar():
+    # HyperParams accepts (0.3,); the models used to be built from the tuple
+    kwargs = dict(methods=("qonly", "weighted"), p_max_values=(0.55,), n_p_values=(10,),
+                  n_q=10, reps=2, seed=1)
+    one = run_accuracy_experiment("fig4a", **kwargs, gamma=(0.3,))
+    assert {r.gamma for r in one} == {0.3}
+    strip = lambda records: [dataclasses.replace(r, wall_time=0.0) for r in records]
+    assert strip(one) == strip(run_accuracy_experiment("fig4a", **kwargs, gamma=0.3))
+
+
 def test_both_engines_refuse_reps_beyond_the_substream_cap_before_sampling(monkeypatch):
     from driftknn import core, simulation
 
@@ -896,6 +906,8 @@ def test_both_engines_refuse_reps_beyond_the_substream_cap_before_sampling(monke
     # a size of 10.5 used to run 10-row sources but record n_p = 10.5
     (dict(n_p_values=(30, 10.5)), r"source 1 size must be an integer, got 10.5"),
     (dict(n_q=20.0), r"n_q must be an integer, got 20.0"),
+    # a two-entry gamma used to reach DriftModel and raise a TypeError
+    (dict(gamma=(0.3, 0.4)), r"expected a scalar gamma, got a vector"),
 ])
 def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
         monkeypatch, bad, message):
