@@ -203,10 +203,10 @@ class AdaptiveTrace:
     is the step whose intermediate classifier produced ``label`` (the stop
     step, else the first argmax of the statistic). ``k_q``/``eta_q`` are
     row 0 and ``k_p``/``eta_p`` row 1, the source of a two-sample dataset.
-    The trace keeps the merged ``order``; the five arrays are computed over
-    all n steps when first read, as ``LepskiTrace``'s bounds are. When the
-    scan stopped in its first block, that read sorts the whole order, of
-    which the scan sorted only the head (see ``MergedOrder``).
+    The trace keeps the merged ``order``; the five arrays come from one block over
+    all n steps when first read, as ``LepskiTrace``'s bounds do: ``k_counts`` (int64)
+    and ``etas`` (1/2 filled in) from its float counts and sums. When the scan stopped
+    in its first block, that read sorts the whole order (see ``MergedOrder``).
     """
 
     order: neighbors.MergedOrder
@@ -217,8 +217,8 @@ class AdaptiveTrace:
 
     @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        k_counts, _, etas, snr_pos, snr_neg, snr = _scan_block(self.order, 0, len(self.order))
-        return k_counts, etas, snr_pos, snr_neg, snr
+        k, sums, snr_pos, snr_neg, snr = _scan_block(self.order, 0, len(self.order))
+        return k.astype(np.int64), _etas(k, sums), snr_pos, snr_neg, snr
 
     k_counts = property(lambda self: self._arrays[0])
     etas = property(lambda self: self._arrays[1])
@@ -252,29 +252,35 @@ def adaptive_predict(ds: TransferDataset, x) -> tuple[int, AdaptiveTrace]:
     return _adaptive_scan(neighbors.merged_order([ds.q_data, *ds.sources], x), ds.d)
 
 
-def _scan_block(mo: neighbors.MergedOrder, lo: int, hi: int, carry=(0, 0)) -> tuple:
-    """(k_counts, sums, etas, snr_pos, snr_neg, snr) on steps lo..hi-1 (0-based).
+def _scan_block(mo: neighbors.MergedOrder, lo: int, hi: int, carry=0) -> tuple:
+    """(k, sums, snr_pos, snr_neg, snr) on steps lo..hi-1 (0-based): float64 counts, label sums.
 
-    ``carry`` is the group counts and label sums, as (m+1, 1) columns, of
-    the steps before lo. Row g of the (m+1, hi-lo) arrays is group g; the
-    sums over axis 0 add the groups in order, Q first. Counts and sums are
-    exact integers, so a block holds the full scan's values bit for bit.
-    The block reads the order through ``mo.head(hi)``, so a first block
-    sorts only the hi nearest points of a fresh order.
+    ``carry`` is the group counts and label sums of the steps before lo, as one (2, m+1, 1)
+    array. Row g of the (m+1, hi-lo) arrays is group g; the sums over axis 0 add the
+    groups in order, Q first. One allocation holds four float64 (m+1, hi-lo) buffers,
+    filled in place: counts and sums (exact below 2^53, so bit for bit the full scan's),
+    s = eta - 1/2 with no 1/2 fill (an empty group's term is +0.0) and the terms k s^2.
+    A first block reads ``mo.head(hi)``, so it sorts only the hi nearest points.
     """
     group, labels = mo.head(hi)
     member = group[lo:] == np.arange(mo.n_groups)[:, None]
-    k_counts = np.cumsum(member, axis=1) + carry[0]
-    sums = np.cumsum(member * labels[lo:], axis=1) + carry[1]
-    etas = sums / np.maximum(k_counts, 1)
-    etas[k_counts == 0] = 0.5
-    s = etas - 0.5
-    terms = k_counts * s
+    k, sums, s, terms = buf = np.empty((4, *member.shape))
+    np.cumsum(member, axis=1, dtype=np.float64, out=k)
+    np.cumsum(np.logical_and(member, labels[lo:], out=member), axis=1, dtype=np.float64, out=sums)
+    buf[:2] += carry
+    np.divide(sums, np.maximum(k, 1.0, out=s), out=s)
+    s -= 0.5
+    np.multiply(k, s, out=terms)
     terms *= s
-    pos = terms * (etas >= 0.5)
-    snr_pos = pos.sum(axis=0)
-    snr_neg = (terms - pos).sum(axis=0)
-    return k_counts, sums, etas, snr_pos, snr_neg, np.maximum(snr_pos, snr_neg)
+    np.multiply(terms, np.greater_equal(s, 0.0, out=member), out=s)  # the eta >= 1/2 side
+    terms -= s
+    snr_pos, snr_neg = s.sum(axis=0), terms.sum(axis=0)
+    return k, sums, snr_pos, snr_neg, np.maximum(snr_pos, snr_neg)
+
+
+def _etas(k: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The label means sums / k, 1/2 where a group holds no point."""
+    return np.where(k > 0, sums / np.maximum(k, 1.0), 0.5)
 
 
 def _adaptive_scan(mo: neighbors.MergedOrder, d: int) -> tuple[int, AdaptiveTrace]:
@@ -290,20 +296,22 @@ def _adaptive_scan(mo: neighbors.MergedOrder, d: int) -> tuple[int, AdaptiveTrac
     threshold = (d + 3) * math.log(n)
     # numpy adds a one-step block's groups pairwise, not in order: no cut then.
     cuts = (0, n // 4, n) if n >= 8 else (0, n)
-    carry, peak = (0, 0), -1.0
+    carry, peak = 0, -1.0
     for lo, hi in zip(cuts, cuts[1:]):
         block = _scan_block(mo, lo, hi, carry)
-        snr = block[5]
+        snr = block[4]
         exceed = snr > threshold
         stops = bool(exceed.any())
         i = int(np.argmax(exceed if stops else snr))
         if stops or snr[i] > peak:  # a later block takes the argmax only if strictly higher
-            peak, chosen, col = snr[i], lo + i, [a[..., i] for a in block]
+            peak, chosen, col = snr[i], lo + i, [a[..., i].copy() for a in block]
         if stops:
             break
-        carry = (block[0][:, -1:], block[1][:, -1:])
-    k, _, eta, snr_pos, snr_neg, _ = col  # the chosen step's column
+        carry = np.stack([a[:, -1:] for a in block[:2]])
+        del block, snr, exceed  # copies kept: the first block is freed before the second
+    k, sums, snr_pos, snr_neg, _ = col  # the chosen step's column
     if mo.n_groups == 2:
+        eta = _etas(k, sums)
         label = int(math.sqrt(k[1]) * (eta[1] - 0.5) + math.sqrt(k[0]) * (eta[0] - 0.5) >= 0)
     else:
         label = int(snr_pos >= snr_neg)

@@ -177,6 +177,8 @@ def sample_test_points(x_c: Sequence[float], radius: float, n: int, rng: RandomS
     if center.ndim != 1 or not np.isfinite(center).all():
         raise ValueError(f"x_c must be a finite vector, got {center.tolist()}")
     _check_radius(radius)
+    if (np.abs(center) > core.MAX_COORD - radius).any():  # |x_c_j| + radius > MAX_COORD
+        raise ValueError(f"ball of radius {radius} at {center.tolist()}: {core.BAD_COORD}")
     n = core._check_count(n, "n", 1)
     d = center.shape[0]
     gen = rng.generator()

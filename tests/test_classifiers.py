@@ -7,6 +7,7 @@ before being pasted here.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from driftknn.classifiers import (
     weighted_knn_eta,
     weighted_knn_predict,
 )
+from driftknn.simulation import DriftModel, sample_dataset
 
 HP_MAIN = HyperParams(beta=1.0, gamma=0.3, d=2)
 
@@ -581,6 +583,59 @@ def test_adaptive_scan_matches_full_length_reference():
                 n = len(tr.steps)
                 seen.add("none" if stop is None else "first" if stop <= n // 4 else "second")
     assert seen == {"first", "second", "none"}
+
+
+def test_adaptive_scan_with_empty_groups_matches_the_reference_bit_for_bit():
+    # The scan forms no eta, so a group that holds none of the k nearest points
+    # (never, or not yet) has s = eta - 1/2 = -1/2 where the trace fills in eta = 1/2;
+    # its term must still be +0.0 and leave every bit as the reference's. At m = 2
+    # source 1 is empty and source 2 lies wholly beyond the target, so beyond the
+    # n // 4-th distance; at m = 1 the one source does. The scans stop in the first
+    # block, stop in the second, or never stop.
+    gen = RandomSource(65).generator()
+    x = np.zeros(2)
+    seen = set()
+    for n_q, n_far, p_q in ((300, 500, 1.0), (500, 300, 0.8), (300, 500, 0.5)):
+        for m in (1, 2):
+            q = make_set(gen.integers(0, 9, (n_q, 2)) / 32, (gen.random(n_q) < p_q).astype(int))
+            far = make_set(0.75 + gen.integers(0, 9, (n_far, 2)) / 32, gen.integers(0, 2, n_far))
+            ds = TransferDataset((far,) if m == 1 else (SampleSet.empty(2), far), q)
+            label, tr = adaptive_predict(ds, x)
+            want_label, stop, chosen, arrays = reference_adaptive(ds, x)
+            assert (label, tr.label, tr.stop_step, tr.chosen_step) == (
+                want_label, want_label, stop, chosen)
+            np.testing.assert_array_equal(tr.steps, np.arange(1, n_q + n_far + 1))
+            got = [tr.k_counts, tr.etas, tr.snr_pos, tr.snr_neg, tr.snr]
+            for g, w in zip(got, arrays):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
+            assert tr.k_counts.dtype == np.int64 and not tr.k_counts[-1, : n_q].any()
+            n = n_q + n_far
+            seen.add("none" if stop is None else "first" if stop <= n // 4 else "second")
+    assert seen == {"first", "second", "none"}
+
+
+def test_never_stopping_scan_stays_within_its_buffers():
+    # Each block allocates its four (m+1, steps) float64 buffers at once, and the
+    # scan frees the first block before the second runs: a never-stopping scan at
+    # n = 7000, m = 1, over an order already sorted, peaks under eight (2, 5250)
+    # float64 arrays of traced memory (about 465 KiB; ten separate temporaries per
+    # block reach about 800 KiB).
+    ds = sample_dataset(DriftModel(0.55), 2000, 5000, RandomSource(66))
+    mo = neighbors.merged_order([ds.q_data, *ds.sources], np.array([0.5, 0.5]))
+    mo.group, mo.labels  # sort the whole order before measuring
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, tr = _adaptive_scan(mo, ds.d)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert tr.stop_step is None and len(tr.order) == 7000
+    assert peak <= 8 * (2 * 5250 * 8)
 
 
 def test_adaptive_scan_stops_computing_at_its_stop(monkeypatch):

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,10 @@ from driftknn.classifiers import (
     minimax_plan,
     weighted_knn_predict,
 )
-from driftknn.core import HyperParams, RandomSource, SampleSet, TransferDataset, pooled_sample_set
+from driftknn.core import (
+    BAD_COORD, MAX_COORD, HyperParams, RandomSource, SampleSet, TransferDataset,
+    pooled_sample_set,
+)
 from driftknn.neighbors import merged_order
 from driftknn.simulation import (
     _EXPERIMENT_STREAM_IDS,
@@ -294,6 +298,25 @@ def test_sample_test_points_refuses_a_non_finite_centre():
     for centre in ([0.5, math.inf], [-math.inf, 0.5]):
         with pytest.raises(ValueError, match=r"^x_c must be a finite vector"):
             sample_test_points(centre, 0.1, 3, RandomSource(1))
+
+
+def test_sample_test_points_refuses_a_ball_beyond_the_coordinate_rule():
+    # A ball with |x_c_j| + radius > core.MAX_COORD is refused with core's message
+    # before any draw: at [1e200, 0.5] it returned points that every query path then
+    # refused, and a radius of 1e300 overflowed the rejection test's squared distances.
+    class NoDraws:
+        def generator(self):
+            raise AssertionError("drew before checking the ball")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for centre, radius in (([1e200, 0.5], 0.05), ([1e300, 0.5], 1e300),
+                               ([0.5, 0.5], 1e151), ([0.5, -MAX_COORD], 1e140)):
+            with pytest.raises(ValueError, match=f"^ball of radius .*: {re.escape(BAD_COORD)}$"):
+                sample_test_points(centre, radius, 3, NoDraws())
+        # a ball just inside the rule is drawn, and every point keeps to it
+        pts = sample_test_points([0.999 * MAX_COORD, 0.5], 1e146, 50, RandomSource(1))
+        assert (np.abs(pts) <= MAX_COORD).all() and len(SampleSet(pts, np.zeros(50))) == 50
 
 
 # ---------------------------------------------------------------- scoring
