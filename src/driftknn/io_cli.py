@@ -6,6 +6,11 @@ optional ``Q``) an m-source one, both read as a ``TransferDataset``, and no
 origin column a plain sample set. Floats are printed with 17 significant
 digits so a write/read cycle reproduces every double bit-exactly.
 
+Both readers first parse a file in one C pass of ``np.loadtxt``; where that pass
+cannot be sure of the same answer (a quote, a row or value it refuses, ...), the exact
+reader, built on the csv module, reads the file and names the line of its first fault.
+Text is UTF-8, with one leading byte-order mark dropped.
+
 Every CSV the package writes goes through one writer, ``_write_csv``; the
 result tables take their columns from the fields of their record types.
 
@@ -23,6 +28,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import re
 import sys
@@ -100,6 +106,16 @@ def _parse_header(header: list[str], path: str) -> tuple[int, bool]:
     if not feats or feats != _feature_header(len(feats)):
         raise CsvFormatError(f"{path}: line 1: feature columns must be x0..x{{d-1}}, got {feats}")
     return len(feats), has_origin
+
+
+def _points_header(header: list[str], path: str) -> int:
+    """Validate a query file's header row; returns d, its count of leading x0..x{d-1}."""
+    cols = [c.strip() for c in header]
+    d = next((i for i, c in enumerate(cols) if c != f"x{i}"), len(cols))
+    if d == 0:
+        raise CsvFormatError(
+            f"{path}: line 1: expected feature columns x0..x{{d-1}}, got {cols}")
+    return d
 
 
 def write_labeled_csv(path, data) -> None:
@@ -205,6 +221,60 @@ def _tag_code(tag: str) -> int:
     return -1 if not _ORIGIN_TAG.fullmatch(tag) else 0 if tag == "Q" else int(tag[1:] or 1)
 
 
+def _c_rows(path: str, labeled: bool):
+    """A data file in one C pass of np.loadtxt: a labeled file's (points, labels, origin
+    codes, stripped tags; the last two None without origin) or a query file's points. None
+    leaves the file to the exact reader: on a quote or a NUL (csv's own), \\x1c-\\x1f (which
+    loadtxt strips around a number and float() does not), a line over csv's field limit, no
+    data row (loadtxt warns), text that is not UTF-8, or a header, row or value that either
+    reader refuses or that may have been cut to its field's width."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        head, body = re.fullmatch(rb"([^\r\n]*)(.*)", raw, re.S).groups()
+        if (any(c in raw for c in b'"\0\x1c\x1d\x1e\x1f') or not body.strip(b"\r\n")
+                or not _lines_within(raw, csv.field_size_limit())):
+            return None
+        header = head.decode("utf-8-sig").split(",")
+        d, has_origin = _parse_header(header, path) if labeled else (
+            _points_header(header, path), False)
+        fields = [("x", "f8", (d,))] + [("y", "S2")] * labeled + [("tag", "S20")] * has_origin
+        rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline=None),
+                          fields, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                          usecols=None if labeled else range(d))
+    except (OSError, ValueError):  # CsvFormatError and UnicodeDecodeError among them
+        return None
+    pts = np.ascontiguousarray(rows["x"])
+    if not (np.abs(pts) <= MAX_COORD).all():
+        return None
+    if not labeled:
+        return pts
+    labs = (rows["y"] == b"1").astype(np.int64)
+    if labs.sum() + (rows["y"] == b"0").sum() != len(labs):
+        return None
+    if not has_origin:
+        return pts, labs, None, None
+    col = rows["tag"]  # a code per run of equal tags, which loadtxt holds as latin-1 bytes
+    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    tags = {v: v.decode("latin-1").strip() for v in set(col[starts].tolist())}
+    of = {v: _tag_code(tag) if len(v) < 20 else -1 for v, tag in tags.items()}
+    if min(of.values()) < 0:
+        return None
+    codes = np.repeat([of[v] for v in col[starts].tolist()], np.diff(starts, append=len(col)))
+    return pts, labs, codes, set(tags.values())
+
+
+def _lines_within(raw: bytes, limit: int) -> bool:
+    """Whether no line of raw is longer than limit bytes. Such a line holds one of the
+    offsets limit // 2 apart, so only the lines through those are measured."""
+    for c in range(0, len(raw), max(limit // 2, 1)):
+        start = max(raw.rfind(b"\n", 0, c), raw.rfind(b"\r", 0, c))
+        end = min(i if i >= 0 else len(raw) for i in (raw.find(b"\n", c), raw.find(b"\r", c)))
+        if end - start - 1 > limit:
+            return False
+    return True
+
+
 def read_labeled_csv(path):
     """Read a labeled-data CSV; the origin column decides the return type.
 
@@ -216,19 +286,24 @@ def read_labeled_csv(path):
     checks keep the order field count, coordinates, label, origin tag.
     """
     path = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, rows = _data_rows(fh, path)
-        d, has_origin = _parse_header(header, path)
-        cols, lines, faults = _columns(rows, d + 1 + has_origin, exact=True)
-    pts = _float_columns(cols[:d], faults)
-    labs = _code_column(cols[d], lambda y: {"0": 0, "1": 1}.get(y, -1), 3,
-                        "label must be 0 or 1, got {!r}", faults)
-    if has_origin:
-        tag_of = _code_column(cols[d + 1], _tag_code, 4, "unknown origin tag {!r}", faults)
-    _raise_first(path, lines, faults)
-    if not has_origin:
+    fast = _c_rows(path, labeled=True)
+    if fast is not None:
+        pts, labs, tag_of, tags = fast
+    else:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header, rows = _data_rows(fh, path)
+            d, has_origin = _parse_header(header, path)
+            cols, lines, faults = _columns(rows, d + 1 + has_origin, exact=True)
+        pts = _float_columns(cols[:d], faults)
+        labs = _code_column(cols[d], lambda y: {"0": 0, "1": 1}.get(y, -1), 3,
+                            "label must be 0 or 1, got {!r}", faults)
+        tag_of = tags = None
+        if has_origin:
+            tag_of = _code_column(cols[d + 1], _tag_code, 4, "unknown origin tag {!r}", faults)
+            tags = {v.strip() for v in set(cols[d + 1])}
+        _raise_first(path, lines, faults)
+    if tag_of is None:
         return SampleSet(pts, labs)
-    tags = {v.strip() for v in set(cols[d + 1])}
     rows_tagged = lambda code: SampleSet(pts[tag_of == code], labs[tag_of == code])
     numbered = tags - {"P", "Q"}
     if not numbered:
@@ -245,13 +320,12 @@ def read_labeled_csv(path):
 def read_points_csv(path) -> np.ndarray:
     """Read query points: header x0..x{d-1} with optional extra columns ignored."""
     path = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    fast = _c_rows(path, labeled=False)
+    if fast is not None:
+        return fast
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, rows = _data_rows(fh, path)
-        cols = [c.strip() for c in header]
-        d = next((i for i, c in enumerate(cols) if c != f"x{i}"), len(cols))
-        if d == 0:
-            raise CsvFormatError(f"{path}: line 1: expected feature columns x0..x{{d-1}}")
-        cols, lines, faults = _columns(rows, d, exact=False)
+        cols, lines, faults = _columns(rows, _points_header(header, path), exact=False)
     pts = _float_columns(cols, faults)
     _raise_first(path, lines, faults)
     if not len(pts):

@@ -324,12 +324,12 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
     """Fit a named method to a dataset with any number of sources: the one place a method is
     built, after the one check of every fit's settings (name, hp.d, the length of hp.gamma,
     Lepski width, then k). weighted is the vote over [Q, S_1..S_m] with the minimax_plan,
-    adaptive the adaptive scan over them, a batch scanning each row's own order. The one-set
-    methods read Q, or the pooled S_1..S_m, Q (its SampleSet built on the first batch), and
-    raise ValueError when that set is empty: qonly and combined are the plain k-NN majority
-    vote, k in [1, n] if given (refused on other methods), else default_knn_k on Q and
-    combined_budget_k pooled; lepski-q and lepski-combined the Lepski interval scan, a batch
-    scanning row by row."""
+    adaptive the adaptive scan over them, a batch scanning each row's own order, refused with
+    ValueError when every set is empty. The one-set methods read Q, or the pooled S_1..S_m,
+    Q (its SampleSet built on the first batch), and raise ValueError when that set is empty:
+    qonly and combined are the plain k-NN majority vote, k in [1, n] if given (refused on
+    other methods), else default_knn_k on Q and combined_budget_k pooled; lepski-q and
+    lepski-combined the Lepski interval scan, a batch scanning row by row."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; options: {sorted(METHODS)}")
     if hp.d != ds.d:
@@ -344,13 +344,13 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
         views = lambda mo: [mo.group_labels(g) for g in range(mo.n_groups)]
         return FittedMethod(name, ds, lambda mo: _label(_vote_eta(views(mo), ks, ws)),
                             lambda pts: weighted_knn_predict(ds, plan, pts))
+    pooled = name in ("combined", "lepski-combined")
+    n = ds.n_q + (ds.n_p if pooled or name == "adaptive" else 0)
+    if n == 0:
+        raise ValueError(f"method {name!r} has no samples to fit on")
     if name == "adaptive":
         return FittedMethod(name, ds, lambda mo: _adaptive_scan(mo, ds.d)[0],
                             lambda pts: [adaptive_predict(ds, x)[0] for x in pts])
-    pooled = name in ("combined", "lepski-combined")
-    n = ds.n_q + (ds.n_p if pooled else 0)
-    if n == 0:
-        raise ValueError(f"method {name!r} has no samples to fit on")
     view = neighbors.MergedOrder.pooled_labels if pooled else lambda mo: mo.group_labels(0)
     one_set = functools.cache(lambda: pooled_sample_set(ds)) if pooled else lambda: ds.q_data
     if name.startswith("lepski"):

@@ -237,6 +237,10 @@ def test_read_origin_tag_errors(tmp_path):
     p = write_text(tmp_path / "o3.csv", "x0,y,origin\n0,0,P1\n1,1,P3\n")
     with pytest.raises(CsvFormatError, match="contiguous P1..Pm"):
         read_labeled_csv(p)
+    # a tag is not cut to a field width: Q, 20 spaces, R is unknown
+    p = write_text(tmp_path / "o4.csv", f"x0,y,origin\n0,0,Q{' ' * 20}R\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"unknown origin tag 'Q{' ' * 20}R'")):
+        read_labeled_csv(p)
 
 
 @pytest.mark.parametrize("tag", [
@@ -323,7 +327,8 @@ def test_read_points_ignores_extra_columns(tmp_path):
 def test_read_points_errors(tmp_path):
     with pytest.raises(CsvFormatError, match="line 1: empty"):
         read_points_csv(write_text(tmp_path / "e.csv", ""))
-    with pytest.raises(CsvFormatError, match="expected feature columns"):
+    with pytest.raises(CsvFormatError, match=re.escape(
+            "line 1: expected feature columns x0..x{d-1}, got ['lat', 'lon']")):
         read_points_csv(write_text(tmp_path / "h.csv", "lat,lon\n0,1\n"))
     with pytest.raises(CsvFormatError, match="no data rows"):
         read_points_csv(write_text(tmp_path / "n.csv", "x0\n"))
@@ -358,6 +363,63 @@ def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, read, rows):
     path.write_bytes(b"x0,y\n" + b"0.5,1\n" * rows + b"0.25,0\xe9\n")
     with pytest.raises(CsvFormatError, match=re.escape(f"{path}: not UTF-8 text (")):
         read(path)
+
+
+@pytest.mark.parametrize("tag", ["Q", '"Q"'], ids=["c-pass", "exact"])
+def test_readers_accept_a_utf8_byte_order_mark(tmp_path, tag):
+    # spreadsheet "CSV UTF-8" exports start with one; only that leading mark is dropped
+    path = tmp_path / "bom.csv"
+    path.write_bytes(f"\ufeffx0,x1,y,origin\r\n0.25,0.5,1,P\r\n0.75,0.5,0,{tag}\r\n".encode())
+    data = read_labeled_csv(path)
+    np.testing.assert_array_equal(data.sources[0].points, [[0.25, 0.5]])
+    np.testing.assert_array_equal(data.q_data.points, [[0.75, 0.5]])
+    np.testing.assert_array_equal(read_points_csv(path), [[0.25, 0.5], [0.75, 0.5]])
+    path.write_bytes("\ufeff\ufeffx0,y\n0.5,1\n".encode())
+    with pytest.raises(CsvFormatError, match=re.escape("x0..x{d-1}, got ['\\ufeffx0']")):
+        read_labeled_csv(path)
+    with pytest.raises(CsvFormatError, match=re.escape("x0..x{d-1}, got ['\\ufeffx0', 'y']")):
+        read_points_csv(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["x0,x1,y,origin\n", "x0,x1,y,origin\r\n\r\n\n\r",
+                                  "x0,x1,y,origin"])
+def test_a_header_only_file_reads_without_a_warning(tmp_path, text):
+    path = tmp_path / "header.csv"
+    path.write_bytes(text.encode())
+    data = read_labeled_csv(path)
+    assert (data.m, data.n_p, data.n_q, data.d) == (1, 0, 0, 2)
+    with pytest.raises(CsvFormatError, match="header.csv: no data rows"):
+        read_points_csv(path)
+
+
+def test_plain_files_take_the_c_pass_and_quoted_ones_the_exact_reader(tmp_path, monkeypatch):
+    # a file that write_labeled_csv wrote (\r\n line ends) and one of 1/128-lattice
+    # reprs never reach the csv-module reader; a quote anywhere sends a file there
+    calls = []
+    monkeypatch.setattr(io_cli, "_data_rows",
+                        lambda fh, path: calls.append(path) or _data_rows(fh, path))
+    gen = np.random.default_rng(3)
+    written = tmp_path / "written.csv"
+    write_labeled_csv(written, sample_multisource_dataset(DriftModel(0.8), (300, 200), 500,
+                                                          RandomSource(2)))
+    assert written.read_bytes().count(b"\r\n") == 1001
+    lattice = tmp_path / "lattice.csv"
+    with open(lattice, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x0", "x1", "y", "origin"])
+        w.writerows([repr(a), repr(b), int(gen.integers(2)), "PQ"[i % 3 == 0]]
+                    for i, (a, b) in enumerate((gen.integers(0, 129, (700, 2)) / 128).tolist()))
+    for path in (written, lattice):
+        for read, oracle in ((read_labeled_csv, oracle_read_labeled_csv),
+                             (read_points_csv, oracle_read_points_csv)):
+            assert read_outcome(read, path) == read_outcome(oracle, path)
+        assert calls == []
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(re.sub(rb",([PQ][0-9]*)\r", rb',"\1"\r', path.read_bytes()))
+        assert read_outcome(read_labeled_csv, quoted) == read_outcome(read_labeled_csv, path)
+        assert calls == [str(quoted)]
+        calls.clear()
 
 
 # ---------------------------------------------------------------- readers vs oracle
@@ -472,6 +534,11 @@ _FAULTS = {
     "label": lambda row, d, pick: _set(row, d, ("2", "1.0")[pick % 2]),
     "tag": lambda row, d, pick: _set(row, d + 1, ("P0", "P01", "P", "P4")[pick % 4])
     if len(row) > d + 1 else row,
+    # float() reads these, np.loadtxt refuses them
+    "underscore": lambda row, d, pick: _set(row, pick % d, ("1_0", "0_5", "1e1_0", "\u0661")[pick]),
+    # a quoted field or a NUL byte sends the whole file to the csv-module reader
+    "quote": lambda row, d, pick: _wrap(row, pick % (d + 2), '"{}"'),
+    "nul": lambda row, d, pick: _wrap(row, pick % (d + 2), "{}\0"),
 }
 
 
@@ -479,36 +546,83 @@ def _set(row, j, value):
     return row[:j] + [value] + row[j + 1:]
 
 
+def _wrap(row, j, fmt):
+    """row with its field j, if it has one, replaced by fmt.format(field)."""
+    return _set(row, j, fmt.format(row[j])) if j < len(row) else row
+
+
 @st.composite
 def faulty_csv_text(draw):
-    """A labeled CSV with blank lines, padded fields and injected faults."""
+    """A labeled CSV with \\n, \\r\\n and \\r line ends, blank and whitespace-only lines,
+    padded fields and injected faults."""
     d = draw(st.integers(1, 3))
     origin = draw(st.sampled_from([None, "PQ", "numbered"]))
-    tags = {None: [], "PQ": ["P", "Q", " Q ", "P "], "numbered": ["P1", "P2", "Q", " P2 "]}[origin]
+    tags = {None: [], "PQ": ["P", "Q", " Q ", "P ", "\tQ"],
+            "numbered": ["P1", "P2", "Q", " P2 ", "P1\t"]}[origin]
+    # padded labels send a file to the csv-module reader, so half the files have none
+    labels = draw(st.sampled_from([["0", "1"], ["0", "1", " 1 ", "\t0"]]))
     rows = []
     for _ in range(draw(st.integers(0, 12))):
-        row = [draw(_COORD) for _ in range(d)] + [draw(st.sampled_from(["0", "1", " 1 "]))]
+        row = [draw(_COORD) for _ in range(d)] + [draw(st.sampled_from(labels))]
         rows.append(row + ([draw(st.sampled_from(tags))] if origin else []))
-    for fault in _FAULTS.values():
-        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2, 3])) if rows else 0):
-            i = draw(st.integers(0, len(rows) - 1))
-            rows[i] = fault(rows[i], d, draw(st.integers(0, 3)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3, 5])) if rows else 0):
+        fault = _FAULTS[draw(st.sampled_from(sorted(_FAULTS)))]
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = fault(rows[i], d, draw(st.integers(0, 3)))
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", " "])))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "", "", "", " ", "\t", " \t "])))
     header = [f"x{j}" for j in range(d)] + ["y"] + (["origin"] if origin else [])
-    return "\n".join([",".join(header)] + lines) + "\n"
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                   for line in [",".join(header)] + lines)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=400)
 @given(text=faulty_csv_text())
 def test_column_readers_match_the_per_row_oracle(tmp_path_factory, text):
     # the same arrays bit for bit, or the same error message: the earliest
     # faulty row, and within it field count, coordinates, label, tag
     path = tmp_path_factory.mktemp("oracle") / "data.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     assert read_outcome(read_labeled_csv, path) == read_outcome(oracle_read_labeled_csv, path)
     assert read_outcome(read_points_csv, path) == read_outcome(oracle_read_points_csv, path)
+
+
+# Characters that str.isspace counts as whitespace and that end no csv row; float()
+# strips each of them around a number except \x1c-\x1f.
+_PAD = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u3000"),
+               max_size=2)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}e{}".format, st.floats(-10, 10).map(repr), st.integers(-340, 340)),
+    st.builds("{}.{}".format, st.integers(-10**6, 10**6), st.integers(0, 10**30)),
+    st.sampled_from(["1e-320", "2.2250738585072011e-308", "9007199254740993", "-0.0", "+.5",
+                     "5.", "1E5", "1e400", "-1e400", "inf", "-Infinity", "nan"]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(number=_NUMBER, pad=st.tuples(_PAD, _PAD), insert=st.tuples(
+    st.integers(0, 30),
+    st.sampled_from(["", "", "", "", "_", "\u0661", "\uff15", "\u0e53", "\u00b2"])))
+def test_the_c_pass_reads_a_coordinate_as_float_does_or_declines(tmp_path_factory, number,
+                                                                   pad, insert):
+    # each number is padded, and may get an underscore or a non-ASCII digit spliced in:
+    # np.loadtxt gives float()'s double bit for bit, or the C pass leaves the file to the
+    # csv-module reader
+    i, extra = insert
+    field = pad[0] + number[:i] + extra + number[i:] + pad[1]
+    try:
+        expected = np.float64(float(field)).tobytes()
+    except ValueError:
+        expected = None
+    path = tmp_path_factory.mktemp("float") / "one.csv"
+    for text, labeled in ((f"x0\n{field}\n", False), (f"x0,y\r\n{field},1\r\n", True)):
+        path.write_bytes(text.encode())
+        rows = io_cli._c_rows(str(path), labeled)
+        if rows is not None:
+            assert (rows[0] if labeled else rows).tobytes() == expected, field
 
 
 # ---------------------------------------------------------------- result files
@@ -1214,6 +1328,7 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
     train = transfer_csv(tmp_path)
     write_points(tmp_path / "test.csv", [[0.5, 0.5]])
     write_text(tmp_path / "ponly.csv", "x0,x1,y,origin\n0.25,0.5,1,P\n")
+    write_text(tmp_path / "header.csv", "x0,x1,y,origin\n")
     write_text(tmp_path / "tag.csv", "x0,x1,y,origin\n0.25,0.5,1,P\n0.5,0.5,0,R\n")
     (tmp_path / "latin.csv").write_bytes(train.read_bytes() + b"0.5,0.5,1,Q\xe9\n")
     d6 = sample_multisource_dataset(DriftModel(0.6, 0.3, 6), (20,), 30, RandomSource(0))
@@ -1277,6 +1392,9 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
          "method 'lepski-q' has no samples to fit on"),
         ([*pred, "--method", "knn", "--k", "1", "--train", "ponly.csv"], 2,
          "method 'qonly' has no samples to fit on"),
+        # the fit refuses an empty dataset before the query file is read
+        ([*pred, "--method", "adaptive", "--train", "header.csv", "--test", "no.csv"], 2,
+         "method 'adaptive' has no samples to fit on"),
         (ev, 2, "the following arguments are required: --pmax"),
         ([*ev, "--pmax", "0.4"], 2, "p_max must be in (0.5, 1], got 0.4"),
         ([*ev, "--pmax", "0.55", "--radius", "0"], 2, "radius must be finite and > 0, got 0.0"),
