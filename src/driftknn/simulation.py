@@ -323,8 +323,8 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
                lepski_width: str = "algorithm3", k: int | None = None) -> FittedMethod:
     """Fit a named method to a dataset with any number of sources: the one place a method is
     built, after the one check of every fit's settings (name, hp.d, the length of hp.gamma,
-    Lepski width, then k). weighted is the vote over [Q, S_1..S_m] with the minimax_plan,
-    adaptive the adaptive scan over them, a batch scanning each row's own order, refused with
+    Lepski width, then k). weighted is the vote over [Q, S_1..S_m] with the minimax_plan and
+    adaptive the adaptive scan over them, a batch scanning each row's own order; both raise
     ValueError when every set is empty. The one-set methods read Q, or the pooled S_1..S_m,
     Q (its SampleSet built on the first batch), and raise ValueError when that set is empty:
     qonly and combined are the plain k-NN majority vote, k in [1, n] if given (refused on
@@ -338,16 +338,16 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
     _check_width(lepski_width)
     if k is not None and name not in ("qonly", "combined"):
         raise ValueError(f"k applies only to qonly and combined, not {name!r}")
+    pooled = name in ("combined", "lepski-combined")
+    n = ds.n_q + (0 if name in ("qonly", "lepski-q") else ds.n_p)
+    if n == 0:
+        raise ValueError(f"method {name!r} has no samples to fit on")
     if name == "weighted":
         plan = minimax_plan(ds.source_sizes, ds.n_q, hp)
         ks, ws = (plan.k_q, *plan.k_sources), (plan.w_q, *plan.w_sources)
         views = lambda mo: [mo.group_labels(g) for g in range(mo.n_groups)]
         return FittedMethod(name, ds, lambda mo: _label(_vote_eta(views(mo), ks, ws)),
                             lambda pts: weighted_knn_predict(ds, plan, pts))
-    pooled = name in ("combined", "lepski-combined")
-    n = ds.n_q + (ds.n_p if pooled or name == "adaptive" else 0)
-    if n == 0:
-        raise ValueError(f"method {name!r} has no samples to fit on")
     if name == "adaptive":
         return FittedMethod(name, ds, lambda mo: _adaptive_scan(mo, ds.d)[0],
                             lambda pts: [adaptive_predict(ds, x)[0] for x in pts])

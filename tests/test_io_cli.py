@@ -1360,7 +1360,7 @@ def test_cli_exit_codes_follow_one_rule(tmp_path, monkeypatch, capsys):
         (["simulate", "fig5a", *sim, "--nq", "0"], 2,
          "method 'lepski-q' has no samples to fit on"),
         (["simulate", "fig4a", *sim, "--np", "0", "--nq", "0"], 2,
-         "need at least one sample across all sets"),
+         "method 'weighted' has no samples to fit on"),
         (["simulate", "fig6", *sim], 2, "invalid choice: 'fig6'"),
         ([*rate, "--sizes", "10,20,30"], 2, "degenerate grid: need >= 4 sizes, got 3"),
         ([*rate, "--reps", "1"], 2, "reps must be >= 2, got 1"),

@@ -11,7 +11,7 @@ import scipy.spatial
 from hypothesis import given, settings, strategies as st
 
 from driftknn import neighbors
-from driftknn.core import RandomSource, SampleSet, TransferDataset, pooled_sample_set
+from driftknn.core import MAX_COORD, RandomSource, SampleSet, TransferDataset, pooled_sample_set
 from driftknn.neighbors import (
     MergedOrder,
     NeighborIndex,
@@ -613,6 +613,97 @@ def test_orders_keep_exact_float_ties_only():
     inf = np.inf
     np.testing.assert_array_equal(_canonical_argsort(np.array([inf, 0.0, inf, 1e308, inf])),
                                   [1, 3, 0, 2, 4])
+
+
+# The packed key's index width b = bit_length(n - 1) changes at n = 2^k + 1.
+PACKED_SIZES = sorted({0, 1, 2, 3, 4, 5} | {2**k + e for k in range(1, 12) for e in (-1, 0, 1)})
+
+
+def lattice_distances(gen, n, grid):
+    """_distances of n points of the 1/grid lattice of the unit square to a lattice point."""
+    return _distances(gen.integers(0, grid + 1, size=(n, 2)) / grid,
+                      gen.integers(0, grid + 1, size=2) / grid)
+
+
+def ulp_neighbors(gen, n):
+    """n draws, in shuffled index order, from runs of one-ulp neighbors: distinct
+    distances that share a packed key prefix, so the argsort's fix-up runs."""
+    base = gen.random(3) * 10.0 ** gen.integers(-3, 4, size=3)
+    pool = np.concatenate([base, np.nextafter(base, np.inf),
+                           np.nextafter(np.nextafter(base, np.inf), np.inf)])
+    return gen.choice(pool, n)
+
+
+# The largest distance under core's coordinate rule, |x_j| <= MAX_COORD, in d = 3.
+MAX_DISTANCE = _distances(np.full((1, 3), -MAX_COORD), np.full(3, MAX_COORD))[0]
+
+
+def extreme_distances(gen, n):
+    pool = np.array([0.0, np.inf, MAX_DISTANCE, np.nextafter(MAX_DISTANCE, 0.0),
+                     5e-324, 1.0])
+    return gen.choice(pool, n)
+
+
+DRAWS = {"lattice64": lambda gen, n: lattice_distances(gen, n, 64),
+         "lattice128": lambda gen, n: lattice_distances(gen, n, 128),
+         "ulp": ulp_neighbors, "extremes": extreme_distances}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.sampled_from(PACKED_SIZES), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(sorted(DRAWS)), min_size=1, max_size=3))
+def test_canonical_argsort_is_the_lexsort_order(n, seed, kinds):
+    # each entry drawn from one of the chosen kinds, so kinds mix within a vector
+    gen = np.random.default_rng(seed)
+    draws = np.stack([DRAWS[kind](gen, n) for kind in kinds])
+    dist = draws[gen.integers(0, len(kinds), size=n), np.arange(n)]
+    got = _canonical_argsort(dist)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.lexsort((np.arange(n), dist)))
+
+
+def test_the_fix_up_sorts_only_keys_that_miss_a_near_tie(monkeypatch):
+    # the stable argsort runs on shuffled one-ulp neighbors, and never on the
+    # _distances of lattice or continuous points
+    stable = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: stable.append(
+        kw.get("kind") == "stable") or argsort(a, *args, **kw))
+    gen = np.random.default_rng(5)
+    dist = ulp_neighbors(gen, 100)
+    np.testing.assert_array_equal(_canonical_argsort(dist), np.lexsort((np.arange(100), dist)))
+    assert stable == [True]
+    stable.clear()
+    x = np.array([0.5, 0.5])
+    for n in (2, 100, 7000):
+        for dist in (lattice_distances(gen, n, 128), lattice_distances(gen, n, 64),
+                     _distances(gen.random((n, 2)), gen.random(2))):
+            np.testing.assert_array_equal(_canonical_argsort(dist),
+                                          np.lexsort((np.arange(n), dist)))
+        mo = merged_order([make_set(gen.integers(0, 129, (n, 2)) / 128) for _ in range(2)], x)
+        mo.head(n // 4)
+        mo.pooled_labels()
+    assert not any(stable)
+
+
+def test_constructor_refuses_negative_and_nan_distances():
+    rows = (np.zeros(2, dtype=np.int64), np.arange(2), np.array([0, 1]))
+    for bad in ([0.5, -1.0], [np.nan, 0.5], [-np.inf, 0.0], [0.0, -5e-324]):
+        with pytest.raises(ValueError, match="^distances must be >= 0 and not NaN$"):
+            MergedOrder(np.array(bad), *rows, 1)
+
+
+def test_constructor_places_negative_zero_as_zero():
+    # -0.0 == +0.0: the two tie and go by position, on a fresh head and a full read
+    dist = np.array([-0.0, 1.0, 0.0, np.inf, -0.0, 0.0])
+    want = [0, 2, 4, 5, 1, 3]
+    np.testing.assert_array_equal(np.lexsort((np.arange(6), dist)), want)
+    rows = (np.zeros(6, dtype=np.int64), np.arange(6), np.arange(6))
+    for k in (1, 3, 4, 6):
+        assert MergedOrder(dist, *rows, 1).head(k)[1].tolist() == want[:k]
+    mo = MergedOrder(dist, *rows, 1)
+    assert mo.within_index.tolist() == want
+    assert mo.pooled_labels().tolist() == want
 
 
 def test_merged_order_arrays_are_read_only():

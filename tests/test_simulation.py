@@ -546,13 +546,14 @@ def test_fit_method_refuses_hyperparams_of_another_dimension():
         fit_method("qonly", ds, HP_MAIN, k=3)
 
 
-@pytest.mark.parametrize("name", ["qonly", "combined", "lepski-q", "lepski-combined", "adaptive"])
+@pytest.mark.parametrize("name", ["qonly", "combined", "lepski-q", "lepski-combined", "adaptive",
+                                  "weighted"])
 def test_one_set_fits_refuse_an_empty_set_when_fitted(name):
     rows = SampleSet(np.full((3, 2), 0.5), np.array([0, 1, 1]))
     q_only = TransferDataset((SampleSet.empty(2),), rows)
     empty_q = TransferDataset((rows,), SampleSet.empty(2))
     empty = TransferDataset((SampleSet.empty(2),), SampleSet.empty(2))
-    # the target-only fits need Q rows; the pooled ones and adaptive any rows
+    # the target-only fits need Q rows; the pooled ones, adaptive and weighted any rows
     for ds in ((empty, empty_q) if name in ("qonly", "lepski-q") else (empty,)):
         with pytest.raises(ValueError, match=f"method '{name}' has no samples to fit on"):
             fit_method(name, ds, HP_MAIN)
