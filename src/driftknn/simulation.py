@@ -6,9 +6,10 @@ middle c of the cube, and source regression eta_P = 1/2 + (eta_Q - 1/2)^gamma.
 The model owns its test ball B(c, 0.05), where test points are drawn, and its
 signal ball B(c, p_max - 1/2), the only place where eta_Q differs from 1/2.
 
-The experiment engine runs method-vs-grid accuracy sweeps (one fresh
-dataset and one test point per replication), and ``rate_exponent_check``
-fits the empirical log-log convergence slope of the excess risk.
+Both engines run one replication loop, ``_replicate``, over (model, n_P, n_Q) cells:
+``run_accuracy_experiment`` sweeps method-vs-grid accuracy (one fresh dataset and one
+test point per replication), and ``rate_exponent_check`` fits the empirical log-log
+convergence slope of the Monte Carlo excess risk.
 
 A replication orders its dataset once (``neighbors.merged_order``) and each
 method reads that order, a one-set method through its target or pooled view;
@@ -366,7 +367,9 @@ def fit_method(name: str, ds: TransferDataset, hp: HyperParams,
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One replication of one method at one grid point."""
+    """One replication of one method at one grid point. wall_time is the seconds of that
+    method's fit and score, not of the dataset draw or an order shared by methods; no CSV
+    writes it."""
 
     experiment: str
     method: str
@@ -412,49 +415,56 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
                             lepski_width: str = "algorithm3") -> list[ExperimentRecord]:
     """Accuracy sweep over a (p_max x n_P) grid.
 
-    Each replication draws a fresh dataset and a single test point from the
-    model's test ball, orders the dataset once around it and scores every
-    method on that order (wall_time excludes the shared ordering). gamma is
-    used both to generate the source data and in the weighted plan.
-    Replication streams are keyed by (experiment, grid index, replication),
-    so results are independent of method order and reproducible per seed.
-    Every grid point's model and sizes, and reps against the substream cap, are checked
-    before the first replication; fit_method checks the method names and width in it.
+    Each replication draws a fresh dataset and one test point from the model's test ball,
+    orders the dataset once around it and scores every method on that order. gamma is used
+    both to generate the source data and in the weighted plan. The methods (at least one,
+    none twice), each grid point's model and sizes, and reps against the substream cap are
+    checked before the first replication; fit_method checks method names and width in it.
     """
     reps = core._check_count(reps, "reps", 1)
     hp = HyperParams(beta=beta, gamma=gamma, d=d)
-    exp_stream = _EXPERIMENT_STREAM_IDS.get(experiment, 0)
-    root = RandomSource(seed).substream(exp_stream)
-    root.substream(reps - 1)  # the last replication's stream must exist
-    seed, gamma, d = root.seed, hp.scalar_gamma(), hp.d  # checked, as the records keep them
-    grid = [(pm, DriftModel(pm, gamma, d), n_p)
-            for pm in p_max_values for n_p in n_p_values]
-    if not grid:
-        raise ValueError("empty grid")
-    for i, (pm, model, n_p) in enumerate(grid):
+    gamma = hp.scalar_gamma()  # a vector is refused even on an empty grid
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be distinct and nonempty, got {tuple(methods)}")
+    root = RandomSource(seed).substream(_EXPERIMENT_STREAM_IDS.get(experiment, 0))
+    cells = [(DriftModel(pm, gamma, hp.d), n_p, n_q)
+             for pm in p_max_values for n_p in n_p_values]
+    for i, (model, n_p, n_q) in enumerate(cells):
         (n_p,), n_q = _checked_sizes((n_p,), n_q)
-        grid[i] = pm, model, n_p
+        cells[i] = model, n_p, n_q
+
+    def score(model, ds, rs):
+        x = model.sample_test_points(1, rs)[0]
+        truth = model.bayes(x)
+        # one order for every method (looked up on the module), sorted outside the timed fits
+        mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
+        mo.labels  # sorts the whole order
+        for name in methods:
+            t0 = time.perf_counter()
+            pred = fit_method(name, ds, hp, lepski_width).predict_order(mo)
+            yield name, float(pred == truth), None, time.perf_counter() - t0
+
+    return _replicate(experiment, root, cells, reps, score)
+
+
+def _replicate(experiment: str, root: RandomSource, cells: Sequence[tuple], reps: int,
+               score: Callable, first: int = 0) -> list[ExperimentRecord]:
+    """The one replication loop: replication r of cell i, a checked (model, n_p, n_q), draws
+    its dataset from root.substream(first + i).substream(r).substream(0), and score(model, ds,
+    that stream's substream(1)) yields one (method, accuracy, excess_risk, wall_time) per
+    record. An empty grid, then reps beyond the substream cap, are refused first."""
+    if not cells:
+        raise ValueError("empty grid")
+    root.substream(reps - 1)  # the last replication's stream must exist
     records: list[ExperimentRecord] = []
-    for gi, (p_max, model, n_p) in enumerate(grid):
-        grid_rs = root.substream(gi)
+    for i, (model, n_p, n_q) in enumerate(cells):
+        cell_rs = root.substream(first + i)
         for rep in range(reps):
-            rs = grid_rs.substream(rep)
+            rs = cell_rs.substream(rep)
             ds = sample_dataset(model, n_p, n_q, rs.substream(0))
-            x = model.sample_test_points(1, rs.substream(1))[0]
-            truth = model.bayes(x)
-            # one order for every method, looked up on the module as in adaptive_predict;
-            # sorted in one pass here, outside the timed fits, as the views read all of it
-            mo = neighbors.merged_order([ds.q_data, *ds.sources], x)
-            mo.labels  # sorts the whole order
-            for name in methods:
-                t0 = time.perf_counter()
-                pred = fit_method(name, ds, hp, lepski_width).predict_order(mo)
-                elapsed = time.perf_counter() - t0
-                records.append(ExperimentRecord(
-                    experiment=experiment, method=name, seed=seed, replication=rep,
-                    p_max=float(p_max), gamma=gamma, d=d, n_p=n_p, n_q=n_q,
-                    accuracy=float(pred == truth), excess_risk=None, wall_time=elapsed,
-                ))
+            records += [ExperimentRecord(experiment, method, root.seed, rep, float(model.p_max),
+                                         model.gamma_sim, model.d, n_p, n_q, *scored)
+                        for method, *scored in score(model, ds, rs.substream(1))]
     return records
 
 
@@ -588,28 +598,18 @@ def rate_exponent_check(hp: HyperParams, sizes: Sequence[int], reps: int, rng: R
         raise ValueError("degenerate grid: sizes must span at least a decade")
     reps = core._check_count(reps, "reps", 2)
     n_mc = core._check_count(n_mc, "n_mc", 2)
-    rng.substream(reps - 1)  # the last replication's stream must exist
     model = DriftModel(p_max, hp.scalar_gamma(), hp.d)
-    experiment = f"rate-{sweep}"
-    root = rng.substream(_EXPERIMENT_STREAM_IDS[experiment])
-    rep_risks = np.empty((len(sizes), reps))
-    records: list[ExperimentRecord] = []
-    for gi, n in enumerate(sizes):
-        grid_rs = root.substream(gi + 1)
-        n_p, n_q = (0, n) if sweep == "q" else (n, 0)
-        for rep in range(reps):
-            rs = grid_rs.substream(rep)
-            t0 = time.perf_counter()
-            ds = sample_dataset(model, n_p, n_q, rs.substream(0))
-            fitted = fit_method("weighted", ds, hp)
-            est = excess_risk_mc(fitted.predict_batch, model, n_mc, rs.substream(1))
-            elapsed = time.perf_counter() - t0
-            rep_risks[gi, rep] = est.value
-            records.append(ExperimentRecord(
-                experiment=experiment, method="weighted", seed=rng.seed, replication=rep,
-                p_max=float(p_max), gamma=hp.scalar_gamma(), d=hp.d, n_p=n_p, n_q=n_q,
-                accuracy=None, excess_risk=est.value, wall_time=elapsed,
-            ))
+    root = rng.substream(_EXPERIMENT_STREAM_IDS[f"rate-{sweep}"])
+
+    def score(model, ds, rs):
+        t0 = time.perf_counter()
+        risk = excess_risk_mc(fit_method("weighted", ds, hp).predict_batch, model, n_mc, rs)
+        return [("weighted", None, risk.value, time.perf_counter() - t0)]
+
+    cells = [(model, *((0, n) if sweep == "q" else (n, 0))) for n in sizes]
+    # stream 0 of root is the bootstrap's, so the cells start at 1
+    records = _replicate(f"rate-{sweep}", root, cells, reps, score, first=1)
+    rep_risks = np.array([r.excess_risk for r in records]).reshape(len(sizes), reps)
     means = rep_risks.mean(axis=1)
     if np.any(means <= 0):
         bad = sizes[int(np.flatnonzero(means <= 0)[0])]

@@ -1108,25 +1108,29 @@ def test_cli_simulate_presets_are_frozen(tmp_path, preset):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[preset]
 
 
-# SHA-256 of rate-check --seed 7 --reps 4 --nmc 25000 --out rate.csv, written
-# when the bootstrap drew and fitted one resample at a time; stdout holds the CI.
-# stdout was re-pinned when the target slope took the cone's margin exponent 1:
-# its target line reads -0.5000 and alpha=1 (was -0.2500 and alpha=0); the CSV
-# and every other stdout line are unchanged.
+# SHA-256 of rate-check --seed 7 --reps 4 --nmc 25000 --sweep <q|p> --out rate.csv;
+# stdout holds the CI. The q pair was written when the bootstrap drew and fitted one
+# resample at a time. Its stdout was re-pinned when the target slope took the cone's
+# margin exponent 1: its target line reads -0.5000 and alpha=1 (was -0.2500 and
+# alpha=0); the CSV and every other stdout line are unchanged. The p pair was written
+# while each engine still ran its own replication loop.
 RATE_CHECK_SHA256 = {
-    "stdout": "cab663235450a9467a200bd14022e63327171871d672764be91ac957f934d185",
-    "csv": "d89614a03cf314ef8a54b65af45ac028b22931957bc3c646c725166b09296996",
+    "q": {"stdout": "cab663235450a9467a200bd14022e63327171871d672764be91ac957f934d185",
+          "csv": "d89614a03cf314ef8a54b65af45ac028b22931957bc3c646c725166b09296996"},
+    "p": {"stdout": "7ffbd7889a9963454723b6bc23815e52eeb1e613242f08a52f64c4b6abbddd4e",
+          "csv": "9d60ca84aedcc2e8cacb7fc75efd890e55e91630d4ee49d60f489ec55cf83300"},
 }
 
 
-def test_cli_rate_check_is_frozen(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("sweep", sorted(RATE_CHECK_SHA256))
+def test_cli_rate_check_is_frozen(tmp_path, monkeypatch, capsys, sweep):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["rate-check", "--seed", "7", "--reps", "4", "--nmc", "25000",
-                    "--out", "rate.csv"]) == 0
+                    "--sweep", sweep, "--out", "rate.csv"]) == 0
     stdout = capsys.readouterr().out.encode()
-    assert hashlib.sha256(stdout).hexdigest() == RATE_CHECK_SHA256["stdout"]
+    assert hashlib.sha256(stdout).hexdigest() == RATE_CHECK_SHA256[sweep]["stdout"]
     csv_bytes = (tmp_path / "rate.csv").read_bytes()
-    assert hashlib.sha256(csv_bytes).hexdigest() == RATE_CHECK_SHA256["csv"]
+    assert hashlib.sha256(csv_bytes).hexdigest() == RATE_CHECK_SHA256[sweep]["csv"]
 
 
 def test_cli_rate_check(tmp_path, capsys):

@@ -932,6 +932,11 @@ def test_both_engines_refuse_reps_beyond_the_substream_cap_before_sampling(monke
     (dict(n_q=20.0), r"n_q must be an integer, got 20.0"),
     # a two-entry gamma used to reach DriftModel and raise a TypeError
     (dict(gamma=(0.3, 0.4)), r"expected a scalar gamma, got a vector"),
+    # a repeated method used to double its aggregate row's reps and shrink its SE by sqrt(2)
+    (dict(methods=("qonly", "qonly")),
+     r"methods must be distinct and nonempty, got \('qonly', 'qonly'\)"),
+    # no methods used to run every replication and return []
+    (dict(methods=()), r"methods must be distinct and nonempty, got \(\)"),
 ])
 def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
         monkeypatch, bad, message):
