@@ -8,7 +8,7 @@ digits so a write/read cycle reproduces every double bit-exactly.
 
 Both readers first parse a file in one C pass of ``np.loadtxt``; where that pass
 cannot be sure of the same answer (a quote, a row or value it refuses, ...), the exact
-reader, built on the csv module, reads the file and names the line of its first fault.
+reader checks the file row by row with the csv module and names its first faulty line.
 Text is UTF-8, with one leading byte-order mark dropped.
 
 Every CSV the package writes goes through one writer, ``_write_csv``; the
@@ -162,55 +162,6 @@ def _data_rows(fh, path: str):
     return header, filter(itemgetter(1), rows)
 
 
-def _columns(rows, ncols: int, exact: bool):
-    """The first ncols fields of each row by column, up to the first with a wrong field
-    count (any other if exact, else fewer); line numbers; faults as (row, rank, message)."""
-    flat, lines, faults = [], [], []
-    for lineno, row in rows:
-        lines.append(lineno)
-        if len(row) != ncols and (exact or len(row) < ncols):
-            faults.append((len(lines) - 1, 0, f"expected {ncols} fields, got {len(row)}"
-                           if exact else f"expected >= {ncols} fields"))
-            break
-        flat += row if exact else row[:ncols]
-    return [flat[j::ncols] for j in range(ncols)], lines, faults
-
-
-def _float_columns(cols, faults) -> np.ndarray:
-    """The columns as an (n, len(cols)) float array, zero from a column's first
-    non-numeric field on; faults get the first non-numeric row and the first out of core's rule."""
-    pts = np.zeros((len(cols[0]), len(cols)))
-    for j, col in enumerate(cols):
-        fields = iter(col)
-        try:
-            pts[:, j] = np.fromiter(map(float, fields), np.float64, len(col))
-        except ValueError:  # the field that failed was the last one taken from fields
-            i = len(col) - 1 - len(list(fields))
-            pts[:i, j] = list(map(float, col[:i]))
-            faults.append((i, 1, "non-numeric coordinate"))
-    ok = (np.abs(pts) <= MAX_COORD).all(axis=1)
-    if not ok.all():
-        faults.append((int(ok.argmin()), 2, BAD_COORD))
-    return pts
-
-
-def _code_column(col, code, rank: int, message: str, faults) -> np.ndarray:
-    """code(field.strip()) of each field, computed once per distinct field; a code
-    below 0 marks an invalid field, and the first one goes to faults."""
-    of = {v: code(v.strip()) for v in set(col)}
-    codes = np.fromiter(map(of.__getitem__, col), np.int64, len(col))
-    bad = np.flatnonzero(codes < 0)
-    if bad.size:
-        faults.append((int(bad[0]), rank, message.format(col[bad[0]].strip())))
-    return codes
-
-
-def _raise_first(path: str, lines: list[int], faults) -> None:
-    if faults:
-        row, _, message = min(faults)
-        raise CsvFormatError(f"{path}: line {lines[row]}: {message}")
-
-
 # P, Q, or P followed by a source number of at most 18 ASCII digits without a
 # leading zero, so that every source number fits an int64 code.
 _ORIGIN_TAG = re.compile(r"[PQ]|P[1-9][0-9]{0,17}")
@@ -275,6 +226,52 @@ def _lines_within(raw: bytes, limit: int) -> bool:
     return True
 
 
+def _exact_rows(path: str, labeled: bool):
+    """What _c_rows returns, read by the csv module and checked row by row in file order:
+    the field count, then the coordinates (float(), then core's rule), the label and the
+    origin tag. The first faulty row, by its line, or a query file with no data row raises
+    CsvFormatError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, rows = _data_rows(fh, path)
+        d, has_origin = _parse_header(header, path) if labeled else (
+            _points_header(header, path), False)
+        ncols = d + labeled + has_origin
+        coords, labels, codes, code_of = [], [], [], {}  # code_of: tag field -> code
+        fault = lambda message: CsvFormatError(f"{path}: line {lineno}: {message}")
+        for lineno, row in rows:
+            if len(row) != ncols and (labeled or len(row) < ncols):
+                raise fault(f"expected {ncols} fields, got {len(row)}" if labeled
+                            else f"expected >= {ncols} fields")
+            try:
+                x = list(map(float, row[:d]))
+            except ValueError:
+                raise fault("non-numeric coordinate") from None
+            if not all(map(MAX_COORD.__ge__, map(abs, x))):  # NaN fails too
+                raise fault(BAD_COORD)
+            coords += x
+            if labeled:
+                label = row[d].strip()
+                if label not in ("0", "1"):
+                    raise fault(f"label must be 0 or 1, got {label!r}")
+                labels.append(label == "1")
+            if has_origin:
+                tag = row[d + 1]
+                code = code_of.get(tag)
+                if code is None:
+                    code = code_of[tag] = _tag_code(tag.strip())
+                if code < 0:
+                    raise fault(f"unknown origin tag {tag.strip()!r}")
+                codes.append(code)
+    pts, labs = np.array(coords, dtype=np.float64).reshape(-1, d), np.array(labels, np.int64)
+    if not labeled:
+        if not len(pts):
+            raise CsvFormatError(f"{path}: no data rows")
+        return pts
+    if not has_origin:
+        return pts, labs, None, None
+    return pts, labs, np.array(codes, np.int64), {tag.strip() for tag in code_of}
+
+
 def read_labeled_csv(path):
     """Read a labeled-data CSV; the origin column decides the return type.
 
@@ -282,26 +279,11 @@ def read_labeled_csv(path):
     {P, Q} tags one source, contiguous P1..Pm tags (plus optional Q) m
     sources, so a P1-only file is the same dataset as a P/Q file. Format
     violations raise CsvFormatError citing the 1-based line number of the
-    first faulty row. Fields are checked column by column; within a row the
+    first faulty row: rows are checked in file order, and within a row the
     checks keep the order field count, coordinates, label, origin tag.
     """
     path = str(path)
-    fast = _c_rows(path, labeled=True)
-    if fast is not None:
-        pts, labs, tag_of, tags = fast
-    else:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header, rows = _data_rows(fh, path)
-            d, has_origin = _parse_header(header, path)
-            cols, lines, faults = _columns(rows, d + 1 + has_origin, exact=True)
-        pts = _float_columns(cols[:d], faults)
-        labs = _code_column(cols[d], lambda y: {"0": 0, "1": 1}.get(y, -1), 3,
-                            "label must be 0 or 1, got {!r}", faults)
-        tag_of = tags = None
-        if has_origin:
-            tag_of = _code_column(cols[d + 1], _tag_code, 4, "unknown origin tag {!r}", faults)
-            tags = {v.strip() for v in set(cols[d + 1])}
-        _raise_first(path, lines, faults)
+    pts, labs, tag_of, tags = _c_rows(path, labeled=True) or _exact_rows(path, labeled=True)
     if tag_of is None:
         return SampleSet(pts, labs)
     rows_tagged = lambda code: SampleSet(pts[tag_of == code], labs[tag_of == code])
@@ -320,17 +302,8 @@ def read_labeled_csv(path):
 def read_points_csv(path) -> np.ndarray:
     """Read query points: header x0..x{d-1} with optional extra columns ignored."""
     path = str(path)
-    fast = _c_rows(path, labeled=False)
-    if fast is not None:
-        return fast
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header, rows = _data_rows(fh, path)
-        cols, lines, faults = _columns(rows, _points_header(header, path), exact=False)
-    pts = _float_columns(cols, faults)
-    _raise_first(path, lines, faults)
-    if not len(pts):
-        raise CsvFormatError(f"{path}: no data rows")
-    return pts
+    pts = _c_rows(path, labeled=False)
+    return _exact_rows(path, labeled=False) if pts is None else pts
 
 
 def _repr(v) -> str:

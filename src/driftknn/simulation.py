@@ -417,16 +417,20 @@ def run_accuracy_experiment(experiment: str, methods: Sequence[str],
 
     Each replication draws a fresh dataset and one test point from the model's test ball,
     orders the dataset once around it and scores every method on that order. gamma is used
-    both to generate the source data and in the weighted plan. The methods (at least one,
-    none twice), each grid point's model and sizes, and reps against the substream cap are
+    both to generate the source data and in the weighted plan. The experiment (a preset's
+    name, which keys its streams), the methods (a sequence of names, at least one, none
+    twice), each grid point's model and sizes, and reps against the substream cap are
     checked before the first replication; fit_method checks method names and width in it.
     """
+    _preset(experiment)  # a name outside the presets would share another sweep's streams
     reps = core._check_count(reps, "reps", 1)
     hp = HyperParams(beta=beta, gamma=gamma, d=d)
     gamma = hp.scalar_gamma()  # a vector is refused even on an empty grid
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of method names, got {methods!r}")
     if not methods or len(set(methods)) != len(methods):
         raise ValueError(f"methods must be distinct and nonempty, got {tuple(methods)}")
-    root = RandomSource(seed).substream(_EXPERIMENT_STREAM_IDS.get(experiment, 0))
+    root = RandomSource(seed).substream(_EXPERIMENT_STREAM_IDS[experiment])
     cells = [(DriftModel(pm, gamma, hp.d), n_p, n_q)
              for pm in p_max_values for n_p in n_p_values]
     for i, (model, n_p, n_q) in enumerate(cells):
@@ -515,11 +519,14 @@ EXPERIMENT_PRESETS: dict[str, dict] = {
 
 def run_preset(name: str, seed: int, **overrides) -> list[ExperimentRecord]:
     """Run a canned experiment, optionally overriding any engine argument."""
+    return run_accuracy_experiment(name, seed=seed, **{**_preset(name), **overrides})
+
+
+def _preset(name: str) -> dict:
+    """The arguments of the canned experiment name; any other name is refused."""
     if name not in EXPERIMENT_PRESETS:
         raise ValueError(f"unknown experiment {name!r}; options: {sorted(EXPERIMENT_PRESETS)}")
-    kwargs = dict(EXPERIMENT_PRESETS[name])
-    kwargs.update(overrides)
-    return run_accuracy_experiment(name, seed=seed, **kwargs)
+    return EXPERIMENT_PRESETS[name]
 
 
 def target_rate_exponent(hp: HyperParams, sweep: str = "q") -> float:

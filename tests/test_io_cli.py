@@ -1,5 +1,6 @@
 """CSV exchange formats, run manifests, and the command-line interface."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -365,6 +367,18 @@ def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, read, rows):
         read(path)
 
 
+@pytest.mark.parametrize("read", [read_labeled_csv, read_points_csv])
+@pytest.mark.parametrize("tail", [f"0.{HUGE},1\n".encode(), b"0.25,0\xe9\n"],
+                         ids=["oversize", "not-utf8"])
+def test_a_faulty_row_is_reported_before_a_later_unreadable_line(tmp_path, read, tail):
+    # rows are checked as they are read, so the earlier fault wins over a line far past it,
+    # beyond the first decoded block, that cannot be read at all
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"x0,y\n0.5,1\nabc,1\n" + b"0.5,1\n" * 20_000 + tail)
+    with pytest.raises(CsvFormatError, match="late.csv: line 3: non-numeric coordinate$"):
+        read(path)
+
+
 @pytest.mark.parametrize("tag", ["Q", '"Q"'], ids=["c-pass", "exact"])
 def test_readers_accept_a_utf8_byte_order_mark(tmp_path, tag):
     # spreadsheet "CSV UTF-8" exports start with one; only that leading mark is dropped
@@ -425,7 +439,7 @@ def test_plain_files_take_the_c_pass_and_quoted_ones_the_exact_reader(tmp_path, 
 # ---------------------------------------------------------------- readers vs oracle
 
 
-# The per-row readers that the column-wise ones replaced, kept as the oracle:
+# Per-row readers written apart from io_cli, kept as the oracle of both read paths:
 # every row is checked in file order, each field as it comes.
 _ORACLE_TAG = re.compile(r"[PQ]|P[1-9][0-9]{0,17}")
 
@@ -578,15 +592,19 @@ def faulty_csv_text(draw):
                    for line in [",".join(header)] + lines)
 
 
+@pytest.mark.parametrize("c_pass", ["c-pass-where-it-reads", "c-pass-declines"])
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(text=faulty_csv_text())
-def test_column_readers_match_the_per_row_oracle(tmp_path_factory, text):
+def test_column_readers_match_the_per_row_oracle(tmp_path_factory, c_pass, text):
     # the same arrays bit for bit, or the same error message: the earliest
-    # faulty row, and within it field count, coordinates, label, tag
+    # faulty row, and within it field count, coordinates, label, tag; with the C pass
+    # made to decline, the exact reader reads every file, plain ones too
     path = tmp_path_factory.mktemp("oracle") / "data.csv"
     path.write_bytes(text.encode())
-    assert read_outcome(read_labeled_csv, path) == read_outcome(oracle_read_labeled_csv, path)
-    assert read_outcome(read_points_csv, path) == read_outcome(oracle_read_points_csv, path)
+    with (mock.patch.object(io_cli, "_c_rows", return_value=None)
+          if c_pass == "c-pass-declines" else contextlib.nullcontext()):
+        assert read_outcome(read_labeled_csv, path) == read_outcome(oracle_read_labeled_csv, path)
+        assert read_outcome(read_points_csv, path) == read_outcome(oracle_read_points_csv, path)
 
 
 # Characters that str.isspace counts as whitespace and that end no csv row; float()

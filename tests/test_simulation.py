@@ -937,6 +937,8 @@ def test_both_engines_refuse_reps_beyond_the_substream_cap_before_sampling(monke
      r"methods must be distinct and nonempty, got \('qonly', 'qonly'\)"),
     # no methods used to run every replication and return []
     (dict(methods=()), r"methods must be distinct and nonempty, got \(\)"),
+    # a bare name used to be read letter by letter, after a first dataset draw
+    (dict(methods="qonly"), r"methods must be a sequence of method names, got 'qonly'"),
 ])
 def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
         monkeypatch, bad, message):
@@ -956,6 +958,25 @@ def test_run_accuracy_experiment_refuses_a_bad_grid_before_any_replication(
     calls.clear()
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_accuracy_experiment("fig4a", **dict(kwargs, **bad))
+    assert calls == []
+
+
+@pytest.mark.parametrize("experiment", ["mine", "rate-q", "eval", "FIG4A"])
+def test_run_accuracy_experiment_refuses_an_unknown_experiment_before_any_replication(
+        monkeypatch, experiment):
+    # any name outside the presets used to key stream 0, so two custom names drew the same
+    # datasets, and "rate-q" drew rate-check's
+    from driftknn import simulation
+
+    calls = []
+    monkeypatch.setattr(simulation, "sample_dataset", lambda *args: calls.append(args))
+    message = (f"unknown experiment {experiment!r}; options: "
+               "['fig4a', 'fig4b', 'fig5a', 'fig5b']")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_accuracy_experiment(experiment, methods=("qonly",), p_max_values=(0.6,),
+                                n_p_values=(50,), n_q=50, reps=5, seed=3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_preset(experiment, seed=3)
     assert calls == []
 
 
